@@ -77,8 +77,6 @@ def _load_for(args):
 
 def _cmd_complete(args) -> int:
     p = _load_for(args)
-    if args.threads < 1:
-        raise PresentationFormatError("--threads must be at least 1")
     if isinstance(p, ModulePresentation):
         report = module_complete(
             p.relations, p.ordering, max_deg=args.max_deg, max_steps=args.max_steps
@@ -314,7 +312,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-deg", type=int, default=12)
     p.add_argument("--max-steps", type=int, default=10_000)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--threads", type=int, default=1, help="cap on parallel reductions")
     p.add_argument("-o", "--output", help="write the completed presentation here")
     p.add_argument("--module", action="store_true", help="require a module presentation")
     p.set_defaults(func=_cmd_complete)

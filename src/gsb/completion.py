@@ -1,19 +1,32 @@
 """Ambiguity detection, compositions, triviality, and Shirshov completion.
 
-Completion processes ambiguities smallest-first (by their word, then by
-relation indices), appends the monic normal form of each nontrivial
-composition, and inter-reduces after every addition.  Every accepted
-addition and every removal carries an exact replayable decomposition, so
-ideal preservation is certified, not assumed.
+Completion keeps a working set of monic relations.  Each relation that
+enters it is interned: equal polynomials share one record with a stable id,
+and its (leading word, tail) rule and sort key are compiled once.  The
+overlaps of a relation are enumerated once, against the relations present
+when it enters, and pushed on a heap ordered by (w, lead f, lead g, kind,
+len(a)); since the leading words of the working set are distinct and kept
+sorted, this is the smallest-first order by word and relation indices.
+Pairs whose relation has left the set are dropped when popped, and pairs
+that reduced to zero are cached by (kind, f id, g id, w, a, b).  The monic
+normal form of each nontrivial composition is added and the set is
+inter-reduced, rewriting only relations whose support contains another
+relation's leading word.  Every accepted addition and every removal carries
+an exact replayable decomposition, so ideal preservation is certified, not
+assumed.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import heapq
+import itertools
+from collections import Counter
+from dataclasses import dataclass, field
 
 from .errors import (
     LeadingNotBelowError,
+    LimitError,
     MalformedAmbiguityError,
     UncertifiedBasisError,
     ZeroPolynomialError,
@@ -24,7 +37,7 @@ from .poly import (
     format_module_element,
     format_polynomial,
 )
-from .rewrite import GsbCertificate, compile_rules, normal_form, normal_form_with_trace
+from .rewrite import GsbCertificate, _reduce, compile_rules, normal_form
 from .words import Word
 
 
@@ -63,6 +76,41 @@ class Ambiguity:
         )
 
 
+def _overlaps(f, g, inclusion: bool) -> list:
+    """Ambiguities of the leading words ``f`` and ``g`` (letter tuples).
+
+    Returns raw ``(kind, w, a, b)`` tuples: every proper suffix of f that
+    is a prefix of g (intersections), then, when ``inclusion`` is set,
+    every occurrence of g inside f.  This is the one overlap routine:
+    ``find_ambiguities``, ``check_gsb`` and completion all go through it.
+    """
+    out = []
+    nf, ng = len(f), len(g)
+    for o in range(1, min(nf, ng)):
+        if f[nf - o :] == g[:o]:
+            out.append((INTERSECTION, f + g[o:], f[: nf - o], g[o:]))
+    if inclusion:
+        for start in range(nf - ng + 1):
+            if f[start : start + ng] == g:
+                out.append((INCLUSION, f, f[:start], f[start + ng :]))
+    return out
+
+
+def _all_overlaps(leads, keyf) -> list:
+    """Every ambiguity among ``leads`` as raw ``(kind, i, j, w, a, b)``,
+    sorted by (w, i, j, kind, len(a))."""
+    found = []
+    for i, fi in enumerate(leads):
+        for j, gj in enumerate(leads):
+            inclusion = i != j and (
+                len(gj) < len(fi) or (len(gj) == len(fi) and i < j)
+            )
+            for kind, w, a, b in _overlaps(fi, gj, inclusion):
+                found.append((keyf(w), i, j, kind, len(a), w, a, b))
+    found.sort(key=lambda e: e[:5])
+    return [(kind, i, j, w, a, b) for _, i, j, kind, _, w, a, b in found]
+
+
 def find_ambiguities(relations, spec) -> list[Ambiguity]:
     """Every intersection and inclusion ambiguity, each reported once.
 
@@ -71,58 +119,14 @@ def find_ambiguities(relations, spec) -> list[Ambiguity]:
     pair only.  Sorted by (w, f_index, g_index).
     """
     rules = compile_rules(relations, spec)
-    leads = [lead for lead, _ in rules]
-    alphabet = relations[0].alphabet if relations else None
-    out = []
-    n = len(leads)
-    for i in range(n):
-        fi = leads[i]
-        for j in range(n):
-            gj = leads[j]
-            # intersections: proper suffix of lead(f) == proper prefix of lead(g)
-            for o in range(1, min(len(fi), len(gj))):
-                if fi[len(fi) - o :] == gj[:o]:
-                    w = fi + gj[o:]
-                    out.append(
-                        Ambiguity(
-                            INTERSECTION,
-                            i,
-                            j,
-                            Word(alphabet, w),
-                            Word(alphabet, fi[: len(fi) - o]),
-                            Word(alphabet, gj[o:]),
-                        )
-                    )
-            # inclusions: lead(g) inside lead(f)
-            if i == j:
-                continue
-            if len(gj) < len(fi) or (len(gj) == len(fi) and i < j):
-                start = 0
-                limit = len(fi) - len(gj)
-                while start <= limit:
-                    if fi[start : start + len(gj)] == gj:
-                        out.append(
-                            Ambiguity(
-                                INCLUSION,
-                                i,
-                                j,
-                                Word(alphabet, fi),
-                                Word(alphabet, fi[:start]),
-                                Word(alphabet, fi[start + len(gj) :]),
-                            )
-                        )
-                    start += 1
-    keyf = spec.letter_key(alphabet) if alphabet is not None else None
-    out.sort(
-        key=lambda amb: (
-            keyf(amb.w.letters),
-            amb.f_index,
-            amb.g_index,
-            amb.kind,
-            len(amb.a),
-        )
-    )
-    return out
+    if not rules:
+        return []
+    A = relations[0].alphabet
+    keyf = spec.letter_key(A)
+    return [
+        Ambiguity(kind, i, j, Word(A, w), Word(A, a), Word(A, b))
+        for kind, i, j, w, a, b in _all_overlaps([lead for lead, _ in rules], keyf)
+    ]
 
 
 def composition(f: Polynomial, g: Polynomial, amb: Ambiguity, spec) -> Polynomial:
@@ -198,6 +202,8 @@ class CompletionReport:
     processed: int
     nontrivial_log: tuple
     ordering: object
+    # work counters, keyed by STAT_KEYS; not part of to_json_dict()
+    stats: dict = field(default_factory=dict, compare=False)
 
     @property
     def is_certified(self) -> bool:
@@ -250,48 +256,203 @@ class CompletionReport:
         }
 
 
-def _trace_decomposition(trace, pool):
-    return tuple(
-        (step.coefficient, step.left, pool[step.rule], step.right)
-        for step in trace.steps
-    )
+STAT_KEYS = (
+    "pairs_enumerated",
+    "pairs_cached_trivial",
+    "compositions_evaluated",
+    "reduction_steps",
+    "rules_compiled",
+)
 
 
-def _interreduce(rels, spec, removed_log) -> bool:
-    """Reduce each relation by the others until stable; True if anything moved."""
-    changed_any = False
-    i = 0
-    while i < len(rels):
-        r = rels[i]
-        others = rels[:i] + rels[i + 1 :]
-        if not others:
-            break
-        nf, trace = normal_form_with_trace(r, others, spec)
-        if nf == r:
-            i += 1
-            continue
-        changed_any = True
-        decomposition = _trace_decomposition(trace, others)
-        if nf.is_zero():
-            removed_log.append(RemovedRelation(r, nf, None, decomposition))
-            del rels[i]
+def _compose(kind, f_terms, g_terms, a, b) -> dict:
+    """Raw terms of f*b - a*g (intersection) or f - a*g*b (inclusion)."""
+    if kind == INTERSECTION:
+        h = {u + b: c for u, c in f_terms.items()}
+        right = ()
+    else:
+        h = dict(f_terms)
+        right = b
+    for u, c in g_terms.items():
+        w = a + u + right
+        v = h.get(w, 0) - c
+        if v:
+            h[w] = v
         else:
-            monic = nf.make_monic(spec)
-            removed_log.append(RemovedRelation(r, nf, monic, decomposition))
-            rels[i] = monic
+            h.pop(w, None)
+    return h
+
+
+class _Relation:
+    """A relation of the working set, compiled once.
+
+    Equal polynomials share one record, so ``id`` can key the trivial-pair
+    cache.  ``stamp`` is set while the relation is paired and is fresh each
+    time it re-enters, so queued pairs of a departed relation are dropped.
+    ``subwords`` holds every factor of every support word.
+    """
+
+    __slots__ = ("id", "poly", "rule", "lead", "key", "subwords", "stamp")
+
+    def __init__(self, id_, poly, rule, key):
+        self.id = id_
+        self.poly = poly
+        self.rule = rule
+        self.lead = rule[0]
+        self.key = key
+        self.subwords = frozenset(
+            u[i:j]
+            for u in poly.raw_terms()
+            for i in range(len(u) + 1)
+            for j in range(i, len(u) + 1)
+        )
+        self.stamp = None
+
+
+def _lead_key(rel: _Relation):
+    return rel.key
+
+
+class _Engine:
+    """Interned relations, the pair queue and the trivial-pair cache."""
+
+    def __init__(self, spec, alphabet, max_deg):
+        self.spec = spec
+        self.alphabet = alphabet
+        self.keyf = spec.letter_key(alphabet)
+        self.max_deg = max_deg
+        self.stats = dict.fromkeys(STAT_KEYS, 0)
+        self.trivial = set()
+        self._interned = {}
+        self._paired = []
+        self._queue = []
+        self._beyond = []
+        self._stamps = itertools.count()
+        self._seq = itertools.count()
+
+    def intern(self, poly: Polynomial) -> _Relation:
+        rel = self._interned.get(poly)
+        if rel is None:
+            (rule,) = compile_rules([poly], self.spec, self.alphabet)
+            rel = _Relation(len(self._interned), poly, rule, self.keyf(rule[0]))
+            self._interned[poly] = rel
+            self.stats["rules_compiled"] += 1
+        return rel
+
+    def reduce(self, terms, pool, steps) -> dict:
+        nf = _reduce(terms, [r.rule for r in pool], self.keyf, steps)
+        self.stats["reduction_steps"] += len(steps)
+        return nf
+
+    def decomposition(self, steps, pool) -> tuple:
+        A = self.alphabet
+        return tuple(
+            (c, Word(A, a), pool[ridx].poly, Word(A, b)) for ridx, a, b, _u, c in steps
+        )
+
+    def interreduce(self, rels, removed_log) -> None:
+        """Reduce each relation by the others until stable.
+
+        Scans from the front and restarts at 0 after every change, so the
+        removal log keeps its order.  A relation is rewritten only when a
+        word of its support contains another relation's leading word.
+        """
+        leads = Counter(r.lead for r in rels)
         i = 0
-    return changed_any
+        while i < len(rels) and len(rels) > 1:
+            r = rels[i]
+            # r's own lead is always a hit; anything more is a reducible factor
+            if len(r.subwords.intersection(leads)) == 1 and leads[r.lead] == 1:
+                i += 1
+                continue
+            others = rels[:i] + rels[i + 1 :]
+            steps = []
+            nf = Polynomial(self.alphabet, self.reduce(r.poly.raw_terms(), others, steps))
+            decomposition = self.decomposition(steps, others)
+            if nf.is_zero():
+                removed_log.append(RemovedRelation(r.poly, nf, None, decomposition))
+                del rels[i]
+            else:
+                monic = nf.make_monic(self.spec)
+                removed_log.append(RemovedRelation(r.poly, nf, monic, decomposition))
+                rels[i] = self.intern(monic)
+            leads = Counter(r.lead for r in rels)
+            i = 0
 
+    def seed(self, rels) -> None:
+        """Pair the initial working set and queue what ``find_ambiguities``
+        reports for it; later entrants are paired by ``update``."""
+        for rel in rels:
+            rel.stamp = next(self._stamps)
+        self._paired = list(rels)
+        for amb in find_ambiguities([r.poly for r in rels], self.spec):
+            self._route(
+                rels[amb.f_index],
+                rels[amb.g_index],
+                amb.kind,
+                amb.w.letters,
+                amb.a.letters,
+                amb.b.letters,
+            )
 
-def _amb_cache_key(amb: Ambiguity, rels):
-    return (
-        amb.kind,
-        rels[amb.f_index],
-        rels[amb.g_index],
-        amb.w.letters,
-        amb.a.letters,
-        amb.b.letters,
-    )
+    def update(self, rels) -> None:
+        """Pair every relation that entered ``rels``; retire those that left."""
+        live = set(rels)
+        for rel in self._paired:
+            if rel not in live:
+                rel.stamp = None
+        self._paired = [rel for rel in self._paired if rel.stamp is not None]
+        for rel in rels:
+            if rel.stamp is None:
+                rel.stamp = next(self._stamps)
+                for other in self._paired:
+                    self._push(rel, other)
+                    self._push(other, rel)
+                self._push(rel, rel)
+                self._paired.append(rel)
+
+    def _push(self, f, g) -> None:
+        # leads of the working set are distinct, so only a shorter g can lie inside f
+        for kind, w, a, b in _overlaps(f.lead, g.lead, len(g.lead) < len(f.lead)):
+            self._route(f, g, kind, w, a, b)
+
+    def _route(self, f, g, kind, w, a, b) -> None:
+        self.stats["pairs_enumerated"] += 1
+        entry = (f, f.stamp, g, g.stamp, kind, w, a, b)
+        if len(w) > self.max_deg:
+            self._beyond.append(entry)
+        elif (kind, f.id, g.id, w, a, b) in self.trivial:
+            self.stats["pairs_cached_trivial"] += 1
+        else:
+            self.queue(entry)
+
+    def queue(self, entry) -> None:
+        """Queue a pair if both relations are still paired.
+
+        With distinct leads sorted ascending, (w, lead f, lead g) orders
+        pairs exactly as (w, f_index, g_index) does.
+        """
+        f, fs, g, gs, kind, w, a, b = entry
+        if f.stamp == fs and g.stamp == gs:
+            heapq.heappush(
+                self._queue,
+                (self.keyf(w), f.key, g.key, kind, len(a), next(self._seq), entry),
+            )
+
+    def pop(self):
+        """The smallest queued pair whose relations are both still paired."""
+        while self._queue:
+            entry = heapq.heappop(self._queue)[-1]
+            f, fs, g, gs = entry[:4]
+            if f.stamp == fs and g.stamp == gs:
+                return entry
+        return None
+
+    def pending_beyond(self) -> bool:
+        """Whether a live pair lies on a word above the degree bound."""
+        return any(
+            f.stamp == fs and g.stamp == gs for f, fs, g, gs, *_ in self._beyond
+        )
 
 
 def shirshov_complete(
@@ -306,80 +467,74 @@ def shirshov_complete(
     always enforced.
     """
     if max_deg <= 0 or max_steps <= 0:
-        raise ValueError("limits must be positive")
+        raise LimitError(
+            f"max_deg and max_steps must be positive, got {max_deg} and {max_steps}"
+        )
     for idx, s in enumerate(relations):
         if s.is_zero():
             raise ZeroPolynomialError(f"relation #{idx} is zero")
-    input_size = len(relations)
-    rels = [s.make_monic(spec) for s in relations]
     removed: list[RemovedRelation] = []
     added: list[AddedRelation] = []
     nontrivial_log = []
-    sort_key = None
-    if rels:
-        keyf = spec.letter_key(rels[0].alphabet)
-        sort_key = lambda p: keyf(p.leading_word(spec).letters)
-        rels.sort(key=sort_key)
-    _interreduce(rels, spec, removed)
-    if sort_key:
-        rels.sort(key=sort_key)
-    trivial_cache = set()
     processed = 0
-    status = None
-    degree_bound = None
-    while True:
-        ambiguities = find_ambiguities(rels, spec)
-        fresh = [
-            amb for amb in ambiguities if _amb_cache_key(amb, rels) not in trivial_cache
-        ]
-        todo = [amb for amb in fresh if amb.degree <= max_deg]
-        if not todo:
-            if len(fresh) > len(todo):
-                status = CompletionStatus.COMPLETE_UP_TO_DEGREE
-                degree_bound = max_deg
-            else:
-                status = CompletionStatus.CERTIFIED_GSB
-            break
-        exhausted = False
-        mutated = False
-        for amb in todo:
+    status = CompletionStatus.CERTIFIED_GSB
+    rels = []
+    stats = dict.fromkeys(STAT_KEYS, 0)
+    if relations:
+        monic = [s.make_monic(spec) for s in relations]
+        A = monic[0].alphabet
+        engine = _Engine(spec, A, max_deg)
+        stats = engine.stats
+        rels = sorted((engine.intern(s) for s in monic), key=_lead_key)
+        engine.interreduce(rels, removed)
+        rels.sort(key=_lead_key)
+        engine.seed(rels)
+        while True:
+            entry = engine.pop()
+            if entry is None:
+                if engine.pending_beyond():
+                    status = CompletionStatus.COMPLETE_UP_TO_DEGREE
+                break
             if processed >= max_steps:
-                exhausted = True
+                status = CompletionStatus.BUDGET_EXHAUSTED
                 break
             processed += 1
-            f, g = rels[amb.f_index], rels[amb.g_index]
-            h = composition(f, g, amb, spec)
-            nf, trace = normal_form_with_trace(h, rels, spec)
-            if nf.is_zero():
-                trivial_cache.add(_amb_cache_key(amb, rels))
+            f, _, g, _, kind, w, a, b = entry
+            h = _compose(kind, f.poly.raw_terms(), g.poly.raw_terms(), a, b)
+            steps = []
+            nf_terms = engine.reduce(h, rels, steps)
+            if not nf_terms:
+                engine.trivial.add((kind, f.id, g.id, w, a, b))
                 continue
+            nf = Polynomial(A, nf_terms)
+            amb = Ambiguity(
+                kind, rels.index(f), rels.index(g), Word(A, w), Word(A, a), Word(A, b)
+            )
             nontrivial_log.append((amb, nf))
             monic = nf.make_monic(spec)
             added.append(
                 AddedRelation(
-                    monic, nf, amb, f, g, _trace_decomposition(trace, rels)
+                    monic, nf, amb, f.poly, g.poly, engine.decomposition(steps, rels)
                 )
             )
-            rels.append(monic)
-            _interreduce(rels, spec, removed)
-            rels.sort(key=sort_key)
-            mutated = True
-            break
-        if exhausted:
-            status = CompletionStatus.BUDGET_EXHAUSTED
-            break
-        if not mutated:
-            continue
+            rels.append(engine.intern(monic))
+            engine.interreduce(rels, removed)
+            rels.sort(key=_lead_key)
+            engine.update(rels)
+            # still pending while f and g survive; it is evaluated again
+            engine.queue(entry)
+        stats["compositions_evaluated"] = processed
     return CompletionReport(
         status=status,
-        degree_bound=degree_bound,
-        input_size=input_size,
-        relations=tuple(rels),
+        degree_bound=max_deg if status is CompletionStatus.COMPLETE_UP_TO_DEGREE else None,
+        input_size=len(relations),
+        relations=tuple(r.poly for r in rels),
         added=tuple(added),
         removed=tuple(removed),
         processed=processed,
         nontrivial_log=tuple(nontrivial_log),
         ordering=spec,
+        stats=dict(stats),
     )
 
 
@@ -424,19 +579,23 @@ def check_gsb(relations, spec, max_deg: int | None = None) -> CheckReport:
     certificate for the set.
     """
     rels = list(relations)
-    ambiguities = find_ambiguities(rels, spec)
+    A = rels[0].alphabet if rels else None
+    rules = compile_rules(rels, spec, A)
     nontrivial = []
     evaluated = 0
     skipped = 0
-    for amb in ambiguities:
-        if max_deg is not None and amb.degree > max_deg:
-            skipped += 1
-            continue
-        evaluated += 1
-        h = composition(rels[amb.f_index], rels[amb.g_index], amb, spec)
-        nf = normal_form(h, rels, spec)
-        if not nf.is_zero():
-            nontrivial.append((amb, nf))
+    if rules:
+        keyf = spec.letter_key(A)
+        for kind, i, j, w, a, b in _all_overlaps([lead for lead, _ in rules], keyf):
+            if max_deg is not None and len(w) > max_deg:
+                skipped += 1
+                continue
+            evaluated += 1
+            h = _compose(kind, rels[i].raw_terms(), rels[j].raw_terms(), a, b)
+            nf = _reduce(h, rules, keyf)
+            if nf:
+                amb = Ambiguity(kind, i, j, Word(A, w), Word(A, a), Word(A, b))
+                nontrivial.append((amb, Polynomial(A, nf)))
     return CheckReport(
         relations=tuple(rels),
         ordering=spec,

@@ -103,3 +103,8 @@ class OrientationError(GsbError):
 
 class CertificationError(GsbError):
     """A construction's predicted certification failed on this instance."""
+
+
+class LimitError(GsbError, ValueError):
+    """A degree, length, step or capacity limit is out of range, or the
+    input does not fit within it."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import product
 
-from .errors import EmptyWordError, NotAlswError
+from .errors import EmptyWordError, LimitError, NotAlswError
 from .words import Alphabet, Word
 
 
@@ -56,7 +56,7 @@ def is_alsw(u: Word) -> bool:
 def alsw_up_to(alphabet: Alphabet, max_len: int) -> list[Word]:
     """All ALSWs of length <= max_len, grouped by length, descending inside."""
     if max_len < 1:
-        raise ValueError("max_len must be >= 1")
+        raise LimitError(f"max_len must be >= 1, got {max_len}")
     out = []
     for n in range(1, max_len + 1):
         group = [

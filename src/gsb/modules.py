@@ -21,6 +21,7 @@ from .completion import (
 from .errors import (
     AlphabetMismatchError,
     BasisMismatchError,
+    LimitError,
     NonMonicRelationError,
     ZeroPolynomialError,
 )
@@ -223,7 +224,9 @@ def module_complete(
 ) -> CompletionReport:
     """Shirshov completion transported to module elements."""
     if max_deg <= 0 or max_steps <= 0:
-        raise ValueError("limits must be positive")
+        raise LimitError(
+            f"max_deg and max_steps must be positive, got {max_deg} and {max_steps}"
+        )
     for idx, s in enumerate(relations):
         if s.is_zero():
             raise ZeroPolynomialError(f"relation #{idx} is zero")
@@ -326,7 +329,7 @@ def module_irr(
 ) -> list[ModuleWord]:
     """Irreducible module words of prefix degree <= max_deg, ascending."""
     if max_deg < 0:
-        raise ValueError("max_deg must be >= 0")
+        raise LimitError(f"max_deg must be >= 0, got {max_deg}")
     rules = compile_module_rules(relations, spec, alphabet, basis)
     keyf = spec.module_key(alphabet)
     found = []

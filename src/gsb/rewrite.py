@@ -18,6 +18,7 @@ from itertools import product
 from .errors import (
     AlphabetMismatchError,
     CapacityError,
+    LimitError,
     NonMonicRelationError,
     UncertifiedBasisError,
 )
@@ -202,7 +203,7 @@ def irr_words(alphabet: Alphabet, relations, spec, max_deg: int) -> list[Word]:
     empty word (the algebra unit) whenever it is irreducible.
     """
     if max_deg < 0:
-        raise ValueError("max_deg must be >= 0")
+        raise LimitError(f"max_deg must be >= 0, got {max_deg}")
     rules = compile_rules(relations, spec, alphabet)
     leads = [lead for lead, _ in rules]
     if any(len(lead) == 0 for lead in leads):
@@ -230,9 +231,15 @@ def irr_words(alphabet: Alphabet, relations, spec, max_deg: int) -> list[Word]:
 
 def word_capacity() -> int:
     env = os.environ.get(_CAPACITY_ENV)
-    if env:
-        return int(env)
-    return DEFAULT_WORD_CAPACITY
+    if not env:
+        return DEFAULT_WORD_CAPACITY
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap <= 0:
+        raise LimitError(f"{_CAPACITY_ENV} must be a positive integer, got {env!r}")
+    return cap
 
 
 def _eliminate(row, pivots, keyf):
@@ -263,12 +270,13 @@ def quotient_dim_oracle(
 ) -> int:
     """Dimension of span(words of degree <= max_deg) modulo the relation span.
 
-    Computed by exact fraction-free elimination over the rows a*s*b with
-    deg(a*lead(s)*b) <= max_deg.  Independent of the rewriting engine; used
+    Computed by exact Gaussian elimination over ``Fraction`` rows a*s*b
+    with deg(a*lead(s)*b) <= max_deg; each new pivot row is divided by its
+    leading coefficient.  Independent of the rewriting engine; used
     as the oracle for irr_words counts on certified bases.
     """
     if max_deg < 0:
-        raise ValueError("max_deg must be >= 0")
+        raise LimitError(f"max_deg must be >= 0, got {max_deg}")
     k = alphabet.size
     nwords = sum(k**d for d in range(max_deg + 1))
     cap = capacity if capacity is not None else word_capacity()
@@ -282,7 +290,7 @@ def quotient_dim_oracle(
     for idx, s in enumerate(relations):
         lead_len = len(rules[idx][0])
         if any(len(w) > lead_len for w in s.raw_terms()):
-            raise ValueError(
+            raise LimitError(
                 "oracle needs relations whose leading word has maximal degree"
             )
     pivots = {}

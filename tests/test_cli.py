@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gsb
 from gsb.cli import run
 
 AAB = "alphabet: a > b\nordering: deglex\nrelations:\na*a - b\n"
@@ -196,6 +201,11 @@ def test_capacity_env_override(aab_file, tmp_path, capsys, monkeypatch):
     assert "capacity" in capsys.readouterr().err
     monkeypatch.setenv("GSB_MAX_WORDS", "40000")
     assert run(["dim", aab_file, "--max-deg", "3"]) == 0
+    capsys.readouterr()
+    for bad in ("0", "-5", "1e3"):
+        monkeypatch.setenv("GSB_MAX_WORDS", bad)
+        assert run(["dim", aab_file, "--max-deg", "3"]) == 1
+        assert "GSB_MAX_WORDS must be a positive integer" in capsys.readouterr().err
 
 
 def test_selftest_exit_codes(monkeypatch, capsys):
@@ -211,3 +221,30 @@ def test_selftest_exit_codes(monkeypatch, capsys):
     )
     assert run(["selftest"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv,env",
+    [
+        (["complete", "F", "--max-deg", "0"], {}),
+        (["irr", "F", "--max-deg", "-1"], {}),
+        (["lyndon", "--alphabet", "a>b", "--max-len", "0"], {}),
+        (["dim", "F", "--max-deg", "3"], {"GSB_MAX_WORDS": "abc"}),
+    ],
+)
+def test_limit_errors_exit_1_without_traceback(aab_file, argv, env):
+    # a fresh process, so an uncaught exception would show its traceback
+    argv = [aab_file if a == "F" else a for a in argv]
+    src = str(Path(gsb.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "gsb.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, **env, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +12,13 @@ from gsb.completion import (
     is_trivial,
     shirshov_complete,
 )
-from gsb.errors import LeadingNotBelowError, MalformedAmbiguityError, ZeroPolynomialError
+from gsb.errors import (
+    AlphabetMismatchError,
+    LeadingNotBelowError,
+    LimitError,
+    MalformedAmbiguityError,
+    ZeroPolynomialError,
+)
 from gsb.orderings import DegLex
 from gsb.poly import Polynomial, parse_polynomial
 from gsb.rewrite import normal_form
@@ -132,6 +139,8 @@ def test_completion_rejects_zero_and_bad_limits():
         shirshov_complete([Polynomial.zero(AB)], SPEC)
     with pytest.raises(ValueError):
         shirshov_complete([p("a*a - b")], SPEC, max_deg=0)
+    with pytest.raises(LimitError):
+        shirshov_complete([p("a*a - b")], SPEC, max_steps=0)
 
 
 def test_completion_statuses():
@@ -247,3 +256,202 @@ def test_hnn_relations_complete_with_zero_additions():
     assert report.status is CompletionStatus.CERTIFIED_GSB
     assert not report.added
     assert set(report.relations) == set(pres.relations)
+
+
+# -- outputs pinned across engine changes ------------------------------------
+
+ABC = Alphabet(("a", "b", "c"))
+BRAID = ("a*b*a - b*a*b", "b*c*b - c*b*c", "a*c - c*a")
+
+BRAID_DEG8_RELATIONS = [
+    "a*c - c*a",
+    "b*c*b - c*b*c",
+    "a*b*a - b*a*b",
+    "a*b*c*a - b*a*b*c",
+    "b*c*c*b*c - c*b*c*c*b",
+    "a*b*c*c*a - b*a*b*c*c",
+    "a*b*b*a*b - b*a*b*b*a",
+    "b*c*c*c*b*c - c*b*c*c*b*b",
+    "a*b*c*c*c*a - b*a*b*c*c*c",
+    "a*b*b*b*a*b - b*a*b*b*a*a",
+    "b*c*c*c*c*b*c - c*b*c*c*b*b*b",
+    "a*b*c*c*c*c*a - b*a*b*c*c*c*c",
+    "a*b*c*c*b*a*b - b*a*b*c*c*b*a",
+    "a*b*b*c*a*b*c - b*a*b*b*c*a*b",
+    "a*b*b*b*b*a*b - b*a*b*b*a*a*a",
+    "b*c*c*c*c*c*b*c - c*b*c*c*b*b*b*b",
+    "a*b*c*c*c*c*c*a - b*a*b*c*c*c*c*c",
+    "a*b*c*c*c*b*a*b - b*a*b*c*c*c*b*a",
+    "a*b*c*c*b*b*a*b - b*a*b*c*c*b*a*a",
+    "a*b*b*c*c*a*b*c - b*a*b*b*c*a*b*b",
+    "a*b*b*b*c*a*b*c - b*a*b*b*c*a*a*b",
+    "a*b*b*b*b*b*a*b - b*a*b*b*a*a*a*a",
+]
+
+
+def test_braid_completion_pinned():
+    rels = [p(t, ABC) for t in BRAID]
+    report = shirshov_complete(rels, SPEC, max_deg=8)
+    assert [str(r) for r in report.relations] == BRAID_DEG8_RELATIONS
+    assert report.status_text() == "CompleteUpToDegree(8)"
+    assert report.processed == 56
+    assert len(report.added) == 19
+    assert len(report.removed) == 0
+    assert report.verify_ideal_preservation()
+
+
+_COEFFS = (1, -1, 2, -2, Fraction(1, 2), 3)
+
+
+def _criterion_1_shaped(seed):
+    """One to three relations of up to three terms of degree <= 3, as in
+    acceptance criterion 1, over two or three letters."""
+    rng = random.Random(seed)
+    alphabet = Alphabet(("a", "b", "c")[: rng.choice((2, 3))])
+    rels = []
+    for _ in range(rng.randint(1, 3)):
+        while True:
+            terms = [
+                (
+                    tuple(rng.randrange(alphabet.size) for _ in range(rng.randint(0, 3))),
+                    rng.choice(_COEFFS),
+                )
+                for _ in range(rng.randint(2, 3))
+            ]
+            q = Polynomial(alphabet, terms)
+            if not q.is_zero():
+                rels.append(q)
+                break
+    return rels
+
+
+# (seed, processed, relations) of completion to degree 4
+PINNED_DEGREE_4 = [
+    (0, 0, ["c - 1/8", "b - 1/2"]),
+    (1, 0, ["1"]),
+    (2, 0, ["a*b + 1/4*a"]),
+    (3, 0, ["1"]),
+    (
+        4,
+        11,
+        [
+            "b*b + 18*a + 11/2*b + 3",
+            "b*a - 6*a - 2*b",
+            "a*b - 6*a - 2*b",
+            "a*a + 2*a + 2/3*b - 1/3",
+        ],
+    ),
+    (5, 1, ["b - 3*c + 7", "a + 1/2*c - 1", "c*c*c - 20/3*c*c + 133/9*c - 100/9"]),
+    (6, 3, ["b + 4/5", "a + 7/8"]),
+    (7, 0, ["1"]),
+    (8, 1, ["a + 2/7", "b*b"]),
+    (
+        9,
+        11,
+        [
+            "c + 6",
+            "b*b - 1/27*a - 18*b - 2/3",
+            "b*a - 18*b - 2/3",
+            "a*b - 18*b - 2/3",
+            "a*a - 18*b",
+        ],
+    ),
+    (10, 1, ["b*b*b + 2*b + 2", "b*a*a + 1/3*b*b*a - 1/3"]),
+    (11, 0, ["c", "b", "a + 2"]),
+    (12, 0, ["b", "c*c*a"]),
+    (13, 0, ["c", "a"]),
+    (14, 0, ["1"]),
+    (15, 0, ["a + 3"]),
+    (16, 3, ["b*c - c*b", "b*b + 1/6*c", "a*c + 2*b*a + 2"]),
+    (17, 0, ["c*b*b - 2*a*a + 6*a*c", "a*c*a - 3*a - 1/2*b"]),
+    (18, 0, ["a*b*b + a*a - 3/2*a*b"]),
+    (19, 4, ["1"]),
+    (20, 7, ["b*b*b + 5/2*b*b", "b*b*a - b*b", "b*a*a + 2/5*b*b", "a*a*a - a*a"]),
+    (21, 0, ["b - 3/2", "a - 1"]),
+    (22, 0, ["a*a*b + b"]),
+    (23, 0, ["a*c - 1/2*b*b"]),
+    (24, 1, ["c - 1", "a - 3", "b*b + 3*b + 1"]),
+    (25, 0, ["a*b + 2*c*b"]),
+    (26, 0, ["b + 1", "a + 1"]),
+    (27, 3, ["1"]),
+    (28, 4, ["a"]),
+    (29, 1, ["a + b", "b*b + 3/2"]),
+    (
+        30,
+        10,
+        [
+            "a + 1/2*c + 1/2",
+            "c*b + c*c + c - 1",
+            "b*c + c*c + c - 1",
+            "b*b - 1/2*c*c + 1/2*b - 1/2*c + 1/2",
+            "c*c*c + 2*c*c + 2*b - 1",
+        ],
+    ),
+    (31, 1, ["b - 2", "a*a*a - a"]),
+    (32, 0, ["a*b + 1"]),
+    (33, 0, ["1"]),
+    (34, 3, ["b - 1", "a + 3/28*c + 3/14", "c*c + 2/3"]),
+    (35, 0, ["c*a + c*b - 2/3*b"]),
+    (36, 1, ["a*a + 4*a"]),
+    (37, 5, ["1"]),
+    (38, 5, ["b*b + 2/3*c*c", "b*c*c - c*c*b", "b*a*c + 2/3", "c*c*a*c - b"]),
+    (39, 1, ["b + 2/3", "a*a + 3/2"]),
+]
+
+
+@pytest.mark.parametrize("seed,processed,relations", PINNED_DEGREE_4)
+def test_seeded_completion_pinned(seed, processed, relations):
+    report = shirshov_complete(
+        _criterion_1_shaped(seed), SPEC, max_deg=4, max_steps=20_000
+    )
+    assert report.processed == processed
+    assert [str(r) for r in report.relations] == relations
+    assert report.verify_ideal_preservation()
+
+
+def test_completion_work_counters():
+    rels = [p(t, ABC) for t in BRAID]
+    report = shirshov_complete(rels, SPEC, max_deg=8)
+    stats = report.stats
+    held = {e.relation for e in report.added}
+    held |= {r.make_monic(SPEC) for r in rels}
+    held |= {e.replacement for e in report.removed if e.replacement is not None}
+    # each distinct relation is compiled once, however often it is reduced against
+    assert stats["rules_compiled"] == len(held)
+    assert stats["compositions_evaluated"] == report.processed
+    assert stats["pairs_enumerated"] >= report.processed
+    assert stats["reduction_steps"] > 0
+    # the counters stay out of the JSON report
+    assert "stats" not in report.to_json_dict()
+
+
+def test_completion_and_check_reject_mixed_alphabets():
+    with pytest.raises(AlphabetMismatchError):
+        shirshov_complete([p("a*a - b"), p("a*b - a", ABC)], SPEC)
+    with pytest.raises(AlphabetMismatchError):
+        check_gsb([p("a*a - b"), p("a*b - a", ABC)], SPEC)
+
+
+def test_duplicate_leads_removal_log():
+    report = shirshov_complete([p("a*a - b"), p("a*a - a")], SPEC)
+    assert [str(r) for r in report.relations] == ["a - b", "b*b - b"]
+    assert report.processed == 1
+    log = [
+        (
+            str(e.relation),
+            str(e.residual),
+            None if e.replacement is None else str(e.replacement),
+            [(str(c), str(a), str(s), str(b)) for c, a, s, b in e.decomposition],
+        )
+        for e in report.removed
+    ]
+    assert log == [
+        ("a*a - b", "a - b", "a - b", [("1", "1", "a*a - a", "1")]),
+        (
+            "a*a - a",
+            "b*b - b",
+            "b*b - b",
+            [("1", "1", "a - b", "a"), ("1", "b", "a - b", "1"), ("-1", "1", "a - b", "1")],
+        ),
+    ]
+    assert report.verify_ideal_preservation()
