@@ -53,22 +53,17 @@ from .orderings import (
     DegLex,
     ModuleTop,
     Tower,
-    WeightTuple,
     check_monomial,
     compare,
     compare_module,
-    tower_weight,
 )
 from .poly import (
     ModuleElement,
     Polynomial,
     act,
-    add,
     format_polynomial,
-    mul,
     parse_module_element,
     parse_polynomial,
-    scalar_mul,
 )
 from .presentation import (
     ModulePresentation,

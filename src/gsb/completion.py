@@ -191,6 +191,17 @@ class RemovedRelation:
     decomposition: tuple
 
 
+def _replay(residual, decomposition):
+    """residual + sum(coeff * a * s * b); module entries (coeff, a, s) have no b."""
+    total = residual
+    for coeff, a, s, *right in decomposition:
+        term = Polynomial.from_word(a, coeff) * s
+        for b in right:
+            term = term * Polynomial.from_word(b)
+        total = total + term
+    return total
+
+
 @dataclass(frozen=True)
 class CompletionReport:
     status: CompletionStatus
@@ -224,25 +235,15 @@ class CompletionReport:
     def verify_ideal_preservation(self) -> bool:
         """Replay every addition and removal decomposition exactly."""
         for entry in self.added:
-            total = entry.residual
-            for coeff, a, s, b in entry.decomposition:
-                total = total + (
-                    Polynomial.from_word(a, coeff) * s * Polynomial.from_word(b)
-                )
             comp = composition(entry.f, entry.g, entry.ambiguity, self.ordering)
-            if total != comp:
+            if _replay(entry.residual, entry.decomposition) != comp:
                 return False
             if entry.residual.make_monic(self.ordering) != entry.relation:
                 return False
-        for entry in self.removed:
-            total = entry.residual
-            for coeff, a, s, b in entry.decomposition:
-                total = total + (
-                    Polynomial.from_word(a, coeff) * s * Polynomial.from_word(b)
-                )
-            if total != entry.relation:
-                return False
-        return True
+        return all(
+            _replay(entry.residual, entry.decomposition) == entry.relation
+            for entry in self.removed
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -578,6 +579,8 @@ def check_gsb(relations, spec, max_deg: int | None = None) -> CheckReport:
     An empty report with nothing skipped is a Groebner-Shirshov basis
     certificate for the set.
     """
+    if max_deg is not None and max_deg < 1:
+        raise LimitError(f"max_deg must be positive, got {max_deg}")
     rels = list(relations)
     A = rels[0].alphabet if rels else None
     rules = compile_rules(rels, spec, A)

@@ -31,15 +31,6 @@ def lex_cmp(u: Word, v: Word) -> int:
     return 1 if len(a) < len(b) else -1
 
 
-def _lex_cmp_letters(a, b) -> int:
-    for x, y in zip(a, b):
-        if x != y:
-            return 1 if x < y else -1
-    if len(a) == len(b):
-        return 0
-    return 1 if len(a) < len(b) else -1
-
-
 def is_alsw(u: Word) -> bool:
     """True when every proper split v*w of u satisfies v*w > w*v."""
     ls = u.letters
@@ -48,7 +39,8 @@ def is_alsw(u: Word) -> bool:
     n = len(ls)
     for i in range(1, n):
         rotated = ls[i:] + ls[:i]
-        if _lex_cmp_letters(ls, rotated) <= 0:
+        # equal lengths: u > rotation (lex_cmp) iff u < rotation as index tuples
+        if ls >= rotated:
             return False
     return True
 

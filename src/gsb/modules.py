@@ -1,87 +1,118 @@
-"""Groebner-Shirshov machinery for free left modules over the free algebra.
+"""Groebner-Shirshov machinery for free left modules, run on the algebra engine.
 
 Multiplication is one-sided, so a module word u*y is reducible by a
 relation with leading word v*y exactly when v is a suffix of u; the only
 composition between monic relations f and g arises when lead(f) = a*lead(g)
 and equals f - a*g.
+
+There is no second rewriting engine here.  A module word u*y_g is encoded
+as the algebra word Y_g*rev(u): one fresh letter per basis generator, then
+the prefix reversed.  The leading word v*y_g divides u*y_g exactly when
+its code is a prefix of the code of u*y_g, so every match of the algebra
+engine sits at position 0 and its "leftmost, then lowest rule index"
+strategy is the module rule "lowest rule index".  A code holds one
+generator letter, at its front, so leading words never overlap properly:
+the only ambiguity is the inclusion lead(f) = lead(g)*b, which is the
+module composition f - a*g with a = rev(b).  (The unreversed code u*Y_g
+would let the engine pick the leftmost, that is the longest, matching
+suffix, and it changed traces, check residuals and completions.)  Codes
+are ordered by ``ModuleTop.module_key`` after decoding, so the module order
+has one definition.  The functions below encode their input, call
+``shirshov_complete``, ``check_gsb``, ``find_ambiguities``,
+``normal_form_with_trace`` or ``compile_rules``, and decode the results
+into module types.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .completion import (
-    AddedRelation,
     CheckReport,
     CompletionReport,
-    CompletionStatus,
     RemovedRelation,
+    _replay,
+    check_gsb,
+    find_ambiguities,
+    shirshov_complete,
 )
-from .errors import (
-    AlphabetMismatchError,
-    BasisMismatchError,
-    LimitError,
-    NonMonicRelationError,
-    ZeroPolynomialError,
-)
+from .errors import AlphabetMismatchError, BasisMismatchError, LimitError
 from .orderings import ModuleTop
 from .poly import ModuleElement, Polynomial, act
+from .rewrite import compile_rules, normal_form_with_trace
 from .words import Alphabet, ModuleBasis, ModuleWord, Word
 
 
-def compile_module_rules(relations, spec: ModuleTop, alphabet=None, basis=None):
-    rules = []
-    for idx, s in enumerate(relations):
-        if alphabet is not None and s.alphabet != alphabet:
+class _Codec:
+    """Module words over (alphabet, basis) as codes over an extended alphabet.
+
+    Generator g is the letter ``alphabet.size + g``; its name cannot clash
+    with an alphabet symbol.  The codec is also the algebra ordering of the
+    codes: ``ModuleTop.module_key`` after decoding.
+    """
+
+    def __init__(self, alphabet: Alphabet, basis: ModuleBasis, spec: ModuleTop):
+        self.alphabet = alphabet
+        self.basis = basis
+        self.spec = spec
+        self.n = alphabet.size
+        stem = "Y"
+        while any(s.startswith(stem) for s in alphabet.symbols):
+            stem = "_" + stem
+        names = tuple(f"{stem}{g}" for g in range(basis.size))
+        self.code_alphabet = Alphabet(alphabet.symbols + names)
+
+    def letter_key(self, _code_alphabet):
+        mkey = self.spec.module_key(self.alphabet)
+        n = self.n
+        return lambda code: mkey((code[:0:-1], code[0] - n))
+
+    def encode(self, m: ModuleElement, idx=None) -> Polynomial:
+        if m.alphabet != self.alphabet:
             raise AlphabetMismatchError(f"relation #{idx} lives over a different alphabet")
-        if basis is not None and s.basis != basis:
+        if m.basis != self.basis:
             raise BasisMismatchError(f"relation #{idx} lives over a different basis")
-        if s.is_zero():
-            raise NonMonicRelationError(idx, "zero relation")
-        coeff, lead = s.leading(spec)
-        if coeff != 1:
-            raise NonMonicRelationError(idx)
-        key = (lead.prefix.letters, lead.generator)
-        tail = [(k, c) for k, c in s.raw_terms().items() if k != key]
-        rules.append((key, tuple(tail)))
-    return rules
+        return Polynomial(
+            self.code_alphabet,
+            {(self.n + g,) + u[::-1]: c for (u, g), c in m.raw_terms().items()},
+        )
+
+    def encode_all(self, relations) -> list[Polynomial]:
+        return [self.encode(s, idx) for idx, s in enumerate(relations)]
+
+    def element(self, p: Polynomial) -> ModuleElement:
+        n = self.n
+        terms = {(w[:0:-1], w[0] - n): c for w, c in p.raw_terms().items()}
+        return ModuleElement(self.alphabet, self.basis, terms)
+
+    def module_word(self, code) -> ModuleWord:
+        return ModuleWord(Word(self.alphabet, code[:0:-1]), self.basis, code[0] - self.n)
+
+    def left(self, right: Word) -> Word:
+        """The left factor a of a module word from the right factor of its code."""
+        return Word(self.alphabet, right.letters[::-1])
+
+    def ambiguity(self, amb) -> ModuleAmbiguity:
+        return ModuleAmbiguity(
+            amb.f_index, amb.g_index, self.left(amb.b), self.module_word(amb.w.letters)
+        )
+
+    def removal(self, entry: RemovedRelation) -> RemovedRelation:
+        return RemovedRelation(
+            self.element(entry.relation),
+            self.element(entry.residual),
+            None if entry.replacement is None else self.element(entry.replacement),
+            tuple((c, self.left(b), self.element(s)) for c, _a, s, b in entry.decomposition),
+        )
 
 
-def _suffix_match(u, gen, rules):
-    """Lowest-index rule whose leading word right-divides u*gen."""
-    for ridx, ((v, g), _tail) in enumerate(rules):
-        if g == gen and len(v) <= len(u) and u[len(u) - len(v) :] == v:
-            return ridx
-    return None
-
-
-def _module_reduce(terms, rules, keyf, steps=None):
-    work = dict(terms)
-    keys = {k: keyf(k) for k in work}
-    out = {}
-    while work:
-        k = max(work, key=keys.__getitem__)
-        c = work.pop(k)
-        u, gen = k
-        ridx = _suffix_match(u, gen, rules)
-        if ridx is None:
-            out[k] = out.get(k, Fraction(0)) + c
-            continue
-        (v, _g), tail = rules[ridx]
-        a = u[: len(u) - len(v)]
-        if steps is not None:
-            steps.append((ridx, a, k, c))
-        for (tw, tg), tc in tail:
-            k2 = (a + tw, tg)
-            nv = work.get(k2, Fraction(0)) - c * tc
-            if nv:
-                work[k2] = nv
-                if k2 not in keys:
-                    keys[k2] = keyf(k2)
-            else:
-                work.pop(k2, None)
-    return {k: c for k, c in out.items() if c}
+def _encode_set(relations, spec: ModuleTop):
+    """The codec of a relation set and its codes; an empty set needs no codec."""
+    if not relations:
+        return None, []
+    codec = _Codec(relations[0].alphabet, relations[0].basis, spec)
+    return codec, codec.encode_all(relations)
 
 
 @dataclass(frozen=True)
@@ -98,35 +129,24 @@ class ModuleReductionTrace:
     residual: ModuleElement
 
     def reconstruct(self, relations) -> ModuleElement:
-        total = self.residual
-        for s in self.steps:
-            total = total + act(
-                Polynomial.from_word(s.left, s.coefficient), relations[s.rule]
-            )
-        return total
+        return _replay(
+            self.residual, ((s.coefficient, s.left, relations[s.rule]) for s in self.steps)
+        )
 
 
 def module_nf(m: ModuleElement, relations, spec: ModuleTop) -> ModuleElement:
-    rules = compile_module_rules(relations, spec, m.alphabet, m.basis)
-    keyf = spec.module_key(m.alphabet)
-    return ModuleElement(m.alphabet, m.basis, _module_reduce(m.raw_terms(), rules, keyf))
+    return module_nf_with_trace(m, relations, spec)[0]
 
 
 def module_nf_with_trace(m: ModuleElement, relations, spec: ModuleTop):
-    rules = compile_module_rules(relations, spec, m.alphabet, m.basis)
-    keyf = spec.module_key(m.alphabet)
-    raw = []
-    nf = ModuleElement(
-        m.alphabet, m.basis, _module_reduce(m.raw_terms(), rules, keyf, steps=raw)
-    )
+    codec = _Codec(m.alphabet, m.basis, spec)
+    nf, trace = normal_form_with_trace(codec.encode(m), codec.encode_all(relations), codec)
+    nf = codec.element(nf)
     steps = tuple(
         ModuleReductionStep(
-            ridx,
-            Word(m.alphabet, a),
-            ModuleWord(Word(m.alphabet, k[0]), m.basis, k[1]),
-            c,
+            s.rule, codec.left(s.right), codec.module_word(s.rewritten.letters), s.coefficient
         )
-        for ridx, a, k, c in raw
+        for s in trace.steps
     )
     return nf, ModuleReductionTrace(steps, nf)
 
@@ -150,33 +170,8 @@ class ModuleAmbiguity:
 
 def module_ambiguities(relations, spec: ModuleTop) -> list[ModuleAmbiguity]:
     """Every pair with lead(f) = a*lead(g); equal leading words count once."""
-    rules = compile_module_rules(relations, spec)
-    if not relations:
-        return []
-    alphabet = relations[0].alphabet
-    basis = relations[0].basis
-    out = []
-    for i, ((uf, gf), _tf) in enumerate(rules):
-        for j, ((ug, gg), _tg) in enumerate(rules):
-            if i == j or gf != gg:
-                continue
-            if len(ug) > len(uf):
-                continue
-            if len(ug) == len(uf) and not (uf == ug and i < j):
-                continue
-            if uf[len(uf) - len(ug) :] != ug:
-                continue
-            out.append(
-                ModuleAmbiguity(
-                    i,
-                    j,
-                    Word(alphabet, uf[: len(uf) - len(ug)]),
-                    ModuleWord(Word(alphabet, uf), basis, gf),
-                )
-            )
-    keyf = spec.module_key(alphabet)
-    out.sort(key=lambda amb: (keyf((amb.w.prefix.letters, amb.w.generator)), amb.f_index, amb.g_index))
-    return out
+    codec, rels = _encode_set(relations, spec)
+    return [codec.ambiguity(amb) for amb in find_ambiguities(rels, codec)]
 
 
 def module_composition(f: ModuleElement, g: ModuleElement, a: Word) -> ModuleElement:
@@ -184,143 +179,38 @@ def module_composition(f: ModuleElement, g: ModuleElement, a: Word) -> ModuleEle
     return f - act(Polynomial.from_word(a), g)
 
 
-def _trace_decomposition(trace: ModuleReductionTrace, pool):
-    return tuple(
-        (s.coefficient, s.left, pool[s.rule]) for s in trace.steps
-    )
-
-
-def _interreduce(rels, spec, removed_log) -> bool:
-    changed_any = False
-    i = 0
-    while i < len(rels):
-        r = rels[i]
-        others = rels[:i] + rels[i + 1 :]
-        if not others:
-            break
-        nf, trace = module_nf_with_trace(r, others, spec)
-        if nf == r:
-            i += 1
-            continue
-        changed_any = True
-        decomposition = _trace_decomposition(trace, others)
-        if nf.is_zero():
-            removed_log.append(RemovedRelation(r, nf, None, decomposition))
-            del rels[i]
-        else:
-            monic = nf.make_monic(spec)
-            removed_log.append(RemovedRelation(r, nf, monic, decomposition))
-            rels[i] = monic
-        i = 0
-    return changed_any
-
-
-def _amb_cache_key(amb: ModuleAmbiguity, rels):
-    return (rels[amb.f_index], rels[amb.g_index], amb.a.letters)
-
-
 def module_complete(
     relations, spec: ModuleTop, max_deg: int = 12, max_steps: int = 10_000
 ) -> CompletionReport:
-    """Shirshov completion transported to module elements."""
-    if max_deg <= 0 or max_steps <= 0:
-        raise LimitError(
-            f"max_deg and max_steps must be positive, got {max_deg} and {max_steps}"
-        )
-    for idx, s in enumerate(relations):
-        if s.is_zero():
-            raise ZeroPolynomialError(f"relation #{idx} is zero")
-    input_size = len(relations)
-    rels = [s.make_monic(spec) for s in relations]
-    removed: list[RemovedRelation] = []
-    added: list[AddedRelation] = []
-    nontrivial_log = []
-    sort_key = None
-    if rels:
-        keyf = spec.module_key(rels[0].alphabet)
-        sort_key = lambda m: keyf(max(m.raw_terms(), key=keyf))
-        rels.sort(key=sort_key)
-    _interreduce(rels, spec, removed)
-    if sort_key:
-        rels.sort(key=sort_key)
-    trivial_cache = set()
-    processed = 0
-    status = None
-    degree_bound = None
-    while True:
-        ambiguities = module_ambiguities(rels, spec)
-        fresh = [a for a in ambiguities if _amb_cache_key(a, rels) not in trivial_cache]
-        todo = [a for a in fresh if a.degree <= max_deg]
-        if not todo:
-            if fresh:
-                status = CompletionStatus.COMPLETE_UP_TO_DEGREE
-                degree_bound = max_deg
-            else:
-                status = CompletionStatus.CERTIFIED_GSB
-            break
-        exhausted = False
-        mutated = False
-        for amb in todo:
-            if processed >= max_steps:
-                exhausted = True
-                break
-            processed += 1
-            f, g = rels[amb.f_index], rels[amb.g_index]
-            h = module_composition(f, g, amb.a)
-            nf, trace = module_nf_with_trace(h, rels, spec)
-            if nf.is_zero():
-                trivial_cache.add(_amb_cache_key(amb, rels))
-                continue
-            nontrivial_log.append((amb, nf))
-            monic = nf.make_monic(spec)
-            added.append(
-                AddedRelation(monic, nf, amb, f, g, _trace_decomposition(trace, rels))
-            )
-            rels.append(monic)
-            _interreduce(rels, spec, removed)
-            rels.sort(key=sort_key)
-            mutated = True
-            break
-        if exhausted:
-            status = CompletionStatus.BUDGET_EXHAUSTED
-            break
-        if not mutated:
-            continue
-    return CompletionReport(
-        status=status,
-        degree_bound=degree_bound,
-        input_size=input_size,
-        relations=tuple(rels),
-        added=tuple(added),
-        removed=tuple(removed),
-        processed=processed,
-        nontrivial_log=tuple(nontrivial_log),
+    """Shirshov completion of the encoded relations.
+
+    Interreduction leaves no leading word dividing another, so no
+    composition is ever evaluated: ``processed`` is 0, ``added`` and
+    ``nontrivial_log`` are empty, and the result is always certified.
+    """
+    codec, rels = _encode_set(relations, spec)
+    report = shirshov_complete(rels, codec, max_deg=max_deg, max_steps=max_steps)
+    return replace(
+        report,
+        relations=tuple(codec.element(r) for r in report.relations),
+        removed=tuple(codec.removal(e) for e in report.removed),
         ordering=spec,
     )
 
 
 def module_check_gsb(relations, spec: ModuleTop, max_deg: int | None = None) -> CheckReport:
     """Evaluate every module composition; empty and unskipped = certificate."""
-    rels = list(relations)
-    nontrivial = []
-    evaluated = 0
-    skipped = 0
-    for amb in module_ambiguities(rels, spec):
-        if max_deg is not None and amb.degree > max_deg:
-            skipped += 1
-            continue
-        evaluated += 1
-        h = module_composition(rels[amb.f_index], rels[amb.g_index], amb.a)
-        nf = module_nf(h, rels, spec)
-        if not nf.is_zero():
-            nontrivial.append((amb, nf))
-    return CheckReport(
-        relations=tuple(rels),
+    if max_deg is not None and max_deg < 1:
+        raise LimitError(f"max_deg must be positive, got {max_deg}")
+    codec, rels = _encode_set(relations, spec)
+    # a code is one letter longer than its module word
+    report = check_gsb(rels, codec, None if max_deg is None else max_deg + 1)
+    return replace(
+        report,
+        relations=tuple(relations),
         ordering=spec,
         max_deg=max_deg,
-        nontrivial=tuple(nontrivial),
-        evaluated=evaluated,
-        skipped=skipped,
+        nontrivial=tuple((codec.ambiguity(a), codec.element(h)) for a, h in report.nontrivial),
     )
 
 
@@ -330,15 +220,16 @@ def module_irr(
     """Irreducible module words of prefix degree <= max_deg, ascending."""
     if max_deg < 0:
         raise LimitError(f"max_deg must be >= 0, got {max_deg}")
-    rules = compile_module_rules(relations, spec, alphabet, basis)
-    keyf = spec.module_key(alphabet)
+    codec = _Codec(alphabet, basis, spec)
+    leads = {lead for lead, _tail in compile_rules(codec.encode_all(relations), codec)}
     found = []
-    prefixes = [()]
-    for _deg in range(max_deg + 1):
-        for u in prefixes:
-            for gen in range(basis.size):
-                if _suffix_match(u, gen, rules) is None:
-                    found.append((u, gen))
-        prefixes = [u + (c,) for u in prefixes for c in range(alphabet.size)]
-    found.sort(key=keyf)
-    return [ModuleWord(Word(alphabet, u), basis, g) for u, g in found]
+    codes = [(codec.n + g,) for g in range(basis.size)]
+    for deg in range(max_deg + 1):
+        if deg:
+            codes = [c + (x,) for c in codes for x in range(alphabet.size)]
+        # a code is reducible when a prefix of it is a lead; only irreducible
+        # codes are extended, so the one prefix left to test is the code itself
+        codes = [c for c in codes if c not in leads]
+        found.extend(codes)
+    found.sort(key=codec.letter_key(codec.code_alphabet))
+    return [codec.module_word(c) for c in found]

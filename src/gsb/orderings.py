@@ -10,7 +10,7 @@ several orderings can coexist in one process.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     AlphabetMismatchError,
@@ -80,57 +80,6 @@ class Tower:
 
     def key(self, word: Word):
         return self.letter_key(word.alphabet)(word.letters)
-
-
-@dataclass(frozen=True)
-class WeightTuple:
-    """The tower decomposition of one word: segments and signed stable letters.
-
-    ``segments`` alternates base words and +1/-1 exponents, starting and
-    ending with a (possibly empty) base word.
-    """
-
-    count: int
-    segments: tuple
-
-    def reassemble(self) -> Word:
-        word = self.segments[0]
-        alphabet = word.alphabet
-        for i in range(1, len(self.segments), 2):
-            name = self._stable if self.segments[i] == 1 else self._stable_inv
-            word = word * Word(alphabet, (alphabet.index(name),)) * self.segments[i + 1]
-        return word
-
-    # filled in by tower_weight; kept out of equality on purpose
-    _stable: str = field(default="t", compare=False)
-    _stable_inv: str = field(default="t^-1", compare=False)
-
-
-def tower_weight(spec: Tower, word: Word) -> WeightTuple:
-    """Decompose a word into its tower weight tuple."""
-    alphabet = word.alphabet
-    try:
-        up = alphabet.index(spec.stable)
-        down = alphabet.index(spec.stable_inv)
-    except UnknownSymbolError as exc:
-        raise TowerSymbolMissingError(
-            f"tower letters ({spec.stable}, {spec.stable_inv}) not in alphabet"
-        ) from exc
-    segments = []
-    seg = []
-    count = 0
-    for c in word.letters:
-        if c == up or c == down:
-            segments.append(Word(alphabet, tuple(seg)))
-            segments.append(1 if c == up else -1)
-            seg = []
-            count += 1
-        else:
-            seg.append(c)
-    segments.append(Word(alphabet, tuple(seg)))
-    return WeightTuple(
-        count, tuple(segments), _stable=spec.stable, _stable_inv=spec.stable_inv
-    )
 
 
 @dataclass(frozen=True)

@@ -203,18 +203,6 @@ class Polynomial:
         return f"Polynomial({format_polynomial(self)})"
 
 
-def scalar_mul(c, p: Polynomial) -> Polynomial:
-    return p * Fraction(c)
-
-
-def add(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p + q
-
-
-def mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p * q
-
-
 class ModuleElement:
     """A finite formal sum of rational multiples of module words."""
 
@@ -405,7 +393,10 @@ def _parse_term_factors(chunk: str, position: int):
         raise WordSyntaxError("empty factor", position)
     coeff = Fraction(1)
     if _COEFF_RE.fullmatch(factors[0]):
-        coeff = Fraction(factors[0])
+        try:
+            coeff = Fraction(factors[0])
+        except ZeroDivisionError:
+            raise WordSyntaxError("zero denominator", position - len(chunk.lstrip())) from None
         factors = factors[1:]
     elif factors[0] == "1" and len(factors) == 1:
         factors = []

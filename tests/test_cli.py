@@ -230,11 +230,22 @@ def test_selftest_exit_codes(monkeypatch, capsys):
         (["irr", "F", "--max-deg", "-1"], {}),
         (["lyndon", "--alphabet", "a>b", "--max-len", "0"], {}),
         (["dim", "F", "--max-deg", "3"], {"GSB_MAX_WORDS": "abc"}),
+        (["check", "F", "--max-deg", "-3"], {}),
+        (["check", "M", "--max-deg", "0"], {}),
+        (["nf", "F", "--poly", "1/0*a"], {}),
+        (["check", "Z"], {}),
     ],
 )
-def test_limit_errors_exit_1_without_traceback(aab_file, argv, env):
+def test_limit_errors_exit_1_without_traceback(aab_file, tmp_path, argv, env):
     # a fresh process, so an uncaught exception would show its traceback
-    argv = [aab_file if a == "F" else a for a in argv]
+    files = {"F": aab_file}
+    for name, text in (
+        ("M", "alphabet: a > b\nordering: module-top\nbasis: y1 > y2\nrelations:\na*y1 - y2\n"),
+        ("Z", "alphabet: a > b\nordering: deglex\nrelations:\na*a - 1/0*b\n"),
+    ):
+        files[name] = str(tmp_path / f"{name}.pres")
+        Path(files[name]).write_text(text)
+    argv = [files.get(a, a) for a in argv]
     src = str(Path(gsb.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(

@@ -211,6 +211,12 @@ def test_check_gsb_degree_bound_blocks_certificate():
     assert not report.is_certificate
 
 
+def test_check_gsb_rejects_nonpositive_degree_bound():
+    for bad in (0, -3):
+        with pytest.raises(LimitError):
+            check_gsb([p("a*a - b")], SPEC, max_deg=bad)
+
+
 def test_completion_soundness_on_random_inputs():
     # ideal preservation, replayable certificates, and independent
     # re-verification of certified outputs

@@ -14,7 +14,6 @@ from gsb.orderings import (
     check_monomial,
     compare,
     compare_module,
-    tower_weight,
 )
 from gsb.words import Alphabet, ModuleBasis, ModuleWord, Word
 
@@ -56,19 +55,6 @@ def test_tower_counts_stable_letters_first():
 def test_tower_symbol_missing():
     with pytest.raises(TowerSymbolMissingError):
         compare(Tower("t", "t^-1"), AB.word("a"), AB.word("b"))
-
-
-def test_weight_tuple_reassembles():
-    spec = Tower("t", "t^-1")
-    rng = random.Random(5)
-    for _ in range(300):
-        word = Word(
-            TOWER_ALPHABET,
-            tuple(rng.randrange(TOWER_ALPHABET.size) for _ in range(rng.randint(0, 8))),
-        )
-        wt = tower_weight(spec, word)
-        assert wt.reassemble() == word
-        assert wt.count == sum(1 for c in word.letters if c in (0, 1))
 
 
 def _random_words(rng, alphabet, count, max_len=5):

@@ -106,6 +106,14 @@ def test_parse_coefficients_and_unit():
         parse_polynomial("", AB)
 
 
+def test_parse_zero_denominator_is_a_syntax_error():
+    with pytest.raises(WordSyntaxError) as exc:
+        parse_polynomial("a*a - 1/0*b", AB)
+    assert exc.value.position == 6
+    with pytest.raises(WordSyntaxError):
+        m("0/0*y1")
+
+
 def test_format_parse_roundtrip_random():
     rng = random.Random(11)
     for _ in range(300):
