@@ -82,6 +82,7 @@ from .rewrite import (
     normal_form_random,
     normal_form_with_trace,
     quotient_dim_oracle,
+    quotient_dims,
 )
 from .words import (
     Alphabet,

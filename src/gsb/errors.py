@@ -18,6 +18,7 @@ class UnknownSymbolError(GsbError):
 class WordSyntaxError(GsbError):
     def __init__(self, message, position):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
 
 

@@ -388,9 +388,14 @@ def _split_signed_terms(text: str):
 
 
 def _parse_term_factors(chunk: str, position: int):
-    factors = [f.strip() for f in chunk.split("*")]
-    if any(not f for f in factors):
-        raise WordSyntaxError("empty factor", position)
+    """Split one term (the text ending at ``position``) into coefficient and factors."""
+    pieces = chunk.split("*")
+    factors = [piece.strip() for piece in pieces]
+    if "" in factors:
+        empty = factors.index("")
+        # the chunk starts at position - len(chunk); each earlier piece is followed by '*'
+        offset = position - len(chunk) + sum(len(piece) + 1 for piece in pieces[:empty])
+        raise WordSyntaxError("empty factor", offset)
     coeff = Fraction(1)
     if _COEFF_RE.fullmatch(factors[0]):
         try:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import PresentationFormatError, ZeroPolynomialError
+from .errors import PresentationFormatError, WordSyntaxError, ZeroPolynomialError
 from .orderings import DegLex, ModuleTop, Tower
 from .poly import (
     ModuleElement,
@@ -110,14 +110,14 @@ def _parse_ordering(body: str):
 def load_presentation(text: str):
     """Parse a presentation file; returns Presentation or ModulePresentation."""
     sections: dict[str, str] = {}
-    relation_lines: list[str] = []
+    relation_lines: list[tuple[int, str]] = []
     in_relations = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
         if in_relations:
-            relation_lines.append(line.strip())
+            relation_lines.append((lineno, line.strip()))
             continue
         if ":" not in line:
             raise PresentationFormatError(f"line {lineno}: expected 'section: ...'")
@@ -148,16 +148,26 @@ def load_presentation(text: str):
         if not isinstance(ordering, ModuleTop):
             raise PresentationFormatError("a basis section needs the module-top ordering")
         basis = ModuleBasis(_parse_symbol_chain(sections["basis"], "basis"))
-        rels = tuple(
-            parse_module_element(line, alphabet, basis).make_monic(ordering)
-            for line in relation_lines
+        rels = _parse_relations(
+            relation_lines,
+            lambda line: parse_module_element(line, alphabet, basis).make_monic(ordering),
         )
         return ModulePresentation(alphabet, basis, ordering, rels)
-    rels = tuple(
-        parse_polynomial(line, alphabet).make_monic(ordering)
-        for line in relation_lines
+    rels = _parse_relations(
+        relation_lines, lambda line: parse_polynomial(line, alphabet).make_monic(ordering)
     )
     return Presentation(alphabet, ordering, rels)
+
+
+def _parse_relations(relation_lines, parse):
+    """Parse each (line number, text) pair; a syntax error names its line."""
+    rels = []
+    for lineno, line in relation_lines:
+        try:
+            rels.append(parse(line))
+        except WordSyntaxError as exc:
+            raise WordSyntaxError(f"line {lineno}: {exc.message}", exc.position) from None
+    return tuple(rels)
 
 
 def _format_ordering(ordering) -> str:

@@ -13,7 +13,7 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from math import gcd, lcm
 
 from .errors import (
     AlphabetMismatchError,
@@ -205,24 +205,26 @@ def irr_words(alphabet: Alphabet, relations, spec, max_deg: int) -> list[Word]:
     if max_deg < 0:
         raise LimitError(f"max_deg must be >= 0, got {max_deg}")
     rules = compile_rules(relations, spec, alphabet)
-    leads = [lead for lead, _ in rules]
-    if any(len(lead) == 0 for lead in leads):
+    leads = {lead for lead, _ in rules}
+    if () in leads:
         return []  # the unit is in the ideal: nothing is irreducible
+    lengths = sorted({len(lead) for lead in leads})
     keyf = spec.letter_key(alphabet)
+    letters = range(alphabet.size)
     found = [()]
     frontier = [()]
-    for _deg in range(max_deg):
+    for deg in range(1, max_deg + 1):
+        # only a suffix ending at the new letter can newly match
+        cuts = [deg - n for n in lengths if n <= deg]
         new_frontier = []
         for w in frontier:
-            for letter in range(alphabet.size):
+            for letter in letters:
                 cand = w + (letter,)
-                # only a suffix ending at the new letter can newly match
-                if any(
-                    len(lead) <= len(cand) and cand[len(cand) - len(lead) :] == lead
-                    for lead in leads
-                ):
-                    continue
-                new_frontier.append(cand)
+                for i in cuts:
+                    if cand[i:] in leads:
+                        break
+                else:
+                    new_frontier.append(cand)
         frontier = new_frontier
         found.extend(frontier)
     found.sort(key=keyf)
@@ -242,27 +244,123 @@ def word_capacity() -> int:
     return cap
 
 
-def _eliminate(row, pivots, keyf):
-    """Gaussian step against the running pivot set; True if rank grew."""
+def _eliminate(row, pivots):
+    """Reduce an integer row against the pivot rows; True if it became one.
+
+    Rows map word numbers to integers.  A pivot row is stored under its
+    greatest word number as (leading coefficient, other entries), with the
+    gcd of its entries divided out and a positive leading coefficient.
+    Reducing ``c*m + rest`` by the pivot ``p*m + tail`` forms
+    ``p'*rest - c'*tail`` with ``c', p'`` the two leading coefficients
+    divided by their gcd.
+    """
     while row:
-        m = max(row, key=keyf)
+        m = max(row)
         piv = pivots.get(m)
         if piv is None:
-            c = row[m]
-            if c != 1:
-                row = {w: v / c for w, v in row.items()}
-            pivots[m] = row
+            g = gcd(*row.values())
+            if row[m] < 0:
+                g = -g
+            if g != 1:
+                row = {w: v // g for w, v in row.items()}
+            lead = row.pop(m)
+            pivots[m] = (lead, tuple(row.items()))
             return True
         c = row.pop(m)
-        for w, v in piv.items():
-            if w == m:
-                continue
-            nv = row.get(w, Fraction(0)) - c * v
+        p, tail = piv
+        if p != 1:
+            g = gcd(c, p)
+            c //= g
+            p //= g
+            if p != 1:
+                for w in row:
+                    row[w] *= p
+        for w, v in tail:
+            nv = row.get(w, 0) - c * v
             if nv:
                 row[w] = nv
-            else:
-                row.pop(w, None)
+            elif w in row:
+                del row[w]
     return False
+
+
+def quotient_dims(
+    alphabet: Alphabet, relations, spec, max_deg: int, capacity: int | None = None
+) -> list[int]:
+    """``quotient_dim_oracle`` at every degree 0..max_deg, from one elimination.
+
+    Entry ``d`` is the dimension of span(words of degree <= d) modulo the
+    span of the rows a*s*b with deg(a*lead(s)*b) <= d.  Rows are added in
+    increasing degree and the running rank is read at each degree
+    boundary; the rank of a set of rows does not depend on the order they
+    are added in, so every entry is exact.
+
+    Each relation is scaled once to integer coefficients by the lcm of its
+    denominators.  Words are numbered degree first and then
+    lexicographically by letter index, and elimination runs on integer rows
+    keyed by those numbers: a row is reduced by cross-multiplication with
+    the pivot of its greatest word, and a row that becomes a pivot is
+    divided by the gcd of its entries and given a positive leading
+    coefficient.  The pivot order changes no rank, so the ordering ``spec``
+    serves only to check monicity and find each leading word (through
+    ``compile_rules``); nothing else is shared with the rewriting engine.
+    """
+    if max_deg < 0:
+        raise LimitError(f"max_deg must be >= 0, got {max_deg}")
+    k = alphabet.size
+    # offsets[n]: the number of words of degree < n, the first number of degree n
+    offsets = [0]
+    for n in range(max_deg + 1):
+        offsets.append(offsets[-1] + k**n)
+    nwords = offsets[-1]
+    cap = capacity if capacity is not None else word_capacity()
+    if nwords > cap:
+        raise CapacityError(
+            f"{nwords} words of degree <= {max_deg} exceed the capacity {cap}"
+        )
+    rules = compile_rules(relations, spec, alphabet)
+    # (lead degree, [(degree, number within its degree, integer coefficient)])
+    scaled = []
+    for (lead, _tail), s in zip(rules, relations):
+        terms = s.raw_terms()
+        lead_len = len(lead)
+        # every term must fit inside the bounded span for the quotient to make sense
+        if any(len(w) > lead_len for w in terms):
+            raise LimitError(
+                "oracle needs relations whose leading word has maximal degree"
+            )
+        if lead_len > max_deg:
+            continue  # yields no row within the bound
+        den = lcm(*(c.denominator for c in terms.values()))
+        ints = []
+        for w, c in terms.items():
+            num = 0
+            for letter in w:  # letter index 0 is the greatest digit
+                num = num * k + (k - 1 - letter)
+            ints.append((len(w), num, c.numerator * (den // c.denominator)))
+        scaled.append((lead_len, ints))
+    pivots = {}
+    rank = 0
+    dims = []
+    for deg in range(max_deg + 1):
+        for lead_len, terms in scaled:
+            extra = deg - lead_len
+            for da in range(extra + 1):
+                db = extra - da
+                size_b = k**db
+                # a*w*b is numbered offsets[|a*w*b|] + num(a)*k^(|w|+|b|) + num(w)*k^|b| + num(b)
+                shifted = [
+                    (offsets[da + n + db] + num * size_b, k ** (n + db), c)
+                    for n, num, c in terms
+                ]
+                for na in range(k**da):
+                    heads = [(base + na * step, c) for base, step, c in shifted]
+                    for nb in range(size_b):
+                        row = {head + nb: c for head, c in heads}
+                        if _eliminate(row, pivots):
+                            rank += 1
+        dims.append(offsets[deg + 1] - rank)
+    return dims
 
 
 def quotient_dim_oracle(
@@ -270,43 +368,14 @@ def quotient_dim_oracle(
 ) -> int:
     """Dimension of span(words of degree <= max_deg) modulo the relation span.
 
-    Computed by exact Gaussian elimination over ``Fraction`` rows a*s*b
-    with deg(a*lead(s)*b) <= max_deg; each new pivot row is divided by its
-    leading coefficient.  Independent of the rewriting engine; used
-    as the oracle for irr_words counts on certified bases.
+    Computed by exact elimination over integer rows a*s*b with
+    deg(a*lead(s)*b) <= max_deg: each relation is scaled to integers once,
+    rows are reduced by cross-multiplication, and each new pivot row is
+    divided by the gcd of its entries (see ``quotient_dims``, whose last
+    entry this is).  Independent of the rewriting engine; used as the
+    oracle for irr_words counts on certified bases.
     """
-    if max_deg < 0:
-        raise LimitError(f"max_deg must be >= 0, got {max_deg}")
-    k = alphabet.size
-    nwords = sum(k**d for d in range(max_deg + 1))
-    cap = capacity if capacity is not None else word_capacity()
-    if nwords > cap:
-        raise CapacityError(
-            f"{nwords} words of degree <= {max_deg} exceed the capacity {cap}"
-        )
-    rules = compile_rules(relations, spec, alphabet)
-    keyf = spec.letter_key(alphabet)
-    # every term must fit inside the bounded span for the quotient to make sense
-    for idx, s in enumerate(relations):
-        lead_len = len(rules[idx][0])
-        if any(len(w) > lead_len for w in s.raw_terms()):
-            raise LimitError(
-                "oracle needs relations whose leading word has maximal degree"
-            )
-    pivots = {}
-    rank = 0
-    letters = range(k)
-    for idx, s in enumerate(relations):
-        terms = list(s.raw_terms().items())
-        lead_len = len(rules[idx][0])
-        for total in range(max_deg - lead_len + 1):
-            for da in range(total + 1):
-                for a in product(letters, repeat=da):
-                    for b in product(letters, repeat=total - da):
-                        row = {a + w + b: c for w, c in terms}
-                        if _eliminate(row, pivots, keyf):
-                            rank += 1
-    return nwords - rank
+    return quotient_dims(alphabet, relations, spec, max_deg, capacity)[-1]
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .lyndon import (
 from .orderings import DegLex, ModuleTop, Tower, check_monomial
 from .poly import Polynomial
 from .presentation import ModulePresentation, Presentation
-from .rewrite import irr_words, normal_form, normal_form_random, quotient_dim_oracle
+from .rewrite import irr_words, normal_form, normal_form_random, quotient_dims
 from .words import Alphabet, ModuleBasis, Word
 
 _COEFFS = (1, -1, 2, -2, Fraction(1, 2), 3)
@@ -70,9 +70,9 @@ def criterion_1_cd_oracle():
         report = shirshov_complete(relations, spec, max_deg=6, max_steps=20_000)
         if report.status is CompletionStatus.BUDGET_EXHAUSTED:
             return False, f"trial {trial}: completion exhausted its budget"
-        for d in range(7):
+        dims = quotient_dims(alphabet, report.relations, spec, 6)
+        for d, dim in enumerate(dims):
             n_irr = len(irr_words(alphabet, report.relations, spec, d))
-            dim = quotient_dim_oracle(alphabet, report.relations, spec, d)
             if n_irr != dim:
                 return False, f"trial {trial}: degree {d}: {n_irr} != {dim}"
             checked += 1

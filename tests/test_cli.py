@@ -174,6 +174,13 @@ def test_usage_and_input_errors(tmp_path, capsys):
     assert "error" in err
 
 
+def test_relation_syntax_error_names_its_line(tmp_path, capsys):
+    bad = tmp_path / "bad.pres"
+    bad.write_text("alphabet: a > b\nordering: deglex\nrelations:\na*b - b*a\na*a - 1/0*b\n")
+    assert run(["check", str(bad)]) == 1
+    assert capsys.readouterr().err == "error: line 5: zero denominator (at position 6)\n"
+
+
 def test_dim_rejects_module_presentations(tmp_path, capsys):
     mod = tmp_path / "mod.pres"
     mod.write_text("alphabet: a > b\nordering: module-top\nbasis: y1\nrelations:\n")

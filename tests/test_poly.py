@@ -114,6 +114,14 @@ def test_parse_zero_denominator_is_a_syntax_error():
         m("0/0*y1")
 
 
+def test_empty_factor_reports_its_own_position():
+    for text, position in (("a** b + a", 2), ("*a", 0), ("b + a*", 6), ("a - b* *a", 6)):
+        with pytest.raises(WordSyntaxError) as exc:
+            Polynomial.parse(text, AB)
+        assert exc.value.position == position, text
+        assert str(exc.value) == f"empty factor (at position {position})"
+
+
 def test_format_parse_roundtrip_random():
     rng = random.Random(11)
     for _ in range(300):

@@ -1,6 +1,6 @@
 import pytest
 
-from gsb.errors import PresentationFormatError
+from gsb.errors import PresentationFormatError, WordSyntaxError
 from gsb.orderings import DegLex, ModuleTop, Tower
 from gsb.poly import parse_polynomial
 from gsb.presentation import (
@@ -105,3 +105,15 @@ def test_empty_relations_allowed():
     assert p.relations == ()
     q = load_presentation("alphabet: a > b\nordering: deglex\n")
     assert q.relations == ()
+
+
+def test_relation_syntax_error_names_its_line():
+    text = "alphabet: a > b\nordering: deglex\n# a comment\nrelations:\na*b - b*a\na*a - 1/0*b\n"
+    with pytest.raises(WordSyntaxError) as exc:
+        load_presentation(text)
+    assert str(exc.value) == "line 6: zero denominator (at position 6)"
+    assert exc.value.position == 6
+    module = "alphabet: a > b\nordering: module-top\nbasis: y1\nrelations:\na** y1\n"
+    with pytest.raises(WordSyntaxError) as exc:
+        load_presentation(module)
+    assert str(exc.value) == "line 5: empty factor (at position 2)"

@@ -1,15 +1,18 @@
+import hashlib
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from gsb.completion import shirshov_complete
 from gsb.errors import (
     CapacityError,
+    LimitError,
     NonMonicRelationError,
     UncertifiedBasisError,
 )
-from gsb.orderings import DegLex
+from gsb.orderings import DegLex, Tower
 from gsb.poly import Polynomial, parse_polynomial
 from gsb.rewrite import (
     GsbCertificate,
@@ -19,8 +22,9 @@ from gsb.rewrite import (
     normal_form_random,
     normal_form_with_trace,
     quotient_dim_oracle,
+    quotient_dims,
 )
-from gsb.words import Alphabet
+from gsb.words import Alphabet, pair_formal_inverses
 
 AB = Alphabet(("a", "b"))
 SPEC = DegLex()
@@ -130,6 +134,138 @@ def test_quotient_dim_examples():
 def test_quotient_dim_capacity():
     with pytest.raises(CapacityError):
         quotient_dim_oracle(AB, [], SPEC, 10, capacity=100)
+
+
+def _dense_dim(alphabet, relations, spec, max_deg):
+    """Reference dimension: dense Fraction rows a*s*b, textbook Gaussian elimination."""
+    k = alphabet.size
+    words = [w for d in range(max_deg + 1) for w in product(range(k), repeat=d)]
+    column = {w: j for j, w in enumerate(words)}
+    rows = []
+    for s in relations:
+        lead_len = s.leading_word(spec).degree
+        for total in range(max_deg - lead_len + 1):
+            for da in range(total + 1):
+                for a in product(range(k), repeat=da):
+                    for b in product(range(k), repeat=total - da):
+                        row = [Fraction(0)] * len(words)
+                        for w, c in s.raw_terms().items():
+                            row[column[a + w + b]] += c
+                        rows.append(row)
+    rank = 0
+    for j in range(len(words)):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        prow = rows[rank]
+        support = [jj for jj in range(j, len(words)) if prow[jj]]
+        for row in rows[rank + 1 :]:
+            if row[j]:
+                factor = row[j] / prow[j]
+                for jj in support:
+                    row[jj] -= factor * prow[jj]
+        rank += 1
+    return len(words) - rank
+
+
+# mixed denominators and integers far beyond machine words
+_ORACLE_COEFFS = (
+    1, -1, Fraction(1, 2), Fraction(-2, 3), 3, 10**20 + 7, Fraction(-(2**64) + 1, 9)
+)
+
+
+def _seeded_relations(rng, alphabet, spec, count, max_len=3):
+    rels = []
+    while len(rels) < count:
+        terms = []
+        for _ in range(rng.randint(2, 4)):
+            word = tuple(rng.randrange(alphabet.size) for _ in range(rng.randint(0, max_len)))
+            terms.append((word, rng.choice(_ORACLE_COEFFS)))
+        f = Polynomial(alphabet, terms)
+        if f.is_zero():
+            continue
+        f = f.make_monic(spec)
+        if f.leading_word(spec).degree == max(len(w) for w in f.raw_terms()):
+            rels.append(f)
+    return rels
+
+
+def _assert_dims_match_references(alphabet, rels, spec, max_deg):
+    dims = quotient_dims(alphabet, rels, spec, max_deg)
+    assert dims == [_dense_dim(alphabet, rels, spec, d) for d in range(max_deg + 1)]
+    assert dims == [quotient_dim_oracle(alphabet, rels, spec, d) for d in range(max_deg + 1)]
+
+
+@pytest.mark.parametrize(
+    "letters, max_deg, seed",
+    [(("a", "b"), 5, seed) for seed in range(6)] + [(("a", "b", "c"), 4, seed) for seed in range(4)],
+)
+def test_quotient_dims_match_dense_fraction_rank(letters, max_deg, seed):
+    alphabet = Alphabet(letters)
+    rng = random.Random(1000 + seed)
+    rels = _seeded_relations(rng, alphabet, SPEC, rng.randint(1, 3))
+    _assert_dims_match_references(alphabet, rels, SPEC, max_deg)
+
+
+@pytest.mark.parametrize("scale", [Fraction(1, 2), Fraction(10**20 + 7, 2)])
+def test_quotient_dims_exact_on_dependent_relations(scale):
+    # a*a - x*x = a*f + f*x lies in the ideal of f = a - x only for the exact coefficients
+    x = p("b") * scale - Polynomial.unit(AB) * Fraction(1, 3)
+    f = p("a") - x
+    g = p("a*a") - x * x
+    assert quotient_dims(AB, [f, g], SPEC, 4) == [1, 2, 3, 4, 5]
+    assert [_dense_dim(AB, [f, g], SPEC, d) for d in range(5)] == [1, 2, 3, 4, 5]
+
+
+TOWER_AB = Alphabet(("t", "t^-1", "a", "b"), pair_formal_inverses(("t", "t^-1", "a", "b")))
+
+
+def test_quotient_dims_match_dense_fraction_rank_under_tower():
+    spec = Tower("t", "t^-1")
+    rels = [
+        Polynomial.parse(text, TOWER_AB).make_monic(spec)
+        for text in (
+            "t*a - 2/3*a*t + 3*b",
+            "t*t^-1 - 1",
+            "b*a*b - 1/2*a*t^-1*a + 100000000000000000007",
+        )
+    ]
+    # the tower order picks other leading words than deg-lex, each of maximal degree
+    assert [str(f.leading_word(spec)) for f in rels] == ["a*t", "t*t^-1", "a*t^-1*a"]
+    _assert_dims_match_references(TOWER_AB, rels, spec, 3)
+
+
+def test_quotient_dims_raise_where_the_oracle_does():
+    tower = Tower("t", "t^-1")
+    # under the tower order t outranks a*a*a, so the leading word is not of maximal degree
+    short_lead = [Polynomial.parse("t - a*a*a", TOWER_AB).make_monic(tower)]
+    cases = [
+        (AB, GSB, SPEC, 3, 14, CapacityError),
+        (AB, GSB, SPEC, 3, 15, None),
+        (AB, GSB, SPEC, -1, None, LimitError),
+        (TOWER_AB, short_lead, tower, 0, None, LimitError),
+        (TOWER_AB, short_lead, tower, 3, None, LimitError),
+    ]
+    for alphabet, rels, spec, max_deg, cap, error in cases:
+        for f in (quotient_dims, quotient_dim_oracle):
+            if error is None:
+                f(alphabet, rels, spec, max_deg, capacity=cap)
+                continue
+            with pytest.raises(error):
+                f(alphabet, rels, spec, max_deg, capacity=cap)
+
+
+def test_braid_degree_10_irr_words_pinned():
+    # SHA-256 of the listing, one word per line
+    abc = Alphabet(("a", "b", "c"))
+    braid = [parse_polynomial(t, abc) for t in ("a*b*a - b*a*b", "b*c*b - c*b*c", "a*c - c*a")]
+    report = shirshov_complete(braid, SPEC, max_deg=10)
+    assert len(report.relations) == 47
+    words = irr_words(abc, report.relations, SPEC, 10)
+    assert len(words) == 7588
+    digest = hashlib.sha256("\n".join(str(w) for w in words).encode()).hexdigest()
+    assert digest == "87705c9305d6646faa88396ab378e4a77217b033464618ee46c9bbd32f88786a"
 
 
 def test_oracle_agrees_with_irr_on_certified_sets():
