@@ -2,18 +2,32 @@
 
 Completion keeps a working set of monic relations.  Each relation that
 enters it is interned: equal polynomials share one record with a stable id,
-and its (leading word, tail) rule and sort key are compiled once.  The
-overlaps of a relation are enumerated once, against the relations present
-when it enters, and pushed on a heap ordered by (w, lead f, lead g, kind,
-len(a)); since the leading words of the working set are distinct and kept
-sorted, this is the smallest-first order by word and relation indices.
+and its (leading word, tail) rule, sort key and set of factors (every
+subword of every support word) are computed once.  The engine keeps hash
+maps over the working set and updates them as relations enter and leave,
+so no step scans every relation:
+
+- the rule index (``rewrite._RuleIndex``) maps each lead to its
+  lowest-ranked holder, ranked by place in the set, and each proper prefix
+  of a lead to the relations with that lead; it finds every redex, and
+  interreduction reduces a relation by "all but one" through it;
+- the factor map takes each factor to the relations whose support contains
+  it, so a new lead finds the relations it makes reducible, and the longer
+  leads that include it;
+- the prefix map and a suffix map, probed with the proper suffixes and
+  prefixes of a new lead, give its intersection overlaps.
+
+The overlaps of a relation are enumerated once, against the relations
+paired when it enters, and pushed on a heap ordered by (w, lead f, lead g,
+kind, len(a)); since the leading words of the working set are distinct and
+kept sorted, this is the smallest-first order by word and relation indices.
 Pairs whose relation has left the set are dropped when popped, and pairs
 that reduced to zero are cached by (kind, f id, g id, w, a, b).  The monic
 normal form of each nontrivial composition is added and the set is
-inter-reduced, rewriting only relations whose support contains another
-relation's leading word.  Every accepted addition and every removal carries
-an exact replayable decomposition, so ideal preservation is certified, not
-assumed.
+inter-reduced, always rewriting the lowest-ranked relation whose support
+contains another relation's leading word.  Every accepted addition and
+every removal carries an exact replayable decomposition, so ideal
+preservation is certified, not assumed.
 """
 
 from __future__ import annotations
@@ -21,7 +35,6 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -37,8 +50,18 @@ from .poly import (
     format_module_element,
     format_polynomial,
 )
-from .rewrite import GsbCertificate, _reduce, compile_rules, normal_form
-from .words import Word
+from .rewrite import (
+    GsbCertificate,
+    _add_to,
+    _lead_and_tail,
+    _rank,
+    _reduce,
+    _remove_from,
+    _RuleIndex,
+    compile_rules,
+    normal_form,
+)
+from .words import Word, _trusted_word
 
 
 def format_element(x, spec) -> str:
@@ -81,8 +104,8 @@ def _overlaps(f, g, inclusion: bool) -> list:
 
     Returns raw ``(kind, w, a, b)`` tuples: every proper suffix of f that
     is a prefix of g (intersections), then, when ``inclusion`` is set,
-    every occurrence of g inside f.  This is the one overlap routine:
-    ``find_ambiguities``, ``check_gsb`` and completion all go through it.
+    every occurrence of g inside f.  This is the definition the indexed
+    searches below reproduce; completion uses it for self-overlaps.
     """
     out = []
     nf, ng = len(f), len(g)
@@ -96,17 +119,35 @@ def _overlaps(f, g, inclusion: bool) -> list:
     return out
 
 
-def _all_overlaps(leads, keyf) -> list:
-    """Every ambiguity among ``leads`` as raw ``(kind, i, j, w, a, b)``,
-    sorted by (w, i, j, kind, len(a))."""
+def _all_overlaps(index: _RuleIndex, keyf) -> list:
+    """Every ambiguity among the rules of ``index`` (ranked by relation
+    index) as raw ``(kind, i, j, w, a, b)``, sorted by (w, i, j, kind, len(a)).
+
+    Intersections probe the index's map from proper prefixes of leads with
+    the proper suffixes of every lead; inclusions probe its lead map with
+    the factors of every lead.  Equal leads count once, as an inclusion of
+    the lower index pair.
+    """
+    leads = index.first
     found = []
-    for i, fi in enumerate(leads):
-        for j, gj in enumerate(leads):
-            inclusion = i != j and (
-                len(gj) < len(fi) or (len(gj) == len(fi) and i < j)
-            )
-            for kind, w, a, b in _overlaps(fi, gj, inclusion):
-                found.append((keyf(w), i, j, kind, len(a), w, a, b))
+    for rule in [r for lead in leads for r in index.holders(lead)]:
+        i, f = rule.rank, rule.lead
+        nf = len(f)
+        for o in range(1, nf):
+            for other in index.prefixed.get(f[nf - o :], ()):
+                w, a, b = f + other.lead[o:], f[: nf - o], other.lead[o:]
+                found.append((keyf(w), i, other.rank, INTERSECTION, nf - o, w, a, b))
+        for m in index.lengths:
+            if m > nf:
+                break
+            for start in range(nf - m + 1):
+                if f[start : start + m] not in leads:
+                    continue
+                for other in index.holders(f[start : start + m]):
+                    j = other.rank
+                    if i != j and (m < nf or i < j):
+                        a, b = f[:start], f[start + m :]
+                        found.append((keyf(f), i, j, INCLUSION, start, f, a, b))
     found.sort(key=lambda e: e[:5])
     return [(kind, i, j, w, a, b) for _, i, j, kind, _, w, a, b in found]
 
@@ -123,9 +164,10 @@ def find_ambiguities(relations, spec) -> list[Ambiguity]:
         return []
     A = relations[0].alphabet
     keyf = spec.letter_key(A)
+    word = _trusted_word
     return [
-        Ambiguity(kind, i, j, Word(A, w), Word(A, a), Word(A, b))
-        for kind, i, j, w, a, b in _all_overlaps([lead for lead, _ in rules], keyf)
+        Ambiguity(kind, i, j, word(A, w), word(A, a), word(A, b))
+        for kind, i, j, w, a, b in _all_overlaps(_RuleIndex.of(rules), keyf)
     ]
 
 
@@ -290,16 +332,17 @@ class _Relation:
     Equal polynomials share one record, so ``id`` can key the trivial-pair
     cache.  ``stamp`` is set while the relation is paired and is fresh each
     time it re-enters, so queued pairs of a departed relation are dropped.
+    ``rank`` is its place in the working set while it is there.
     ``subwords`` holds every factor of every support word.
     """
 
-    __slots__ = ("id", "poly", "rule", "lead", "key", "subwords", "stamp")
+    __slots__ = ("id", "poly", "lead", "tail", "key", "subwords", "stamp", "rank")
 
-    def __init__(self, id_, poly, rule, key):
+    def __init__(self, id_, poly, lead, tail, key):
         self.id = id_
         self.poly = poly
-        self.rule = rule
-        self.lead = rule[0]
+        self.lead = lead
+        self.tail = tail
         self.key = key
         self.subwords = frozenset(
             u[i:j]
@@ -308,6 +351,7 @@ class _Relation:
             for j in range(i, len(u) + 1)
         )
         self.stamp = None
+        self.rank = None
 
 
 def _lead_key(rel: _Relation):
@@ -315,7 +359,17 @@ def _lead_key(rel: _Relation):
 
 
 class _Engine:
-    """Interned relations, the pair queue and the trivial-pair cache."""
+    """The working set and its maps, the pair queue and the trivial-pair cache.
+
+    ``rels`` is the working set in rank order.  ``index`` is its rule index,
+    whose ``prefixed`` map takes each proper prefix of a lead to the
+    relations with that lead; ``_suffixes`` does the same for proper
+    suffixes, and ``_containing`` maps each factor to the relations whose
+    support contains it.  ``_hits`` counts, for each relation, the other
+    relations whose lead is a factor of its support; ``_dirty`` holds those
+    with a nonzero count, which are the relations interreduction must
+    rewrite.
+    """
 
     def __init__(self, spec, alphabet, max_deg):
         self.spec = spec
@@ -324,6 +378,12 @@ class _Engine:
         self.max_deg = max_deg
         self.stats = dict.fromkeys(STAT_KEYS, 0)
         self.trivial = set()
+        self.rels = []
+        self.index = _RuleIndex()
+        self._containing = {}
+        self._suffixes = {}
+        self._hits = {}
+        self._dirty = set()
         self._interned = {}
         self._paired = []
         self._queue = []
@@ -334,42 +394,97 @@ class _Engine:
     def intern(self, poly: Polynomial) -> _Relation:
         rel = self._interned.get(poly)
         if rel is None:
-            (rule,) = compile_rules([poly], self.spec, self.alphabet)
-            rel = _Relation(len(self._interned), poly, rule, self.keyf(rule[0]))
+            lead, tail = _lead_and_tail(poly.raw_terms(), self.keyf)
+            rel = _Relation(len(self._interned), poly, lead, tail, self.keyf(lead))
             self._interned[poly] = rel
             self.stats["rules_compiled"] += 1
         return rel
 
-    def reduce(self, terms, pool, steps) -> dict:
-        nf = _reduce(terms, [r.rule for r in pool], self.keyf, steps)
+    def start(self, polys) -> None:
+        """Enter the interned inputs, sorted by lead, as the working set."""
+        rels = sorted((self.intern(s) for s in polys), key=_lead_key)
+        seen = set()
+        for rel in rels:
+            if rel in seen:
+                # a repeated input takes a slot of its own until interreduction
+                rel = _Relation(rel.id, rel.poly, rel.lead, rel.tail, rel.key)
+            seen.add(rel)
+            self.append(rel)
+
+    def append(self, rel: _Relation) -> None:
+        """Enter a relation after every relation of the working set."""
+        self.rels.append(rel)
+        self._enter(rel, len(self.rels) - 1)
+
+    def _count(self, rel, delta) -> None:
+        hits = self._hits[rel] + delta
+        self._hits[rel] = hits
+        if hits:
+            self._dirty.add(rel)
+        else:
+            self._dirty.discard(rel)
+
+    def _enter(self, rel, rank) -> None:
+        rel.rank = rank
+        lead = rel.lead
+        # the new lead makes every relation containing it reducible
+        for other in self._containing.get(lead, ()):
+            self._count(other, 1)
+        self._hits[rel] = 0
+        held = self.index.holders
+        self._count(rel, sum(len(held(f)) for f in rel.subwords.intersection(self.index.first)))
+        self.index.add(rel)
+        for f in rel.subwords:
+            _add_to(self._containing, f, rel)
+        for o in range(1, len(lead)):
+            _add_to(self._suffixes, lead[o:], rel)
+
+    def _leave(self, rel) -> None:
+        lead = rel.lead
+        self.index.discard(rel)
+        for f in rel.subwords:
+            _remove_from(self._containing, f, rel)
+        for o in range(1, len(lead)):
+            _remove_from(self._suffixes, lead[o:], rel)
+        for other in self._containing.get(lead, ()):
+            self._count(other, -1)
+        del self._hits[rel]
+        self._dirty.discard(rel)
+
+    def sort(self) -> None:
+        """Sort the interreduced working set by lead; ranks become list
+        positions.  Its leads are distinct, so the index stays valid."""
+        self.rels.sort(key=_lead_key)
+        for rank, rel in enumerate(self.rels):
+            rel.rank = rank
+
+    def reduce(self, terms, steps, skip=None) -> dict:
+        """Normal form of raw terms by the working set, ``skip`` left out."""
+        nf = _reduce(terms, self.index, self.keyf, steps, skip)
         self.stats["reduction_steps"] += len(steps)
         return nf
 
-    def decomposition(self, steps, pool) -> tuple:
+    def decomposition(self, steps) -> tuple:
         A = self.alphabet
         return tuple(
-            (c, Word(A, a), pool[ridx].poly, Word(A, b)) for ridx, a, b, _u, c in steps
+            (c, _trusted_word(A, a), rel.poly, _trusted_word(A, b)) for rel, a, b, _u, c in steps
         )
 
-    def interreduce(self, rels, removed_log) -> None:
+    def interreduce(self, removed_log) -> None:
         """Reduce each relation by the others until stable.
 
-        Scans from the front and restarts at 0 after every change, so the
-        removal log keeps its order.  A relation is rewritten only when a
-        word of its support contains another relation's leading word.
+        Always rewrites the lowest-ranked relation whose support contains
+        another relation's leading word, so the removal log has the order
+        of a scan from the front that restarts after every change.
         """
-        leads = Counter(r.lead for r in rels)
-        i = 0
-        while i < len(rels) and len(rels) > 1:
-            r = rels[i]
-            # r's own lead is always a hit; anything more is a reducible factor
-            if len(r.subwords.intersection(leads)) == 1 and leads[r.lead] == 1:
-                i += 1
-                continue
-            others = rels[:i] + rels[i + 1 :]
+        rels = self.rels
+        while self._dirty:
+            r = min(self._dirty, key=_rank)
             steps = []
-            nf = Polynomial(self.alphabet, self.reduce(r.poly.raw_terms(), others, steps))
-            decomposition = self.decomposition(steps, others)
+            nf = Polynomial(self.alphabet, self.reduce(r.poly.raw_terms(), steps, skip=r))
+            decomposition = self.decomposition(steps)
+            i = rels.index(r)
+            self._leave(r)
             if nf.is_zero():
                 removed_log.append(RemovedRelation(r.poly, nf, None, decomposition))
                 del rels[i]
@@ -377,12 +492,12 @@ class _Engine:
                 monic = nf.make_monic(self.spec)
                 removed_log.append(RemovedRelation(r.poly, nf, monic, decomposition))
                 rels[i] = self.intern(monic)
-            leads = Counter(r.lead for r in rels)
-            i = 0
+                self._enter(rels[i], r.rank)
 
-    def seed(self, rels) -> None:
+    def seed(self) -> None:
         """Pair the initial working set and queue what ``find_ambiguities``
         reports for it; later entrants are paired by ``update``."""
+        rels = self.rels
         for rel in rels:
             rel.stamp = next(self._stamps)
         self._paired = list(rels)
@@ -396,26 +511,57 @@ class _Engine:
                 amb.b.letters,
             )
 
-    def update(self, rels) -> None:
-        """Pair every relation that entered ``rels``; retire those that left."""
-        live = set(rels)
+    def update(self) -> None:
+        """Pair every relation that entered the working set; retire those that left."""
+        live = set(self.rels)
         for rel in self._paired:
             if rel not in live:
                 rel.stamp = None
         self._paired = [rel for rel in self._paired if rel.stamp is not None]
-        for rel in rels:
+        for rel in self.rels:
             if rel.stamp is None:
                 rel.stamp = next(self._stamps)
-                for other in self._paired:
-                    self._push(rel, other)
-                    self._push(other, rel)
-                self._push(rel, rel)
+                self._pair(rel)
                 self._paired.append(rel)
 
-    def _push(self, f, g) -> None:
-        # leads of the working set are distinct, so only a shorter g can lie inside f
-        for kind, w, a, b in _overlaps(f.lead, g.lead, len(g.lead) < len(f.lead)):
-            self._route(f, g, kind, w, a, b)
+    def _pair(self, rel) -> None:
+        """Route the overlaps of ``rel`` with itself and every paired relation.
+
+        A paired relation is one of the working set with a stamp; ``rel``
+        pairs with each of them in both orders.
+        """
+        f = rel.lead
+        n = len(f)
+        route = self._route
+        for o in range(1, n):
+            # a proper suffix of f is a proper prefix of g, and the reverse
+            for other in self.index.prefixed.get(f[n - o :], ()):
+                if other.stamp is not None and other is not rel:
+                    g = other.lead
+                    route(rel, other, INTERSECTION, f + g[o:], f[: n - o], g[o:])
+            for other in self._suffixes.get(f[:o], ()):
+                if other.stamp is not None and other is not rel:
+                    g = other.lead
+                    route(other, rel, INTERSECTION, g + f[o:], g[: len(g) - o], f[o:])
+        # a shorter lead inside f
+        leads = self.index.first
+        for m in self.index.lengths:
+            if m >= n:
+                break
+            for start in range(n - m + 1):
+                if f[start : start + m] in leads:
+                    for other in self.index.holders(f[start : start + m]):
+                        if other.stamp is not None:
+                            route(rel, other, INCLUSION, f, f[:start], f[start + m :])
+        # f inside a longer lead: only relations whose support contains f
+        for other in self._containing.get(f, ()):
+            g = other.lead
+            if other.stamp is not None and len(g) > n:
+                for start in range(len(g) - n + 1):
+                    if g[start : start + n] == f:
+                        route(other, rel, INCLUSION, g, g[:start], g[start + n :])
+        for kind, w, a, b in _overlaps(f, f, False):
+            route(rel, rel, kind, w, a, b)
 
     def _route(self, f, g, kind, w, a, b) -> None:
         self.stats["pairs_enumerated"] += 1
@@ -484,12 +630,14 @@ def shirshov_complete(
     if relations:
         monic = [s.make_monic(spec) for s in relations]
         A = monic[0].alphabet
+        compile_rules(monic, spec, A)  # one alphabet check for the whole run
         engine = _Engine(spec, A, max_deg)
         stats = engine.stats
-        rels = sorted((engine.intern(s) for s in monic), key=_lead_key)
-        engine.interreduce(rels, removed)
-        rels.sort(key=_lead_key)
-        engine.seed(rels)
+        rels = engine.rels
+        engine.start(monic)
+        engine.interreduce(removed)
+        engine.sort()
+        engine.seed()
         while True:
             entry = engine.pop()
             if entry is None:
@@ -503,25 +651,23 @@ def shirshov_complete(
             f, _, g, _, kind, w, a, b = entry
             h = _compose(kind, f.poly.raw_terms(), g.poly.raw_terms(), a, b)
             steps = []
-            nf_terms = engine.reduce(h, rels, steps)
+            nf_terms = engine.reduce(h, steps)
             if not nf_terms:
                 engine.trivial.add((kind, f.id, g.id, w, a, b))
                 continue
             nf = Polynomial(A, nf_terms)
-            amb = Ambiguity(
-                kind, rels.index(f), rels.index(g), Word(A, w), Word(A, a), Word(A, b)
-            )
+            # after sorting, a paired relation's rank is its index
+            word = _trusted_word
+            amb = Ambiguity(kind, f.rank, g.rank, word(A, w), word(A, a), word(A, b))
             nontrivial_log.append((amb, nf))
             monic = nf.make_monic(spec)
             added.append(
-                AddedRelation(
-                    monic, nf, amb, f.poly, g.poly, engine.decomposition(steps, rels)
-                )
+                AddedRelation(monic, nf, amb, f.poly, g.poly, engine.decomposition(steps))
             )
-            rels.append(engine.intern(monic))
-            engine.interreduce(rels, removed)
-            rels.sort(key=_lead_key)
-            engine.update(rels)
+            engine.append(engine.intern(monic))
+            engine.interreduce(removed)
+            engine.sort()
+            engine.update()
             # still pending while f and g survive; it is evaluated again
             engine.queue(entry)
         stats["compositions_evaluated"] = processed
@@ -589,15 +735,17 @@ def check_gsb(relations, spec, max_deg: int | None = None) -> CheckReport:
     skipped = 0
     if rules:
         keyf = spec.letter_key(A)
-        for kind, i, j, w, a, b in _all_overlaps([lead for lead, _ in rules], keyf):
+        index = _RuleIndex.of(rules)
+        for kind, i, j, w, a, b in _all_overlaps(index, keyf):
             if max_deg is not None and len(w) > max_deg:
                 skipped += 1
                 continue
             evaluated += 1
             h = _compose(kind, rels[i].raw_terms(), rels[j].raw_terms(), a, b)
-            nf = _reduce(h, rules, keyf)
+            nf = _reduce(h, index, keyf)
             if nf:
-                amb = Ambiguity(kind, i, j, Word(A, w), Word(A, a), Word(A, b))
+                word = _trusted_word
+                amb = Ambiguity(kind, i, j, word(A, w), word(A, a), word(A, b))
                 nontrivial.append((amb, Polynomial(A, nf)))
     return CheckReport(
         relations=tuple(rels),

@@ -10,9 +10,19 @@ class AlphabetError(GsbError):
 
 
 class UnknownSymbolError(GsbError):
-    def __init__(self, token):
-        super().__init__(f"unknown symbol {token!r}")
+    """A symbol outside the alphabet or basis; parsed text gives its
+    position and, in a presentation file, its line."""
+
+    def __init__(self, token, position=None, line=None):
+        message = f"unknown symbol {token!r}"
+        if position is not None:
+            message = f"{message} (at position {position})"
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
         self.token = token
+        self.position = position
+        self.line = line
 
 
 class WordSyntaxError(GsbError):

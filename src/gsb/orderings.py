@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import neg
 
 from .errors import (
     AlphabetMismatchError,
@@ -25,7 +26,7 @@ LESS, EQUAL, GREATER = -1, 0, 1
 
 def _deglex_key(letters):
     # precedence rank == alphabet index, smaller index == greater letter
-    return (len(letters), tuple(-c for c in letters))
+    return (len(letters), tuple(map(neg, letters)))
 
 
 @dataclass(frozen=True)

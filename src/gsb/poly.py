@@ -388,24 +388,38 @@ def _split_signed_terms(text: str):
 
 
 def _parse_term_factors(chunk: str, position: int):
-    """Split one term (the text ending at ``position``) into coefficient and factors."""
+    """Split one term (the text ending at ``position``) into its coefficient
+    and its factors, each as (name, position of its first character)."""
     pieces = chunk.split("*")
-    factors = [piece.strip() for piece in pieces]
-    if "" in factors:
-        empty = factors.index("")
-        # the chunk starts at position - len(chunk); each earlier piece is followed by '*'
-        offset = position - len(chunk) + sum(len(piece) + 1 for piece in pieces[:empty])
-        raise WordSyntaxError("empty factor", offset)
+    factors = []
+    start = position - len(chunk)  # each piece is followed by '*'
+    for piece in pieces:
+        name = piece.strip()
+        if not name:
+            raise WordSyntaxError("empty factor", start)
+        factors.append((name, start + len(piece) - len(piece.lstrip())))
+        start += len(piece) + 1
     coeff = Fraction(1)
-    if _COEFF_RE.fullmatch(factors[0]):
+    if _COEFF_RE.fullmatch(factors[0][0]):
         try:
-            coeff = Fraction(factors[0])
+            coeff = Fraction(factors[0][0])
         except ZeroDivisionError:
-            raise WordSyntaxError("zero denominator", position - len(chunk.lstrip())) from None
+            raise WordSyntaxError("zero denominator", factors[0][1]) from None
         factors = factors[1:]
-    elif factors[0] == "1" and len(factors) == 1:
+    elif factors[0][0] == "1" and len(factors) == 1:
         factors = []
     return coeff, factors
+
+
+def _letters(factors, alphabet: Alphabet) -> tuple[int, ...]:
+    """Letter indices of (name, position) factors; an unknown one names its position."""
+    letters = []
+    for name, position in factors:
+        try:
+            letters.append(alphabet.index(name))
+        except UnknownSymbolError:
+            raise UnknownSymbolError(name, position) from None
+    return tuple(letters)
 
 
 def parse_polynomial(text: str, alphabet: Alphabet) -> Polynomial:
@@ -413,8 +427,7 @@ def parse_polynomial(text: str, alphabet: Alphabet) -> Polynomial:
     terms = []
     for sign, chunk, pos in _split_signed_terms(text):
         coeff, factors = _parse_term_factors(chunk, pos)
-        letters = tuple(alphabet.index(f) for f in factors)
-        terms.append((letters, sign * coeff))
+        terms.append((_letters(factors, alphabet), sign * coeff))
     return Polynomial(alphabet, terms)
 
 
@@ -425,15 +438,14 @@ def parse_module_element(text: str, alphabet: Alphabet, basis: ModuleBasis) -> M
         coeff, factors = _parse_term_factors(chunk, pos)
         if not factors:
             raise WordSyntaxError("a module term needs a generator", pos)
-        gen = factors[-1]
+        gen, gen_pos = factors[-1]
         try:
             g = basis.index(gen)
         except UnknownSymbolError:
             raise WordSyntaxError(
-                f"module term must end in a basis generator, got {gen!r}", pos
+                f"module term must end in a basis generator, got {gen!r}", gen_pos
             ) from None
-        letters = tuple(alphabet.index(f) for f in factors[:-1])
-        terms.append(((letters, g), sign * coeff))
+        terms.append(((_letters(factors[:-1], alphabet), g), sign * coeff))
     return ModuleElement(alphabet, basis, terms)
 
 

@@ -18,7 +18,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import PresentationFormatError, WordSyntaxError, ZeroPolynomialError
+from .errors import (
+    PresentationFormatError,
+    UnknownSymbolError,
+    WordSyntaxError,
+    ZeroPolynomialError,
+)
 from .orderings import DegLex, ModuleTop, Tower
 from .poly import (
     ModuleElement,
@@ -160,13 +165,16 @@ def load_presentation(text: str):
 
 
 def _parse_relations(relation_lines, parse):
-    """Parse each (line number, text) pair; a syntax error names its line."""
+    """Parse each (line number, text) pair; a syntax error or an unknown
+    symbol names its line."""
     rels = []
     for lineno, line in relation_lines:
         try:
             rels.append(parse(line))
         except WordSyntaxError as exc:
             raise WordSyntaxError(f"line {lineno}: {exc.message}", exc.position) from None
+        except UnknownSymbolError as exc:
+            raise UnknownSymbolError(exc.token, exc.position, lineno) from None
     return tuple(rels)
 
 

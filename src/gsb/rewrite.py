@@ -5,12 +5,31 @@ reducible word of the support; among occurrences inside it take the
 leftmost; among rules matching there take the lowest index.  For a
 certified basis the result is strategy-independent; the fixed strategy
 makes traces reproducible.
+
+Redexes are found through one ``_RuleIndex``: hash maps from each leading
+word to its lowest-ranked rule and from each proper prefix of a leading
+word to the rules that extend it.  The leftmost redex of a word is found by
+walking its positions in order; at each position the window grows one
+letter at a time while it is a proper prefix of some lead, so a lookup
+costs a few hashes per position however many rules there are.  A rule's
+rank is its index at the public entry points; the completion engine keeps
+one index over its working set, ranked by place in the set, and updates it
+as relations enter and leave.
+
+``compile_rules`` is the validating boundary, run once per public call: it
+checks alphabets and monicity and splits each relation into raw
+(lead, tail) letter tuples.  Inside, nothing builds a validated ``Word``;
+outputs are made by ``_trusted_word``, as their letters are known to be in
+range.  The randomized cross-check (``normal_form_random``) scans every
+rule by brute force and the dimension oracle (``quotient_dims``) uses no
+index, so both stay independent of it.
 """
 
 from __future__ import annotations
 
 import os
 import random
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -23,48 +42,172 @@ from .errors import (
     UncertifiedBasisError,
 )
 from .poly import Polynomial
-from .words import Alphabet, Word
+from .words import Alphabet, Word, _trusted_word
 
 DEFAULT_WORD_CAPACITY = 20_000
 _CAPACITY_ENV = "GSB_MAX_WORDS"
 
 
+def _lead_and_tail(terms, keyf):
+    """Split a raw term map into its greatest word and the other terms."""
+    lead = max(terms, key=keyf)
+    return lead, tuple((w, c) for w, c in terms.items() if w != lead)
+
+
 def compile_rules(relations, spec, alphabet=None):
     """Check monicity and split each relation into (leading word, tail)."""
     rules = []
+    keyed = keyf = None
     for idx, s in enumerate(relations):
         if alphabet is not None and s.alphabet != alphabet:
             raise AlphabetMismatchError(f"relation #{idx} lives over a different alphabet")
         if s.is_zero():
             raise NonMonicRelationError(idx, "zero relation")
-        coeff, lead = s.leading(spec)
-        if coeff != 1:
+        if s.alphabet is not keyed:
+            keyed, keyf = s.alphabet, spec.letter_key(s.alphabet)
+        terms = s.raw_terms()
+        lead, tail = _lead_and_tail(terms, keyf)
+        if terms[lead] != 1:
             raise NonMonicRelationError(idx)
-        tail = [(w, c) for w, c in s.raw_terms().items() if w != lead.letters]
-        rules.append((lead.letters, tuple(tail)))
+        rules.append((lead, tail))
     return rules
 
 
-def _find_first(u, lead):
-    n = len(lead)
-    if n == 0:
-        return 0
-    if n > len(u):
+def _rank(rule):
+    return rule.rank
+
+
+def _add_to(table, key, item):
+    table.setdefault(key, set()).add(item)
+
+
+def _remove_from(table, key, item):
+    held = table[key]
+    held.discard(item)
+    if not held:
+        del table[key]
+
+
+class _Rule:
+    """A compiled rule of a public call; its rank is its relation index."""
+
+    __slots__ = ("lead", "tail", "rank")
+
+    def __init__(self, lead, tail, rank):
+        self.lead = lead
+        self.tail = tail
+        self.rank = rank
+
+
+class _RuleIndex:
+    """The leading words of a rule set, hashed.
+
+    ``first`` maps each lead to its lowest-ranked rule and ``_others`` holds
+    the further rules of a lead that several rules share.  ``prefixed`` maps
+    each proper prefix of a lead to the rules whose lead extends it, and
+    ``lengths`` lists the distinct lead lengths in ascending order.  A rule
+    is any object with ``lead``, ``tail`` and ``rank`` attributes; ranks are
+    distinct, lower first, and may change only while no lead has two rules.
+    """
+
+    __slots__ = ("first", "prefixed", "lengths", "_others", "_per_length")
+
+    def __init__(self, rules=()):
+        self.first = {}
+        self.prefixed = {}
+        self.lengths = []
+        self._others = {}
+        self._per_length = {}
+        for rule in rules:
+            self.add(rule)
+
+    @classmethod
+    def of(cls, rules) -> _RuleIndex:
+        """The index of ``compile_rules`` output, ranked by position."""
+        return cls(_Rule(lead, tail, idx) for idx, (lead, tail) in enumerate(rules))
+
+    def add(self, rule) -> None:
+        lead = rule.lead
+        held = self.first.get(lead)
+        if held is None:
+            self.first[lead] = rule
+        elif rule.rank < held.rank:
+            self.first[lead] = rule
+            self._others.setdefault(lead, []).append(held)
+        else:
+            self._others.setdefault(lead, []).append(rule)
+        for o in range(1, len(lead)):
+            _add_to(self.prefixed, lead[:o], rule)
+        n = len(lead)
+        count = self._per_length.get(n, 0)
+        if not count:
+            insort(self.lengths, n)
+        self._per_length[n] = count + 1
+
+    def discard(self, rule) -> None:
+        lead = rule.lead
+        others = self._others.get(lead)
+        if self.first[lead] is rule:
+            if others:
+                best = min(others, key=_rank)
+                others.remove(best)
+                self.first[lead] = best
+            else:
+                del self.first[lead]
+        else:
+            others.remove(rule)
+        if others is not None and not others:
+            del self._others[lead]
+        for o in range(1, len(lead)):
+            _remove_from(self.prefixed, lead[:o], rule)
+        n = len(lead)
+        self._per_length[n] -= 1
+        if not self._per_length[n]:
+            del self._per_length[n]
+            self.lengths.remove(n)
+
+    def holders(self, lead) -> list:
+        """Every rule with this lead, in no particular order."""
+        held = self.first.get(lead)
+        if held is None:
+            return []
+        return [held, *self._others.get(lead, ())]
+
+    def _first_but(self, lead, skip):
+        """The lowest-ranked rule with this lead other than ``skip``."""
+        rule = self.first.get(lead)
+        if rule is not None and rule is skip:
+            others = self._others.get(lead)
+            rule = min(others, key=_rank) if others else None
+        return rule
+
+    def leftmost(self, u, skip=None):
+        """``(position, rule)`` of the leftmost redex in ``u``, taking the
+        lowest rank among the rules matching there; ``skip`` is left out.
+
+        At each position the windows grow one letter at a time while they
+        are proper prefixes of some lead, so most positions cost one probe.
+        """
+        first = self.first
+        prefixed = self.prefixed
+        n = len(u)
+        # the empty lead matches at position 0 of every word
+        empty = self._first_but((), skip)
+        for i in range(n + 1):
+            best = empty
+            for j in range(i + 1, n + 1):
+                w = u[i:j]
+                rule = first.get(w)
+                if rule is not None:
+                    if rule is skip:
+                        rule = self._first_but(w, skip)
+                    if rule is not None and (best is None or rule.rank < best.rank):
+                        best = rule
+                if w not in prefixed:
+                    break
+            if best is not None:
+                return i, best
         return None
-    first = lead[0]
-    for i in range(len(u) - n + 1):
-        if u[i] == first and u[i : i + n] == lead:
-            return i
-    return None
-
-
-def _leftmost_match(u, rules):
-    best = None
-    for ridx, (lead, _tail) in enumerate(rules):
-        pos = _find_first(u, lead)
-        if pos is not None and (best is None or (pos, ridx) < best):
-            best = (pos, ridx)
-    return best
 
 
 def _all_matches(u, rules):
@@ -80,24 +223,28 @@ def _all_matches(u, rules):
     return out
 
 
-def _reduce(terms, rules, keyf, steps=None):
-    """Core rewriting loop over raw term dicts; returns the normal form map."""
+def _reduce(terms, index, keyf, steps=None, skip=None):
+    """Core rewriting loop over raw term dicts; returns the normal form map.
+
+    Rewrites by every rule of ``index`` but ``skip``; each step is recorded
+    in ``steps`` as (rule, left, right, rewritten word, coefficient).
+    """
     work = dict(terms)
     keys = {w: keyf(w) for w in work}
     out = {}
+    leftmost = index.leftmost
     while work:
         u = max(work, key=keys.__getitem__)
         c = work.pop(u)
-        hit = _leftmost_match(u, rules)
+        hit = leftmost(u, skip)
         if hit is None:
             out[u] = out.get(u, Fraction(0)) + c
             continue
-        pos, ridx = hit
-        lead, tail = rules[ridx]
-        a, b = u[:pos], u[pos + len(lead) :]
+        pos, rule = hit
+        a, b = u[:pos], u[pos + len(rule.lead) :]
         if steps is not None:
-            steps.append((ridx, a, b, u, c))
-        for t, tc in tail:
+            steps.append((rule, a, b, u, c))
+        for t, tc in rule.tail:
             w2 = a + t + b
             v = work.get(w2, Fraction(0)) - c * tc
             if v:
@@ -110,6 +257,11 @@ def _reduce(terms, rules, keyf, steps=None):
 
 
 def _reduce_random(terms, rules, rng):
+    """Rewrite a randomly chosen redex until none is left.
+
+    Matches by a brute-force scan of every rule, not by the index, so it
+    cross-checks the indexed reduction independently.
+    """
     work = dict(terms)
     while True:
         reducible = []
@@ -171,21 +323,20 @@ class ReductionTrace:
 
 def normal_form(p: Polynomial, relations, spec) -> Polynomial:
     """Reduce ``p`` modulo monic relations; the result avoids every leading word."""
-    rules = compile_rules(relations, spec, p.alphabet)
-    keyf = spec.letter_key(p.alphabet)
-    nf = _reduce(p.raw_terms(), rules, keyf)
+    index = _RuleIndex.of(compile_rules(relations, spec, p.alphabet))
+    nf = _reduce(p.raw_terms(), index, spec.letter_key(p.alphabet))
     return Polynomial(p.alphabet, nf)
 
 
 def normal_form_with_trace(p: Polynomial, relations, spec) -> tuple[Polynomial, ReductionTrace]:
-    rules = compile_rules(relations, spec, p.alphabet)
-    keyf = spec.letter_key(p.alphabet)
+    index = _RuleIndex.of(compile_rules(relations, spec, p.alphabet))
     raw_steps = []
-    nf = Polynomial(p.alphabet, _reduce(p.raw_terms(), rules, keyf, steps=raw_steps))
     A = p.alphabet
+    nf = Polynomial(A, _reduce(p.raw_terms(), index, spec.letter_key(A), steps=raw_steps))
+    word = _trusted_word
     steps = tuple(
-        ReductionStep(ridx, Word(A, a), Word(A, b), Word(A, u), c)
-        for ridx, a, b, u, c in raw_steps
+        ReductionStep(rule.rank, word(A, a), word(A, b), word(A, u), c)
+        for rule, a, b, u, c in raw_steps
     )
     return nf, ReductionTrace(steps, nf)
 
@@ -204,11 +355,11 @@ def irr_words(alphabet: Alphabet, relations, spec, max_deg: int) -> list[Word]:
     """
     if max_deg < 0:
         raise LimitError(f"max_deg must be >= 0, got {max_deg}")
-    rules = compile_rules(relations, spec, alphabet)
-    leads = {lead for lead, _ in rules}
+    index = _RuleIndex.of(compile_rules(relations, spec, alphabet))
+    leads = index.first
     if () in leads:
         return []  # the unit is in the ideal: nothing is irreducible
-    lengths = sorted({len(lead) for lead in leads})
+    lengths = index.lengths
     keyf = spec.letter_key(alphabet)
     letters = range(alphabet.size)
     found = [()]
@@ -228,7 +379,7 @@ def irr_words(alphabet: Alphabet, relations, spec, max_deg: int) -> list[Word]:
         frontier = new_frontier
         found.extend(frontier)
     found.sort(key=keyf)
-    return [Word(alphabet, w) for w in found]
+    return [_trusted_word(alphabet, w) for w in found]
 
 
 def word_capacity() -> int:

@@ -157,6 +157,15 @@ class Word:
         return f"Word({print_word(self)})"
 
 
+def _trusted_word(alphabet: Alphabet, letters: tuple[int, ...]) -> Word:
+    """A ``Word`` from a letter tuple known to lie in range; skips the check."""
+    word = object.__new__(Word)
+    fields = word.__dict__  # a frozen dataclass: fields set directly, as its __init__ does
+    fields["alphabet"] = alphabet
+    fields["letters"] = letters
+    return word
+
+
 def concat(u: Word, v: Word) -> Word:
     """Monoid product; degrees add."""
     return u * v

@@ -181,6 +181,13 @@ def test_relation_syntax_error_names_its_line(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 5: zero denominator (at position 6)\n"
 
 
+def test_unknown_symbol_names_its_line_and_position(tmp_path, capsys):
+    bad = tmp_path / "bad.pres"
+    bad.write_text("alphabet: a > b\nordering: deglex\nrelations:\na*b - b*a\na*z - b\n")
+    assert run(["check", str(bad)]) == 1
+    assert capsys.readouterr().err == "error: line 5: unknown symbol 'z' (at position 2)\n"
+
+
 def test_dim_rejects_module_presentations(tmp_path, capsys):
     mod = tmp_path / "mod.pres"
     mod.write_text("alphabet: a > b\nordering: module-top\nbasis: y1\nrelations:\n")

@@ -1,14 +1,21 @@
+import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from gsb.completion import (
+    INCLUSION,
     Ambiguity,
     CompletionStatus,
+    _all_overlaps,
+    _Engine,
+    _overlaps,
     check_gsb,
     composition,
     find_ambiguities,
+    format_element,
     is_trivial,
     shirshov_complete,
 )
@@ -21,7 +28,7 @@ from gsb.errors import (
 )
 from gsb.orderings import DegLex
 from gsb.poly import Polynomial, parse_polynomial
-from gsb.rewrite import normal_form
+from gsb.rewrite import _RuleIndex, normal_form, normal_form_with_trace
 from gsb.words import Alphabet
 
 AB = Alphabet(("a", "b"))
@@ -461,3 +468,335 @@ def test_duplicate_leads_removal_log():
         ),
     ]
     assert report.verify_ideal_preservation()
+
+
+# -- byte-identity pins: canonical report dumps -------------------------------
+#
+# The digests below were generated before the rule index replaced the
+# per-rule scans; any change to a relation, an added or removed entry, a
+# decomposition, the processing order or a work counter changes them.
+
+
+def _amb_text(amb):
+    if isinstance(amb, Ambiguity):
+        return (amb.kind, amb.f_index, amb.g_index, str(amb.w), str(amb.a), str(amb.b))
+    return (amb.f_index, amb.g_index, str(amb.a), str(amb.w))
+
+
+def _decomposition_text(decomposition, spec):
+    return [
+        (str(c), str(a), format_element(s, spec), *(str(b) for b in right))
+        for c, a, s, *right in decomposition
+    ]
+
+
+def _completion_dump(report):
+    spec = report.ordering
+
+    def fmt(x):
+        return None if x is None else format_element(x, spec)
+
+    return repr(
+        (
+            report.status_text(),
+            [fmt(r) for r in report.relations],
+            [
+                (
+                    fmt(e.relation),
+                    fmt(e.residual),
+                    _amb_text(e.ambiguity),
+                    fmt(e.f),
+                    fmt(e.g),
+                    _decomposition_text(e.decomposition, spec),
+                )
+                for e in report.added
+            ],
+            [
+                (
+                    fmt(e.relation),
+                    fmt(e.residual),
+                    fmt(e.replacement),
+                    _decomposition_text(e.decomposition, spec),
+                )
+                for e in report.removed
+            ],
+            report.processed,
+            [(_amb_text(amb), fmt(res)) for amb, res in report.nontrivial_log],
+            sorted(report.stats.items()),
+        )
+    )
+
+
+def _check_dump(report):
+    spec = report.ordering
+    return repr(
+        (
+            report.is_certificate,
+            report.evaluated,
+            report.skipped,
+            [(_amb_text(amb), format_element(res, spec)) for amb, res in report.nontrivial],
+        )
+    )
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _binomial_systems(seed, count):
+    rng = random.Random(seed)
+    systems = []
+    while len(systems) < count:
+        rels = []
+        for _ in range(rng.randint(1, 3)):
+            u = tuple(rng.randrange(2) for _ in range(rng.randint(1, 3)))
+            v = tuple(rng.randrange(2) for _ in range(rng.randint(0, 3)))
+            if u != v:
+                rels.append(Polynomial(AB, ((u, 1), (v, -1))))
+        if rels:
+            systems.append(rels)
+    return systems
+
+
+def _completion_family(name):
+    if name == "braid":
+        rels = [p(t, ABC) for t in BRAID]
+        return [shirshov_complete(rels, SPEC, max_deg=d) for d in (8, 9, 10, 11)]
+    if name == "criterion_1":
+        return [
+            shirshov_complete(_criterion_1_shaped(seed), SPEC, max_deg=4, max_steps=20_000)
+            for seed in range(40)
+        ]
+    if name == "hnn_tower":
+        from gsb.constructions import GroupTable, build_hnn
+
+        out = []
+        for order, bound in ((3, 2), (4, 3)):
+            pres = build_hnn(GroupTable.cyclic(order), bound).presentation
+            rels = list(pres.relations)
+            # reversed input order and a doubled relation exercise interreduction
+            out.append(shirshov_complete(rels[::-1] + rels[:1], pres.ordering, max_deg=12))
+        return out
+    if name == "binomial":
+        return [
+            shirshov_complete(rels, SPEC, max_deg=6, max_steps=5000)
+            for rels in _binomial_systems(18, 30)
+        ]
+    raise ValueError(name)
+
+
+COMPLETION_DIGESTS = {
+    "braid": "73b2baee816236551c501e5be05709046eb95c81e87cc757d23fe2a76f063d2e",
+    "criterion_1": "ae6f453f246f8362f2ca5fcafe9dd2d807567c7b7494f1bba1f0bcea5b87e53f",
+    "hnn_tower": "1973f96ca284c3e8f8e434a7dd9fc030be29025b72581f1dfd29501aeec48f7f",
+    "binomial": "b7fdf728e31ed54a53596cbbc4f8f3005358a2cd792a54d0263a08155cb1ecdc",
+}
+
+
+@pytest.mark.parametrize("family", sorted(COMPLETION_DIGESTS))
+def test_completion_report_dumps_pinned(family):
+    reports = _completion_family(family)
+    assert all(r.verify_ideal_preservation() for r in reports)
+    assert _digest(_completion_dump(r) for r in reports) == COMPLETION_DIGESTS[family]
+
+
+def _construction_checks():
+    """check_gsb on each construction output, on it without one relation,
+    and under a degree bound."""
+    from gsb.constructions import (
+        GroupTable,
+        MultTable,
+        SimplePair,
+        SimpleStepInput,
+        build_hnn,
+        build_malcev,
+        build_module_cyclic,
+        build_simple_step,
+    )
+    from gsb.modules import module_check_gsb
+    from gsb.orderings import ModuleTop
+    from gsb.poly import parse_module_element
+    from gsb.presentation import ModulePresentation, Presentation
+    from gsb.words import ModuleBasis
+
+    X3 = Alphabet(("x1", "x2", "x3"))
+    x3_basis = shirshov_complete(
+        [parse_polynomial("x1*x2 - x3", X3), parse_polynomial("x2*x1 - x3", X3)], SPEC, max_deg=6
+    )
+    table = MultTable(("x1", "x2"), {(1, 1): "x1", (1, 2): "x1", (2, 1): "x2", (2, 2): "x2"})
+    base = table.base_alphabet()
+    pairs = SimpleStepInput(
+        (
+            SimplePair(parse_polynomial("x1", base), parse_polynomial("x2", base), "u1", "v1"),
+            SimplePair(
+                parse_polynomial("x2 + 1", base), parse_polynomial("x1 - x2", base), "u2", "v2"
+            ),
+        )
+    )
+    module_base = ModulePresentation(AB, ModuleBasis(("y1", "y2", "y3")), ModuleTop(), ())
+    results = [
+        (build_hnn(GroupTable.cyclic(3), 2), check_gsb),
+        (build_malcev(Presentation(X3, SPEC, x3_basis.relations), 3), check_gsb),
+        (build_simple_step(table, pairs, m_bound=2, n_bound=1), check_gsb),
+        (build_module_cyclic(module_base, 3), module_check_gsb),
+    ]
+    lines = []
+    for result, check in results:
+        pres = result.presentation
+        rels = list(pres.relations)
+        if check is module_check_gsb:
+            # the cyclic module's leads divide none another; these do
+            extra = ("b*y - y1", "a*y1 - 2*y2 + y3", "b*b*y2 - a*y")
+            rels += [
+                parse_module_element(t, pres.alphabet, pres.basis).make_monic(pres.ordering)
+                for t in extra
+            ]
+        lines.append(_check_dump(result.report))
+        lines.append(_check_dump(check(rels, pres.ordering)))
+        for drop in (0, len(rels) // 2, len(rels) - 1):
+            lines.append(_check_dump(check(rels[:drop] + rels[drop + 1 :], pres.ordering)))
+        lines.append(_check_dump(check(rels, pres.ordering, max_deg=3)))
+    return lines
+
+
+CHECK_DIGEST = "f37df37b4c24f42b95214fd5db6ce59167309803caa95b3eb56eb1a7210f06ea"
+
+
+def test_construction_check_reports_pinned():
+    assert _digest(_construction_checks()) == CHECK_DIGEST
+
+
+def test_braid_degree_10_counters_pinned():
+    report = shirshov_complete([p(t, ABC) for t in BRAID], SPEC, max_deg=10)
+    assert report.stats == {
+        "pairs_enumerated": 1480,
+        "pairs_cached_trivial": 0,
+        "compositions_evaluated": 169,
+        "reduction_steps": 623,
+        "rules_compiled": 47,
+    }
+
+
+# -- indexed overlap discovery against the pairwise scan ---------------------
+
+
+def _random_leads(rng):
+    """Up to seven leads over two or three letters: some repeated, some
+    inside others, now and then the empty word."""
+    letters = rng.randint(2, 3)
+    leads = [
+        tuple(rng.randrange(letters) for _ in range(rng.choice((0, 1, 2, 2, 3, 3, 4, 5))))
+        for _ in range(rng.randint(1, 7))
+    ]
+    if rng.random() < 0.3:
+        leads.append(rng.choice(leads))
+    return letters, leads
+
+
+def test_all_overlaps_equal_pairwise_scan():
+    rng = random.Random(71)
+    keyf = SPEC.letter_key(ABC)
+    kinds = Counter()
+    for _ in range(400):
+        _, leads = _random_leads(rng)
+        expected = Counter()
+        for i, f in enumerate(leads):
+            for j, g in enumerate(leads):
+                inclusion = i != j and (len(g) < len(f) or (len(g) == len(f) and i < j))
+                for kind, w, a, b in _overlaps(f, g, inclusion):
+                    expected[(kind, i, j, w, a, b)] += 1
+        found = _all_overlaps(_RuleIndex.of([(lead, ()) for lead in leads]), keyf)
+        assert Counter(found) == expected
+        order = [(keyf(w), i, j, kind, len(a)) for kind, i, j, w, a, b in found]
+        assert order == sorted(order)
+        kinds.update(kind for kind, *_ in found)
+    assert min(kinds.values()) > 500
+
+
+def test_engine_pairing_equals_pairwise_scan():
+    # relations enter unreduced, so leads repeat and include one another
+    rng = random.Random(72)
+    inclusions = 0
+    for _ in range(300):
+        letters, leads = _random_leads(rng)
+        A = ABC if letters == 3 else AB
+        polys = []
+        for lead in leads:
+            # the lead plus a smaller word keeps ``lead`` leading
+            smaller = lead[1:] if lead else None
+            terms = [(lead, 1)] + ([(smaller, rng.choice((-1, 2)))] if smaller is not None else [])
+            polys.append(Polynomial(A, terms))
+        engine = _Engine(SPEC, A, max_deg=20)
+        engine.start(polys)
+        routed = Counter()
+        engine._route = lambda f, g, kind, w, a, b: routed.update([(f, g, kind, w, a, b)])
+        engine.update()
+        expected = Counter()
+        paired = []
+        for rel in engine.rels:
+            for other in paired:
+                for f, g in ((rel, other), (other, rel)):
+                    for kind, w, a, b in _overlaps(f.lead, g.lead, len(g.lead) < len(f.lead)):
+                        expected[(f, g, kind, w, a, b)] += 1
+            for kind, w, a, b in _overlaps(rel.lead, rel.lead, False):
+                expected[(rel, rel, kind, w, a, b)] += 1
+            paired.append(rel)
+        assert routed == expected
+        inclusions += sum(n for key, n in expected.items() if key[2] == INCLUSION)
+    assert inclusions > 100
+
+
+def _interreduce_by_scan(polys):
+    """The interreduction the engine must reproduce: scan from the front for
+    a relation with another relation's lead inside a support word, rewrite
+    it by all the others, and restart; returns the set and the removal log."""
+    rels = sorted(polys, key=lambda s: SPEC.key(s.leading_word(SPEC)))
+    log = []
+    i = 0
+    while i < len(rels):
+        r = rels[i]
+        others = rels[:i] + rels[i + 1 :]
+        factors = {
+            u[k:m] for u in r.raw_terms() for k in range(len(u) + 1) for m in range(k, len(u) + 1)
+        }
+        if not any(s.leading_word(SPEC).letters in factors for s in others):
+            i += 1
+            continue
+        nf, trace = normal_form_with_trace(r, others, SPEC)
+        steps = [
+            (str(s.coefficient), str(s.left), str(others[s.rule]), str(s.right))
+            for s in trace.steps
+        ]
+        if nf.is_zero():
+            log.append((str(r), str(nf), None, steps))
+            del rels[i]
+        else:
+            log.append((str(r), str(nf), str(nf.make_monic(SPEC)), steps))
+            rels[i] = nf.make_monic(SPEC)
+        i = 0
+    return [str(s) for s in rels], log
+
+
+def test_engine_interreduction_equals_restarting_scan():
+    rng = random.Random(73)
+    rewritten = 0
+    for _ in range(300):
+        polys = [r.make_monic(SPEC) for r in _criterion_1_shaped(rng.randrange(10**6))]
+        if rng.random() < 0.3:
+            polys.append(rng.choice(polys))
+        engine = _Engine(SPEC, polys[0].alphabet, max_deg=8)
+        engine.start(polys)
+        removed = []
+        engine.interreduce(removed)
+        log = [
+            (
+                str(e.relation),
+                str(e.residual),
+                None if e.replacement is None else str(e.replacement),
+                [(str(c), str(a), str(s), str(b)) for c, a, s, b in e.decomposition],
+            )
+            for e in removed
+        ]
+        assert ([str(r.poly) for r in engine.rels], log) == _interreduce_by_scan(polys)
+        rewritten += len(log)
+    assert rewritten > 200

@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from gsb.errors import AlphabetMismatchError, WordSyntaxError, ZeroPolynomialError
+from gsb.errors import (
+    AlphabetMismatchError,
+    UnknownSymbolError,
+    WordSyntaxError,
+    ZeroPolynomialError,
+)
 from gsb.orderings import DegLex, ModuleTop
 from gsb.poly import (
     ModuleElement,
@@ -120,6 +125,18 @@ def test_empty_factor_reports_its_own_position():
             Polynomial.parse(text, AB)
         assert exc.value.position == position, text
         assert str(exc.value) == f"empty factor (at position {position})"
+
+
+def test_parse_errors_point_at_the_offending_factor():
+    with pytest.raises(UnknownSymbolError) as exc:
+        parse_polynomial("b + 2 * zz*a", AB)
+    assert str(exc.value) == "unknown symbol 'zz' (at position 8)"
+    assert exc.value.position == 8
+    for text, name, position in (("a*b + y1", "b", 2), ("y1 - 2*a* a", "a", 10)):
+        with pytest.raises(WordSyntaxError) as exc:
+            m(text)
+        assert exc.value.position == position, text
+        assert exc.value.message == f"module term must end in a basis generator, got {name!r}"
 
 
 def test_format_parse_roundtrip_random():

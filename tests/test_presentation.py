@@ -1,6 +1,6 @@
 import pytest
 
-from gsb.errors import PresentationFormatError, WordSyntaxError
+from gsb.errors import PresentationFormatError, UnknownSymbolError, WordSyntaxError
 from gsb.orderings import DegLex, ModuleTop, Tower
 from gsb.poly import parse_polynomial
 from gsb.presentation import (
@@ -117,3 +117,24 @@ def test_relation_syntax_error_names_its_line():
     with pytest.raises(WordSyntaxError) as exc:
         load_presentation(module)
     assert str(exc.value) == "line 5: empty factor (at position 2)"
+
+
+def test_unknown_symbol_names_its_line_and_position():
+    text = "alphabet: a > b\nordering: deglex\nrelations:\na*b - b*a\na*z - b\n"
+    with pytest.raises(UnknownSymbolError) as exc:
+        load_presentation(text)
+    assert str(exc.value) == "line 5: unknown symbol 'z' (at position 2)"
+    assert (exc.value.token, exc.value.line, exc.value.position) == ("z", 5, 2)
+    module = "alphabet: a > b\nordering: module-top\nbasis: y1\nrelations:\na*y1\nb * q*y1\n"
+    with pytest.raises(UnknownSymbolError) as exc:
+        load_presentation(module)
+    assert str(exc.value) == "line 6: unknown symbol 'q' (at position 4)"
+
+
+def test_module_term_error_points_at_the_last_factor():
+    module = "alphabet: a > b\nordering: module-top\nbasis: y\nrelations:\na*b + y\n"
+    with pytest.raises(WordSyntaxError) as exc:
+        load_presentation(module)
+    assert str(exc.value) == (
+        "line 5: module term must end in a basis generator, got 'b' (at position 2)"
+    )

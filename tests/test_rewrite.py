@@ -16,6 +16,8 @@ from gsb.orderings import DegLex, Tower
 from gsb.poly import Polynomial, parse_polynomial
 from gsb.rewrite import (
     GsbCertificate,
+    _Rule,
+    _RuleIndex,
     irr_words,
     is_member,
     normal_form,
@@ -309,3 +311,103 @@ def test_randomized_strategy_agrees_on_certified_basis():
         ]
         f = Polynomial(AB, terms)
         assert normal_form(f, GSB, SPEC) == normal_form_random(f, GSB, SPEC, rng)
+
+
+# -- the rule index against the per-rule scan it replaced -----------------------
+
+
+def _find_first(u, lead):
+    """Position of the first occurrence of ``lead`` in ``u``, or None."""
+    n = len(lead)
+    if n == 0:
+        return 0
+    if n > len(u):
+        return None
+    first = lead[0]
+    for i in range(len(u) - n + 1):
+        if u[i] == first and u[i : i + n] == lead:
+            return i
+    return None
+
+
+def _leftmost_match(u, rules):
+    """(position, rule index) of the leftmost match, lowest index there: a
+    scan of every rule."""
+    best = None
+    for ridx, (lead, _tail) in enumerate(rules):
+        pos = _find_first(u, lead)
+        if pos is not None and (best is None or (pos, ridx) < best):
+            best = (pos, ridx)
+    return best
+
+
+def _random_lead(rng, letters):
+    """A lead over ``letters`` letters, sometimes empty, sometimes longer
+    than the words it is matched against."""
+    return tuple(rng.randrange(letters) for _ in range(rng.choice((0, 1, 1, 2, 2, 2, 3, 3, 4, 6))))
+
+
+def _random_rules(rng, letters):
+    """Up to six leads, sometimes one of them repeated."""
+    leads = [_random_lead(rng, letters) for _ in range(rng.randint(0, 6))]
+    if leads and rng.random() < 0.4:
+        leads.insert(rng.randrange(len(leads) + 1), rng.choice(leads))
+    if rng.random() < 0.8:
+        leads = [lead for lead in leads if lead] or leads  # the empty lead matches everywhere
+    return [(lead, ()) for lead in leads]
+
+
+def _hit(found):
+    return None if found is None else (found[0], found[1].rank)
+
+
+def test_indexed_leftmost_match_equals_scan():
+    rng = random.Random(61)
+    empty_leads = repeated_leads = long_leads = 0
+    for _ in range(3000):
+        letters = rng.randint(1, 3)
+        rules = _random_rules(rng, letters)
+        leads = [lead for lead, _ in rules]
+        empty_leads += () in leads
+        repeated_leads += len(set(leads)) < len(leads)
+        index = _RuleIndex([_Rule(lead, tail, idx) for idx, (lead, tail) in enumerate(rules)])
+        for _ in range(4):
+            u = tuple(rng.randrange(letters) for _ in range(rng.randint(0, 7)))
+            long_leads += any(len(lead) > len(u) for lead in leads)
+            assert _hit(index.leftmost(u)) == _leftmost_match(u, rules)
+            if not rules:
+                continue
+            # reducing by all rules but one is a scan of the others
+            skip = rng.randrange(len(rules))
+            (rule,) = [r for r in index.holders(leads[skip]) if r.rank == skip]
+            expected = _leftmost_match(u, rules[:skip] + rules[skip + 1 :])
+            if expected is not None and expected[1] >= skip:
+                expected = (expected[0], expected[1] + 1)
+            assert _hit(index.leftmost(u, skip=rule)) == expected
+    assert min(empty_leads, repeated_leads, long_leads) > 100
+
+
+def test_rule_index_updates_match_a_fresh_scan():
+    # rules enter and leave with arbitrary ranks, leads repeating
+    rng = random.Random(62)
+    for _ in range(200):
+        letters = rng.randint(1, 3)
+        index = _RuleIndex()
+        live = []
+        ranks = iter(rng.sample(range(1000), 1000))
+        for _ in range(30):
+            if live and rng.random() < 0.35:
+                index.discard(live.pop(rng.randrange(len(live))))
+            else:
+                rule = _Rule(_random_lead(rng, letters), (), next(ranks))
+                index.add(rule)
+                live.append(rule)
+            by_rank = sorted(live, key=lambda r: r.rank)
+            rules = [(r.lead, r.tail) for r in by_rank]
+            assert index.lengths == sorted({len(r.lead) for r in live})
+            for _ in range(3):
+                u = tuple(rng.randrange(letters) for _ in range(rng.randint(0, 7)))
+                found = index.leftmost(u)
+                expected = _leftmost_match(u, rules)
+                got = None if found is None else (found[0], by_rank.index(found[1]))
+                assert got == expected
