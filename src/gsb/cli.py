@@ -23,8 +23,8 @@ from .constructions import (
     build_module_cyclic,
     build_simple_step,
 )
-from .errors import GsbError, PresentationFormatError
-from .lyndon import alsw_up_to, std_bracketing
+from .errors import GsbError, LimitError, PresentationFormatError
+from .lyndon import alsw_up_to, nlsw_basis_count, std_bracketing
 from .modules import module_check_gsb, module_complete, module_irr
 from .poly import parse_module_element, parse_polynomial
 from .presentation import (
@@ -162,12 +162,13 @@ def _cmd_dim(args) -> int:
 def _cmd_lyndon(args) -> int:
     names = tuple(part.strip() for part in args.alphabet.split(">"))
     alphabet = Alphabet(names)
-    words = alsw_up_to(alphabet, args.max_len)
     if args.count_only:
+        if args.max_len < 1:
+            raise LimitError(f"max_len must be >= 1, got {args.max_len}")
         for n in range(1, args.max_len + 1):
-            print(f"{n} {sum(1 for w in words if len(w) == n)}")
+            print(f"{n} {nlsw_basis_count(alphabet, n)}")
         return 0
-    for w in words:
+    for w in alsw_up_to(alphabet, args.max_len):
         if args.bracket:
             print(f"{w}\t{std_bracketing(w)}")
         else:
@@ -244,8 +245,19 @@ def _write_construction(presentation, report, args) -> None:
                 fh.write("\n")
 
 
+# flags that only some construction kinds read, by argparse destination
+_CONSTRUCT_FLAG_READERS = {
+    "output": ("-o/--output", ("hnn", "malcev", "simple", "module-cyclic")),
+    "cert": ("--cert", ("hnn", "malcev", "simple", "module-cyclic")),
+    "count": ("--count", ("malcev", "module-cyclic")),
+}
+
+
 def _cmd_construct(args) -> int:
     kind = args.kind
+    for dest, (flag, readers) in _CONSTRUCT_FLAG_READERS.items():
+        if getattr(args, dest) is not None and kind not in readers:
+            raise PresentationFormatError(f"construct {kind} does not read {flag}")
     if kind == "hnn":
         if args.cyclic is not None:
             table = GroupTable.cyclic(args.cyclic)

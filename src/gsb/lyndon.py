@@ -1,64 +1,59 @@
 """Associative and non-associative Lyndon-Shirshov word machinery.
 
-The convention throughout makes these words maximal: a word is an ALSW
-when every proper split u = v*w satisfies v*w > w*v in the pure
-lexicographic order (alphabet precedence: earlier symbol = greater).
-Between words of different lengths the proper prefix compares greater,
-which is the convention under which the ascending factorization and the
-standard bracketing below are unique; both facts are validated by the
-brute-force checks in the test suite rather than assumed.
+A word is an ALSW when every proper split u = v*w has v*w > w*v under
+``lex_cmp`` (earlier symbol = greater; a proper prefix is the greater
+word).  ``lex_cmp`` is reversed tuple order on letter indices, so an ALSW
+is an ordinary Lyndon word on its index tuple and the textbook Lyndon
+algorithms apply; the tests check them against brute-force definitions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
-from itertools import product
 
 from .errors import EmptyWordError, LimitError, NotAlswError
-from .words import Alphabet, Word
+from .words import Alphabet, Word, _trusted_word
 
 
 def lex_cmp(u: Word, v: Word) -> int:
     """Pure lexicographic comparison; a proper prefix is the greater word."""
     a, b = u.letters, v.letters
-    for x, y in zip(a, b):
-        if x != y:
-            # smaller alphabet index = greater letter
-            return 1 if x < y else -1
-    if len(a) == len(b):
-        return 0
-    return 1 if len(a) < len(b) else -1
+    return (a < b) - (a > b)  # reversed tuple order: a smaller index is a greater letter
+
+
+def _is_lyndon(s: tuple[int, ...]) -> bool:
+    # Duval's scan: s[:j] stays a prefix of a power of the Lyndon word s[:j - k]
+    if not s:
+        raise EmptyWordError("the empty word is not eligible")
+    k = 0
+    for j in range(1, len(s)):
+        if s[k] > s[j]:
+            return False
+        k = k + 1 if s[k] == s[j] else 0
+    return k == 0  # that Lyndon word is all of s
 
 
 def is_alsw(u: Word) -> bool:
-    """True when every proper split v*w of u satisfies v*w > w*v."""
-    ls = u.letters
-    if not ls:
-        raise EmptyWordError("the empty word is not eligible")
-    n = len(ls)
-    for i in range(1, n):
-        rotated = ls[i:] + ls[:i]
-        # equal lengths: u > rotation (lex_cmp) iff u < rotation as index tuples
-        if ls >= rotated:
-            return False
-    return True
+    """True when every proper split v*w of u satisfies v*w > w*v (Duval's Lyndon test)."""
+    return _is_lyndon(u.letters)
 
 
 def alsw_up_to(alphabet: Alphabet, max_len: int) -> list[Word]:
-    """All ALSWs of length <= max_len, grouped by length, descending inside."""
+    """All ALSWs of length <= max_len, grouped by length, descending inside.
+
+    Duval's generation (Fredricksen-Kessler-Maiorana order) yields ascending
+    tuple order, i.e. descending ``lex_cmp``; a stable bucket groups lengths.
+    """
     if max_len < 1:
         raise LimitError(f"max_len must be >= 1, got {max_len}")
-    out = []
-    for n in range(1, max_len + 1):
-        group = [
-            Word(alphabet, ls)
-            for ls in product(range(alphabet.size), repeat=n)
-            if is_alsw(Word(alphabet, ls))
-        ]
-        group.sort(key=cmp_to_key(lambda x, y: lex_cmp(x, y)), reverse=True)
-        out.extend(group)
-    return out
+    top, groups, w = alphabet.size - 1, [[] for _ in range(max_len)], [-1]
+    while w:
+        w[-1] += 1
+        groups[len(w) - 1].append(_trusted_word(alphabet, tuple(w)))
+        w = [w[i % len(w)] for i in range(max_len)]  # periodic extension
+        while w and w[-1] == top:
+            w.pop()
+    return [u for group in groups for u in group]
 
 
 @dataclass(frozen=True, repr=False)
@@ -104,6 +99,17 @@ class BracketedWord:
         return f"BracketedWord({self})"
 
 
+def _trusted_node(alphabet, letter, left, right) -> BracketedWord:
+    """A ``BracketedWord`` known to be a valid leaf or pair; skips the checks."""
+    node = object.__new__(BracketedWord)
+    fields = node.__dict__  # a frozen dataclass: fields set directly, as its __init__ does
+    fields["alphabet"] = alphabet
+    fields["letter"] = letter
+    fields["left"] = left
+    fields["right"] = right
+    return node
+
+
 def satisfies_nlsw_conditions(bw: BracketedWord) -> bool:
     """Direct evaluation of the three defining bracketing conditions.
 
@@ -128,59 +134,52 @@ def satisfies_nlsw_conditions(bw: BracketedWord) -> bool:
 def std_bracketing(u: Word) -> BracketedWord:
     """The unique bracketing of an ALSW that satisfies the conditions above.
 
-    Computed by splitting off the longest proper suffix that is itself an
-    ALSW and recursing on both parts.
+    The standard factorization, recursively: the right factor is the longest
+    proper ALSW suffix, i.e. the least proper suffix in tuple order.  One
+    right-to-left pass keeps the bracketed Lyndon factors of the suffix read
+    so far; a new letter merges with each factor it is below, and each merge
+    splits off a last factor, which is the least suffix.
     """
-    if not is_alsw(u):
+    if not _is_lyndon(u.letters):
         raise NotAlswError(f"{u} is not an associative Lyndon-Shirshov word")
-    return _std_bracketing(u)
-
-
-def _std_bracketing(u: Word) -> BracketedWord:
-    ls = u.letters
-    if len(ls) == 1:
-        return BracketedWord.leaf(u.alphabet, ls[0])
-    for i in range(1, len(ls)):
-        suffix = Word(u.alphabet, ls[i:])
-        if is_alsw(suffix):
-            prefix = Word(u.alphabet, ls[:i])
-            return BracketedWord.pair(_std_bracketing(prefix), _std_bracketing(suffix))
-    raise NotAlswError(f"{u} has no Lyndon-Shirshov suffix split")
+    stack = []  # (letters, bracketing) per factor, the first factor on top
+    for c in reversed(u.letters):
+        word, tree = (c,), _trusted_node(u.alphabet, c, None, None)
+        while stack and word < stack[-1][0]:
+            right_word, right = stack.pop()
+            word, tree = word + right_word, _trusted_node(u.alphabet, None, tree, right)
+        stack.append((word, tree))
+    return tree
 
 
 def clf_factorize(u: Word) -> list[Word]:
-    """The unique factorization into a lex-ascending sequence of ALSWs.
-
-    Greedy: repeatedly strip the longest ALSW prefix of the remainder.
-    """
-    ls = u.letters
-    if not ls:
+    """The unique lex-ascending factorization into ALSWs, by Duval's algorithm."""
+    s = u.letters
+    if not s:
         raise EmptyWordError("the empty word has no factorization")
-    out = []
-    start = 0
-    n = len(ls)
-    while start < n:
-        best = start + 1
-        for end in range(n, start, -1):
-            if is_alsw(Word(u.alphabet, ls[start:end])):
-                best = end
-                break
-        out.append(Word(u.alphabet, ls[start:best]))
-        start = best
+    out, i, n = [], 0, len(s)
+    while i < n:
+        j, k = i + 1, i
+        while j < n and s[k] <= s[j]:
+            k = i if s[k] < s[j] else k + 1
+            j += 1
+        while i <= k:
+            out.append(_trusted_word(u.alphabet, s[i : i + j - k]))
+            i += j - k
     return out
 
 
 def nlsw_basis_count(alphabet: Alphabet, deg: int) -> int:
     """Number of degree-``deg`` bracketed basis elements.
 
-    Equals the number of ALSWs of that length via the unique-bracketing
-    bijection; computed by enumeration.  The test suite cross-checks the
-    values against the necklace-counting formula.
+    The number of ALSWs of that length, by the unique-bracketing bijection:
+    Witt's formula n * L(n) = sum of mu(d) * k**(n/d) over d | n for k
+    letters, evaluated through the identity it inverts, k**n = sum of
+    d * L(d) over d | n.
     """
     if deg < 1:
-        raise ValueError("deg must be >= 1")
-    return sum(
-        1
-        for ls in product(range(alphabet.size), repeat=deg)
-        if is_alsw(Word(alphabet, ls))
-    )
+        raise LimitError(f"deg must be >= 1, got {deg}")
+    k, counts = alphabet.size, {}
+    for n in (d for d in range(1, deg + 1) if deg % d == 0):
+        counts[n] = (k**n - sum(d * c for d, c in counts.items() if n % d == 0)) // n
+    return counts[deg]

@@ -273,3 +273,47 @@ def test_limit_errors_exit_1_without_traceback(aab_file, tmp_path, argv, env):
     assert "Traceback" not in done.stderr
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_lyndon_count_only_three_letters(capsys):
+    argv = ["lyndon", "--alphabet", "c>b>a", "--max-len", "13", "--count-only"]
+    assert run(argv) == 0
+    counts = [3, 3, 8, 18, 48, 116, 312, 810, 2184, 5880, 16104, 44220, 122640]
+    assert capsys.readouterr().out == "".join(
+        f"{n} {c}\n" for n, c in enumerate(counts, start=1)
+    )
+    assert run(["lyndon", "--alphabet", "c>b>a", "--max-len", "0", "--count-only"]) == 1
+    assert capsys.readouterr().err == "error: max_len must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["construct", "lie-words", "--max-i", "2", "-o", "OUT", "--cert", "CERT"], "-o"),
+        (["construct", "lie-words", "--max-i", "2", "-o", "OUT"], "-o"),
+        (["construct", "lie-words", "--max-i", "2", "--cert", "CERT"], "--cert"),
+        (["construct", "lie-words", "--max-i", "2", "--count", "2"], "--count"),
+        (["construct", "hnn", "--cyclic", "3", "--count", "2", "-o", "OUT"], "--count"),
+        (["construct", "simple", "--table", "TABLE", "--count", "2", "-o", "OUT"], "--count"),
+    ],
+)
+def test_construct_rejects_flags_its_kind_does_not_read(tmp_path, argv, flag):
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"basis": ["x1"], "product": {"1 1": "x1"}}))
+    names = {"OUT": tmp_path / "out.pres", "CERT": tmp_path / "out.cert.json", "TABLE": table}
+    argv = [str(names.get(a, a)) for a in argv]
+    src = str(Path(gsb.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "gsb.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and flag in lines[0]
+    assert done.stdout == ""
+    assert not names["OUT"].exists() and not names["CERT"].exists()
