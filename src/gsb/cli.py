@@ -163,6 +163,8 @@ def _cmd_lyndon(args) -> int:
     names = tuple(part.strip() for part in args.alphabet.split(">"))
     alphabet = Alphabet(names)
     if args.count_only:
+        if args.bracket:
+            raise PresentationFormatError("lyndon --count-only does not read --bracket")
         if args.max_len < 1:
             raise LimitError(f"max_len must be >= 1, got {args.max_len}")
         for n in range(1, args.max_len + 1):
@@ -247,6 +249,11 @@ def _write_construction(presentation, report, args) -> None:
 
 # flags that only some construction kinds read, by argparse destination
 _CONSTRUCT_FLAG_READERS = {
+    "base": ("a base presentation file", ("malcev", "module-cyclic")),
+    "cyclic": ("--cyclic", ("hnn",)),
+    "table": ("--table", ("hnn", "simple")),
+    "index_bound": ("--index-bound", ("hnn",)),
+    "pairs": ("--pairs", ("simple",)),
     "output": ("-o/--output", ("hnn", "malcev", "simple", "module-cyclic")),
     "cert": ("--cert", ("hnn", "malcev", "simple", "module-cyclic")),
     "count": ("--count", ("malcev", "module-cyclic")),

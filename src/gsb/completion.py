@@ -44,12 +44,7 @@ from .errors import (
     UncertifiedBasisError,
     ZeroPolynomialError,
 )
-from .poly import (
-    ModuleElement,
-    Polynomial,
-    format_module_element,
-    format_polynomial,
-)
+from .poly import Polynomial, format_element
 from .rewrite import (
     GsbCertificate,
     _add_to,
@@ -63,12 +58,6 @@ from .rewrite import (
 )
 from .words import Word, _trusted_word
 
-
-def format_element(x, spec) -> str:
-    """Render a polynomial or module element with its leading term first."""
-    if isinstance(x, ModuleElement):
-        return format_module_element(x, spec)
-    return format_polynomial(x, spec)
 
 INTERSECTION = "intersection"
 INCLUSION = "inclusion"
@@ -565,13 +554,13 @@ class _Engine:
 
     def _route(self, f, g, kind, w, a, b) -> None:
         self.stats["pairs_enumerated"] += 1
-        entry = (f, f.stamp, g, g.stamp, kind, w, a, b)
         if len(w) > self.max_deg:
-            self._beyond.append(entry)
+            # only the liveness of a pair beyond the bound is ever read
+            self._beyond.append((f, f.stamp, g, g.stamp))
         elif (kind, f.id, g.id, w, a, b) in self.trivial:
             self.stats["pairs_cached_trivial"] += 1
         else:
-            self.queue(entry)
+            self.queue((f, f.stamp, g, g.stamp, kind, w, a, b))
 
     def queue(self, entry) -> None:
         """Queue a pair if both relations are still paired.
@@ -598,7 +587,7 @@ class _Engine:
     def pending_beyond(self) -> bool:
         """Whether a live pair lies on a word above the degree bound."""
         return any(
-            f.stamp == fs and g.stamp == gs for f, fs, g, gs, *_ in self._beyond
+            f.stamp == fs and g.stamp == gs for f, fs, g, gs in self._beyond
         )
 
 

@@ -17,10 +17,14 @@ module composition f - a*g with a = rev(b).  (The unreversed code u*Y_g
 would let the engine pick the leftmost, that is the longest, matching
 suffix, and it changed traces, check residuals and completions.)  Codes
 are ordered by ``ModuleTop.module_key`` after decoding, so the module order
-has one definition.  The functions below encode their input, call
-``shirshov_complete``, ``check_gsb``, ``find_ambiguities``,
-``normal_form_with_trace`` or ``compile_rules``, and decode the results
-into module types.
+has one definition.
+
+A module element is stored as its code (``poly.module_code``), so the
+functions below hand ``m.code`` to ``shirshov_complete``, ``check_gsb``,
+``find_ambiguities``, ``normal_form_with_trace`` or ``compile_rules`` as
+it is, wrap the resulting polynomials as module elements without
+re-keying a term, and decode only traces, ambiguities and removals into
+module types.
 """
 
 from __future__ import annotations
@@ -39,55 +43,45 @@ from .completion import (
 )
 from .errors import AlphabetMismatchError, BasisMismatchError, LimitError
 from .orderings import ModuleTop
-from .poly import ModuleElement, Polynomial, act
+from .poly import ModuleElement, Polynomial, act, module_code
 from .rewrite import compile_rules, normal_form_with_trace
 from .words import Alphabet, ModuleBasis, ModuleWord, Word
 
 
 class _Codec:
-    """Module words over (alphabet, basis) as codes over an extended alphabet.
+    """The algebra ordering of module codes, and their decoders.
 
-    Generator g is the letter ``alphabet.size + g``; its name cannot clash
-    with an alphabet symbol.  The codec is also the algebra ordering of the
-    codes: ``ModuleTop.module_key`` after decoding.
+    Module elements already hold their codes (``module_code``); the codec
+    checks that an input lives over its (alphabet, basis), orders codes by
+    ``ModuleTop.module_key`` after decoding, and decodes what the engine
+    returns into module types.
     """
 
     def __init__(self, alphabet: Alphabet, basis: ModuleBasis, spec: ModuleTop):
         self.alphabet = alphabet
         self.basis = basis
         self.spec = spec
-        self.n = alphabet.size
-        stem = "Y"
-        while any(s.startswith(stem) for s in alphabet.symbols):
-            stem = "_" + stem
-        names = tuple(f"{stem}{g}" for g in range(basis.size))
-        self.code_alphabet = Alphabet(alphabet.symbols + names)
+        self.decode = module_code(alphabet, basis)[2]
 
     def letter_key(self, _code_alphabet):
         mkey = self.spec.module_key(self.alphabet)
-        n = self.n
-        return lambda code: mkey((code[:0:-1], code[0] - n))
+        decode = self.decode
+        return lambda code: mkey(decode(code))
 
-    def encode(self, m: ModuleElement, idx=None) -> Polynomial:
-        if m.alphabet != self.alphabet:
-            raise AlphabetMismatchError(f"relation #{idx} lives over a different alphabet")
-        if m.basis != self.basis:
-            raise BasisMismatchError(f"relation #{idx} lives over a different basis")
-        return Polynomial(
-            self.code_alphabet,
-            {(self.n + g,) + u[::-1]: c for (u, g), c in m.raw_terms().items()},
-        )
-
-    def encode_all(self, relations) -> list[Polynomial]:
-        return [self.encode(s, idx) for idx, s in enumerate(relations)]
+    def encode(self, relations) -> list[Polynomial]:
+        for idx, m in enumerate(relations):
+            if m.alphabet != self.alphabet:
+                raise AlphabetMismatchError(f"relation #{idx} lives over a different alphabet")
+            if m.basis != self.basis:
+                raise BasisMismatchError(f"relation #{idx} lives over a different basis")
+        return [m.code for m in relations]
 
     def element(self, p: Polynomial) -> ModuleElement:
-        n = self.n
-        terms = {(w[:0:-1], w[0] - n): c for w, c in p.raw_terms().items()}
-        return ModuleElement(self.alphabet, self.basis, terms)
+        return ModuleElement._of_code(self.alphabet, self.basis, p)
 
     def module_word(self, code) -> ModuleWord:
-        return ModuleWord(Word(self.alphabet, code[:0:-1]), self.basis, code[0] - self.n)
+        u, g = self.decode(code)
+        return ModuleWord(Word(self.alphabet, u), self.basis, g)
 
     def left(self, right: Word) -> Word:
         """The left factor a of a module word from the right factor of its code."""
@@ -112,7 +106,7 @@ def _encode_set(relations, spec: ModuleTop):
     if not relations:
         return None, []
     codec = _Codec(relations[0].alphabet, relations[0].basis, spec)
-    return codec, codec.encode_all(relations)
+    return codec, codec.encode(relations)
 
 
 @dataclass(frozen=True)
@@ -140,7 +134,7 @@ def module_nf(m: ModuleElement, relations, spec: ModuleTop) -> ModuleElement:
 
 def module_nf_with_trace(m: ModuleElement, relations, spec: ModuleTop):
     codec = _Codec(m.alphabet, m.basis, spec)
-    nf, trace = normal_form_with_trace(codec.encode(m), codec.encode_all(relations), codec)
+    nf, trace = normal_form_with_trace(m.code, codec.encode(relations), codec)
     nf = codec.element(nf)
     steps = tuple(
         ModuleReductionStep(
@@ -221,15 +215,17 @@ def module_irr(
     if max_deg < 0:
         raise LimitError(f"max_deg must be >= 0, got {max_deg}")
     codec = _Codec(alphabet, basis, spec)
-    leads = {lead for lead, _tail in compile_rules(codec.encode_all(relations), codec)}
+    leads = {
+        codec.decode(lead) for lead, _tail in compile_rules(codec.encode(relations), codec)
+    }
     found = []
-    codes = [(codec.n + g,) for g in range(basis.size)]
+    words = [((), g) for g in range(basis.size)]
     for deg in range(max_deg + 1):
         if deg:
-            codes = [c + (x,) for c in codes for x in range(alphabet.size)]
-        # a code is reducible when a prefix of it is a lead; only irreducible
-        # codes are extended, so the one prefix left to test is the code itself
-        codes = [c for c in codes if c not in leads]
-        found.extend(codes)
-    found.sort(key=codec.letter_key(codec.code_alphabet))
-    return [codec.module_word(c) for c in found]
+            words = [((x,) + u, g) for u, g in words for x in range(alphabet.size)]
+        # x*u*y is reducible when a suffix of it is a lead; only irreducible
+        # words are extended, so the one suffix left to test is the word itself
+        words = [k for k in words if k not in leads]
+        found.extend(words)
+    found.sort(key=spec.module_key(alphabet))
+    return [ModuleWord(Word(alphabet, u), basis, g) for u, g in found]

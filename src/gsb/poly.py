@@ -4,12 +4,18 @@ Terms are stored unordered, keyed by word; leading-term queries take the
 ordering as a parameter, so one polynomial can be inspected under several
 orderings.  Arithmetic is exact; canceling terms vanish from storage.
 Instances are immutable and safe to share.
+
+A module element is stored encoded, as a polynomial over a code alphabet:
+the module word u*y_g is the algebra word Y_g*rev(u) (``module_code``).
+Its sums, scalings and equality are the polynomial's, and the left action
+of the free algebra is one polynomial product.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     AlphabetMismatchError,
@@ -24,34 +30,54 @@ from .words import Alphabet, ModuleBasis, ModuleWord, Word
 _COEFF_RE = re.compile(r"\d+(?:/\d+)?")
 
 
-def _accumulate(items):
-    acc = {}
-    for key, c in items:
-        c = Fraction(c)
-        if key in acc:
-            acc[key] += c
-        else:
-            acc[key] = c
-    return {k: v for k, v in acc.items() if v != 0}
+class _FormalSum:
+    """What polynomials and module elements share: helpers over
+    ``leading(spec)`` and the text form."""
+
+    __slots__ = ()
+
+    def is_zero(self) -> bool:
+        return not self
+
+    def leading_word(self, spec):
+        return self.leading(spec)[1]
+
+    def is_monic(self, spec) -> bool:
+        return bool(self) and self.leading(spec)[0] == 1
+
+    def make_monic(self, spec):
+        c, _ = self.leading(spec)
+        return self if c == 1 else self / c
+
+    def __str__(self) -> str:
+        return format_element(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({format_element(self)})"
 
 
-class Polynomial:
+class Polynomial(_FormalSum):
     """A finite formal sum of rational multiples of words."""
 
     __slots__ = ("alphabet", "_terms")
 
     def __init__(self, alphabet: Alphabet, terms=()):
         items = terms.items() if hasattr(terms, "items") else terms
-        pairs = []
+        acc = {}
         for w, c in items:
             if isinstance(w, Word):
                 if w.alphabet != alphabet:
                     raise AlphabetMismatchError("term word over a different alphabet")
-                pairs.append((w.letters, c))
+                w = w.letters
             else:
-                pairs.append((tuple(w), c))
+                w = tuple(w)
+            c = Fraction(c)
+            if w in acc:
+                acc[w] += c
+            else:
+                acc[w] = c
         self.alphabet = alphabet
-        self._terms = _accumulate(pairs)
+        self._terms = {w: c for w, c in acc.items() if c != 0}
 
     @classmethod
     def zero(cls, alphabet: Alphabet) -> Polynomial:
@@ -70,9 +96,6 @@ class Polynomial:
         return parse_polynomial(text, alphabet)
 
     # -- queries ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -101,20 +124,8 @@ class Polynomial:
         w = max(self._terms, key=key)
         return self._terms[w], Word(self.alphabet, w)
 
-    def leading_word(self, spec) -> Word:
-        return self.leading(spec)[1]
-
     def degree(self, spec) -> int:
         return len(self.leading(spec)[1])
-
-    def is_monic(self, spec) -> bool:
-        return bool(self._terms) and self.leading(spec)[0] == 1
-
-    def make_monic(self, spec) -> Polynomial:
-        c, _ = self.leading(spec)
-        if c == 1:
-            return self
-        return self / c
 
     def is_binomial_difference(self) -> bool:
         """True when the polynomial is a difference of two distinct words."""
@@ -196,19 +207,45 @@ class Polynomial:
     def __hash__(self) -> int:
         return hash((self.alphabet, frozenset(self._terms.items())))
 
-    def __str__(self) -> str:
-        return format_polynomial(self)
 
-    def __repr__(self) -> str:
-        return f"Polynomial({format_polynomial(self)})"
+@lru_cache(maxsize=None)
+def module_code(alphabet: Alphabet, basis: ModuleBasis):
+    """The code of the module word u*y_g: the algebra word Y_g*rev(u).
+
+    The code alphabet is ``alphabet`` followed by one letter per generator:
+    generator g is the letter ``alphabet.size + g``, named ``Y<g>`` with
+    ``_`` prepended to the stem until no alphabet symbol starts with it, so
+    it cannot clash with an alphabet symbol.  Returns the code alphabet,
+    ``encode`` from a (prefix letters, generator) key to its code, and
+    ``decode`` back.
+    """
+    stem = "Y"
+    while any(s.startswith(stem) for s in alphabet.symbols):
+        stem = "_" + stem
+    n = alphabet.size
+
+    def encode(letters, g):
+        return (n + g,) + tuple(letters)[::-1]
+
+    def decode(code):
+        return code[:0:-1], code[0] - n
+
+    names = tuple(f"{stem}{g}" for g in range(basis.size))
+    return Alphabet(alphabet.symbols + names), encode, decode
 
 
-class ModuleElement:
-    """A finite formal sum of rational multiples of module words."""
+class ModuleElement(_FormalSum):
+    """A finite formal sum of rational multiples of module words.
 
-    __slots__ = ("alphabet", "basis", "_terms")
+    Stored as its ``code``, a ``Polynomial`` over the code alphabet of
+    ``module_code(alphabet, basis)``, whose arithmetic it uses; terms keyed
+    by (prefix letters, generator) are decoded on demand.
+    """
+
+    __slots__ = ("alphabet", "basis", "code")
 
     def __init__(self, alphabet: Alphabet, basis: ModuleBasis, terms=()):
+        code_alphabet, encode, _ = module_code(alphabet, basis)
         items = terms.items() if hasattr(terms, "items") else terms
         pairs = []
         for mw, c in items:
@@ -217,13 +254,18 @@ class ModuleElement:
                     raise AlphabetMismatchError("module word over a different alphabet")
                 if mw.basis != basis:
                     raise BasisMismatchError("module word over a different basis")
-                pairs.append(((mw.prefix.letters, mw.generator), c))
-            else:
-                letters, gen = mw
-                pairs.append(((tuple(letters), gen), c))
+                mw = (mw.prefix.letters, mw.generator)
+            pairs.append((encode(*mw), c))
         self.alphabet = alphabet
         self.basis = basis
-        self._terms = _accumulate(pairs)
+        self.code = Polynomial(code_alphabet, pairs)
+
+    @classmethod
+    def _of_code(cls, alphabet: Alphabet, basis: ModuleBasis, code: Polynomial) -> ModuleElement:
+        """Wrap a polynomial over the code alphabet of (alphabet, basis)."""
+        m = object.__new__(cls)
+        m.alphabet, m.basis, m.code = alphabet, basis, code
+        return m
 
     @classmethod
     def zero(cls, alphabet: Alphabet, basis: ModuleBasis) -> ModuleElement:
@@ -237,64 +279,41 @@ class ModuleElement:
     def generator(cls, alphabet: Alphabet, basis: ModuleBasis, name: str, coeff=1) -> ModuleElement:
         return cls(alphabet, basis, ((((), basis.index(name)), coeff),))
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self.code)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self.code)
+
+    def raw_terms(self) -> dict[tuple[tuple[int, ...], int], Fraction]:
+        """Term map (prefix letters, generator) -> coefficient, decoded anew."""
+        decode = module_code(self.alphabet, self.basis)[2]
+        return {decode(w): c for w, c in self.code.raw_terms().items()}
+
+    def _module_word(self, key) -> ModuleWord:
+        return ModuleWord(Word(self.alphabet, key[0]), self.basis, key[1])
 
     def terms(self) -> list[tuple[ModuleWord, Fraction]]:
-        return [
-            (ModuleWord(Word(self.alphabet, w), self.basis, g), c)
-            for (w, g), c in self._terms.items()
-        ]
-
-    def raw_terms(self):
-        return self._terms
+        return [(self._module_word(k), c) for k, c in self.raw_terms().items()]
 
     def support(self) -> list[ModuleWord]:
-        return [ModuleWord(Word(self.alphabet, w), self.basis, g) for w, g in self._terms]
+        return [self._module_word(k) for k in self.raw_terms()]
 
     def leading(self, spec: ModuleTop) -> tuple[Fraction, ModuleWord]:
-        if not self._terms:
+        if not self.code:
             raise ZeroPolynomialError("the zero element has no leading term")
-        key = spec.module_key(self.alphabet)
-        k = max(self._terms, key=key)
-        return self._terms[k], ModuleWord(Word(self.alphabet, k[0]), self.basis, k[1])
-
-    def leading_word(self, spec: ModuleTop) -> ModuleWord:
-        return self.leading(spec)[1]
-
-    def is_monic(self, spec: ModuleTop) -> bool:
-        return bool(self._terms) and self.leading(spec)[0] == 1
-
-    def make_monic(self, spec: ModuleTop) -> ModuleElement:
-        c, _ = self.leading(spec)
-        if c == 1:
-            return self
-        return self * (Fraction(1) / c)
-
-    def _check(self, other: ModuleElement):
-        if self.alphabet != other.alphabet:
-            raise AlphabetMismatchError("module elements over different alphabets")
-        if self.basis != other.basis:
-            raise BasisMismatchError("module elements over different bases")
+        terms = self.raw_terms()
+        k = max(terms, key=spec.module_key(self.alphabet))
+        return terms[k], self._module_word(k)
 
     def __add__(self, other: ModuleElement) -> ModuleElement:
         if not isinstance(other, ModuleElement):
             return NotImplemented
-        self._check(other)
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
-        return ModuleElement(self.alphabet, self.basis, out)
+        if self.alphabet != other.alphabet:
+            raise AlphabetMismatchError("module elements over different alphabets")
+        if self.basis != other.basis:
+            raise BasisMismatchError("module elements over different bases")
+        return self._of_code(self.alphabet, self.basis, self.code + other.code)
 
     def __sub__(self, other: ModuleElement) -> ModuleElement:
         if not isinstance(other, ModuleElement):
@@ -302,58 +321,45 @@ class ModuleElement:
         return self + (-other)
 
     def __neg__(self) -> ModuleElement:
-        return ModuleElement(
-            self.alphabet, self.basis, {k: -c for k, c in self._terms.items()}
-        )
+        return self._of_code(self.alphabet, self.basis, -self.code)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return ModuleElement(
-                self.alphabet, self.basis, {k: c * other for k, c in self._terms.items()}
-            )
+            return self._of_code(self.alphabet, self.basis, self.code * other)
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self * other
-        if isinstance(other, Polynomial):
-            return act(other, self)
         if isinstance(other, Word):
             return act(Polynomial.from_word(other), self)
         return NotImplemented
+
+    def __truediv__(self, c) -> ModuleElement:
+        return self._of_code(self.alphabet, self.basis, self.code / c)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ModuleElement)
             and self.alphabet == other.alphabet
             and self.basis == other.basis
-            and self._terms == other._terms
+            and self.code == other.code
         )
 
     def __hash__(self) -> int:
-        return hash((self.alphabet, self.basis, frozenset(self._terms.items())))
-
-    def __str__(self) -> str:
-        return format_module_element(self)
-
-    def __repr__(self) -> str:
-        return f"ModuleElement({format_module_element(self)})"
+        return hash((self.basis, self.code))
 
 
 def act(p: Polynomial, m: ModuleElement) -> ModuleElement:
-    """Left action of the free algebra on the free module."""
+    """Left action of the free algebra on the free module.
+
+    The code of a*u*y_g is the code of u*y_g followed by rev(a), so the
+    action is one product of ``m.code`` with ``p`` reversed word by word.
+    """
     if p.alphabet != m.alphabet:
         raise AlphabetMismatchError("action operands over different alphabets")
-    acc = {}
-    for w1, c1 in p.raw_terms().items():
-        for (w2, g), c2 in m.raw_terms().items():
-            k = (w1 + w2, g)
-            v = acc.get(k, 0) + c1 * c2
-            if v:
-                acc[k] = v
-            elif k in acc:
-                del acc[k]
-    return ModuleElement(m.alphabet, m.basis, acc)
+    rev = Polynomial(m.code.alphabet, {w[::-1]: c for w, c in p.raw_terms().items()})
+    return m._of_code(m.alphabet, m.basis, m.code * rev)
 
 
 # -- text form ---------------------------------------------------------------
@@ -449,50 +455,50 @@ def parse_module_element(text: str, alphabet: Alphabet, basis: ModuleBasis) -> M
     return ModuleElement(alphabet, basis, terms)
 
 
-def _coeff_str(c: Fraction) -> str:
-    return str(c)
-
-
-def format_polynomial(p: Polynomial, spec=None) -> str:
-    if p.is_zero():
-        return "0"
-    spec = spec or DegLex()
-    key = spec.letter_key(p.alphabet)
+def _join_signed(terms) -> str:
+    """Join (word text, coefficient) pairs as signed terms; the unit word's text is empty."""
     pieces = []
-    for w in sorted(p.raw_terms(), key=key, reverse=True):
-        c = p.raw_terms()[w]
-        word = "*".join(p.alphabet.name(i) for i in w) if w else "1"
+    for word, c in terms:
         mag = abs(c)
-        if not w:
-            body = _coeff_str(mag)
+        if not word:
+            body = str(mag)
         elif mag == 1:
             body = word
         else:
-            body = f"{_coeff_str(mag)}*{word}"
+            body = f"{mag}*{word}"
         if not pieces:
             pieces.append(body if c > 0 else f"-{body}")
         else:
             pieces.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(pieces)
+
+
+def format_polynomial(p: Polynomial, spec=None) -> str:
+    terms = p.raw_terms()
+    if not terms:
+        return "0"
+    names = p.alphabet.symbols
+    key = (spec or DegLex()).letter_key(p.alphabet)
+    return _join_signed(
+        ("*".join([names[i] for i in w]), terms[w])
+        for w in sorted(terms, key=key, reverse=True)
+    )
 
 
 def format_module_element(m: ModuleElement, spec: ModuleTop | None = None) -> str:
-    if m.is_zero():
+    terms = m.raw_terms()
+    if not terms:
         return "0"
-    spec = spec or ModuleTop()
-    key = spec.module_key(m.alphabet)
-    pieces = []
-    for k in sorted(m.raw_terms(), key=key, reverse=True):
-        c = m.raw_terms()[k]
-        letters, g = k
-        word = "*".join(m.alphabet.name(i) for i in letters)
-        gen = m.basis.name(g)
-        body = f"{word}*{gen}" if word else gen
-        mag = abs(c)
-        if mag != 1:
-            body = f"{_coeff_str(mag)}*{body}"
-        if not pieces:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(pieces)
+    names, gens = m.alphabet.symbols, m.basis.symbols
+    key = (spec or ModuleTop()).module_key(m.alphabet)
+    return _join_signed(
+        ("*".join([*(names[i] for i in u), gens[g]]), terms[u, g])
+        for u, g in sorted(terms, key=key, reverse=True)
+    )
+
+
+def format_element(x, spec=None) -> str:
+    """Render a polynomial or module element with its leading term first."""
+    if isinstance(x, ModuleElement):
+        return format_module_element(x, spec)
+    return format_polynomial(x, spec)

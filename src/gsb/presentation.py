@@ -28,8 +28,7 @@ from .orderings import DegLex, ModuleTop, Tower
 from .poly import (
     ModuleElement,
     Polynomial,
-    format_module_element,
-    format_polynomial,
+    format_element,
     parse_module_element,
     parse_polynomial,
 )
@@ -74,14 +73,11 @@ class ModulePresentation:
     relations: tuple[ModuleElement, ...]
 
     def __post_init__(self):
-        keyf = self.ordering.module_key(self.alphabet)
         for idx, r in enumerate(self.relations):
             if r.is_zero():
                 raise ZeroPolynomialError(f"relation #{idx} is zero")
-        ordered = sorted(
-            self.relations,
-            key=lambda m: keyf(max(m.raw_terms(), key=keyf)),
-        )
+        spec = self.ordering
+        ordered = sorted(self.relations, key=lambda m: spec.key(m.leading_word(spec)))
         object.__setattr__(self, "relations", tuple(ordered))
 
     def monic(self) -> ModulePresentation:
@@ -193,11 +189,8 @@ def format_presentation(p) -> str:
     lines.append(f"ordering: {_format_ordering(p.ordering)}")
     if isinstance(p, ModulePresentation):
         lines.append(f"basis: {' > '.join(p.basis.symbols)}")
-        lines.append("relations:")
-        lines.extend(format_module_element(r, p.ordering) for r in p.relations)
-    else:
-        lines.append("relations:")
-        lines.extend(format_polynomial(r, p.ordering) for r in p.relations)
+    lines.append("relations:")
+    lines.extend(format_element(r, p.ordering) for r in p.relations)
     return "\n".join(lines) + "\n"
 
 

@@ -248,6 +248,7 @@ def test_selftest_exit_codes(monkeypatch, capsys):
         (["check", "M", "--max-deg", "0"], {}),
         (["nf", "F", "--poly", "1/0*a"], {}),
         (["check", "Z"], {}),
+        (["lyndon", "--alphabet", "b>a", "--max-len", "3", "--count-only", "--bracket"], {}),
     ],
 )
 def test_limit_errors_exit_1_without_traceback(aab_file, tmp_path, argv, env):
@@ -295,6 +296,21 @@ def test_lyndon_count_only_three_letters(capsys):
         (["construct", "lie-words", "--max-i", "2", "--count", "2"], "--count"),
         (["construct", "hnn", "--cyclic", "3", "--count", "2", "-o", "OUT"], "--count"),
         (["construct", "simple", "--table", "TABLE", "--count", "2", "-o", "OUT"], "--count"),
+        (
+            ["construct", "lie-words", "nonexistent.pres", "--max-i", "1", "--cyclic", "3",
+             "--pairs", "x.json"],
+            "base",
+        ),
+        (["construct", "hnn", "nonexistent.pres", "--cyclic", "3", "-o", "OUT"], "base"),
+        (["construct", "simple", "nonexistent.pres", "--table", "TABLE"], "base"),
+        (["construct", "lie-words", "--cyclic", "3"], "--cyclic"),
+        (["construct", "simple", "--table", "TABLE", "--cyclic", "3", "-o", "OUT"], "--cyclic"),
+        (["construct", "malcev", "nonexistent.pres", "--table", "TABLE"], "--table"),
+        (["construct", "module-cyclic", "nonexistent.pres", "--table", "TABLE"], "--table"),
+        (["construct", "simple", "--table", "TABLE", "--index-bound", "2"], "--index-bound"),
+        (["construct", "malcev", "nonexistent.pres", "--index-bound", "2"], "--index-bound"),
+        (["construct", "hnn", "--cyclic", "3", "--pairs", "x.json", "--cert", "CERT"], "--pairs"),
+        (["construct", "module-cyclic", "nonexistent.pres", "--pairs", "x.json"], "--pairs"),
     ],
 )
 def test_construct_rejects_flags_its_kind_does_not_read(tmp_path, argv, flag):
