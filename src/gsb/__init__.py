@@ -76,6 +76,7 @@ from .presentation import (
 from .rewrite import (
     GsbCertificate,
     ReductionTrace,
+    irr_counts,
     irr_words,
     is_member,
     normal_form,

@@ -34,7 +34,7 @@ from .presentation import (
     load_presentation_file,
     save_presentation_file,
 )
-from .rewrite import irr_words, normal_form_with_trace, quotient_dim_oracle
+from .rewrite import irr_counts, irr_words, normal_form_with_trace, quotient_dim_oracle
 from .words import Alphabet
 
 
@@ -141,6 +141,9 @@ def _cmd_irr(args) -> int:
     p = _load_for(args)
     if isinstance(p, ModulePresentation):
         words = module_irr(p.alphabet, p.basis, p.relations, p.ordering, args.max_deg)
+    elif args.count_only:
+        print(sum(irr_counts(p.alphabet, p.relations, p.ordering, args.max_deg)))
+        return 0
     else:
         words = irr_words(p.alphabet, p.relations, p.ordering, args.max_deg)
     if args.count_only:
@@ -266,6 +269,8 @@ def _cmd_construct(args) -> int:
         if getattr(args, dest) is not None and kind not in readers:
             raise PresentationFormatError(f"construct {kind} does not read {flag}")
     if kind == "hnn":
+        if args.cyclic is not None and args.table is not None:
+            raise PresentationFormatError("construct hnn reads --cyclic or --table, not both")
         if args.cyclic is not None:
             table = GroupTable.cyclic(args.cyclic)
         elif args.table:

@@ -3,7 +3,7 @@
 File layout (UTF-8, ``#`` starts a comment):
 
     alphabet: a > b > x1 > x2
-    ordering: deglex | tower(t, t^-1) | module-top
+    ordering: deglex | tower(t, t^-1) | module-top | module-top(tower(t, t^-1))
     basis: y1 > y2            # modules only
     relations:
     a*a - b
@@ -34,7 +34,9 @@ from .poly import (
 )
 from .words import Alphabet, ModuleBasis, pair_formal_inverses
 
-_TOWER_RE = re.compile(r"tower\(\s*([^\s,]+)\s*,\s*([^\s,)]+)\s*\)")
+_TOWER = r"tower\(\s*([^\s,]+)\s*,\s*([^\s,)]+)\s*\)"
+_TOWER_RE = re.compile(_TOWER)
+_MODULE_TOWER_RE = re.compile(rf"module-top\(\s*{_TOWER}\s*\)")
 
 
 @dataclass(frozen=True)
@@ -105,6 +107,9 @@ def _parse_ordering(body: str):
     m = _TOWER_RE.fullmatch(text)
     if m:
         return Tower(m.group(1), m.group(2))
+    m = _MODULE_TOWER_RE.fullmatch(text)
+    if m:
+        return ModuleTop(Tower(m.group(1), m.group(2)))
     raise PresentationFormatError(f"unknown ordering {text!r}")
 
 
@@ -180,7 +185,9 @@ def _format_ordering(ordering) -> str:
     if isinstance(ordering, Tower):
         return f"tower({ordering.stable}, {ordering.stable_inv})"
     if isinstance(ordering, ModuleTop):
-        return "module-top"
+        if isinstance(ordering.word_order, DegLex):
+            return "module-top"
+        return f"module-top({_format_ordering(ordering.word_order)})"
     raise PresentationFormatError(f"cannot format ordering {ordering!r}")
 
 

@@ -16,6 +16,18 @@ rank is its index at the public entry points; the completion engine keeps
 one index over its working set, ranked by place in the set, and updates it
 as relations enter and leave.
 
+Irreducible words are found through a second structure, ``_LeadAutomaton``:
+the Aho–Corasick automaton of the leading words, built from a plain set of
+leads and a set of their proper prefixes, one state row at a time as words
+reach the state.  A state is the longest suffix of the word read that is a
+proper prefix of some lead, and its row lists the letters whose appending
+completes no lead, each with the next state.  ``irr_words`` extends every
+word of one degree through its state's row, taking letters in descending
+index: under ``DegLex`` that lists each degree in ascending order, so the
+listing needs no sort.  ``irr_counts`` counts words per degree by dynamic
+programming over the same states, the Ufnarovski graph of the leads,
+without building a word.
+
 ``compile_rules`` is the validating boundary, run once per public call: it
 checks alphabets and monicity and splits each relation into raw
 (lead, tail) letter tuples.  Inside, nothing builds a validated ``Word``;
@@ -41,6 +53,7 @@ from .errors import (
     NonMonicRelationError,
     UncertifiedBasisError,
 )
+from .orderings import DegLex
 from .poly import Polynomial
 from .words import Alphabet, Word, _trusted_word
 
@@ -347,39 +360,118 @@ def normal_form_random(p: Polynomial, relations, spec, rng: random.Random) -> Po
     return Polynomial(p.alphabet, _reduce_random(p.raw_terms(), rules, rng))
 
 
+class _LeadAutomaton:
+    """Aho–Corasick automaton over a set of leading words, built lazily.
+
+    A state is the longest suffix of the word read so far that is a proper
+    prefix of some lead; state 0 is the empty suffix.  The row of a state
+    lists ``(letter tuple, next state)`` for each letter, in the order of
+    ``letters``, whose appending leaves no lead as a suffix; the letters
+    that complete a lead are left out.  Rows are built by ``grow``, only
+    for states a word has reached.
+    """
+
+    __slots__ = ("leads", "prefixes", "letters", "suffixes", "ids", "rows")
+
+    def __init__(self, leads, letters):
+        self.leads = leads
+        self.prefixes = {lead[:o] for lead in leads for o in range(len(lead))}
+        self.letters = letters
+        self.suffixes = [()]
+        self.ids = {(): 0}
+        self.rows = []
+
+    def grow(self) -> list:
+        """Build the rows of the states found since the last call; the rows."""
+        rows = self.rows
+        for s in range(len(rows), len(self.suffixes)):
+            rows.append(self._row(self.suffixes[s]))
+        return rows
+
+    def _row(self, suffix):
+        # a lead or lead prefix ending at the new letter x is x after a proper
+        # prefix of that lead, which is a suffix of ``suffix``: the suffixes
+        # of suffix + x are the only candidates
+        leads, prefixes, ids, suffixes = self.leads, self.prefixes, self.ids, self.suffixes
+        row = []
+        for x in self.letters:
+            t = suffix + (x,)
+            state = ()
+            for i in range(len(t)):
+                u = t[i:]
+                if u in leads:
+                    break
+                if not state and u in prefixes:
+                    state = u
+            else:
+                n = ids.get(state)
+                if n is None:
+                    n = ids[state] = len(suffixes)
+                    suffixes.append(state)
+                row.append(((x,), n))
+        return row
+
+
+def _leads(alphabet, relations, spec):
+    return {lead for lead, _tail in compile_rules(relations, spec, alphabet)}
+
+
 def irr_words(alphabet: Alphabet, relations, spec, max_deg: int) -> list[Word]:
     """All words of degree <= max_deg avoiding every leading word as a subword.
 
     Returned in increasing order under the given ordering; includes the
     empty word (the algebra unit) whenever it is irreducible.
+
+    Each degree extends the words of the one before through a
+    ``_LeadAutomaton`` over the leads: a word carries its state, and one
+    row lists the letters it may take, so extending costs no subword
+    probe.  Letters are taken in descending index, the order deg-lex
+    ranks them ascending, so under ``DegLex`` every degree comes out
+    already sorted; other orderings sort the listing once.
     """
     if max_deg < 0:
         raise LimitError(f"max_deg must be >= 0, got {max_deg}")
-    index = _RuleIndex.of(compile_rules(relations, spec, alphabet))
-    leads = index.first
+    leads = _leads(alphabet, relations, spec)
     if () in leads:
         return []  # the unit is in the ideal: nothing is irreducible
-    lengths = index.lengths
-    keyf = spec.letter_key(alphabet)
-    letters = range(alphabet.size)
+    automaton = _LeadAutomaton(leads, range(alphabet.size - 1, -1, -1))
     found = [()]
-    frontier = [()]
-    for deg in range(1, max_deg + 1):
-        # only a suffix ending at the new letter can newly match
-        cuts = [deg - n for n in lengths if n <= deg]
-        new_frontier = []
-        for w in frontier:
-            for letter in letters:
-                cand = w + (letter,)
-                for i in cuts:
-                    if cand[i:] in leads:
-                        break
-                else:
-                    new_frontier.append(cand)
-        frontier = new_frontier
-        found.extend(frontier)
-    found.sort(key=keyf)
+    frontier = [((), 0)]
+    for _ in range(max_deg):
+        rows = automaton.grow()
+        frontier = [(w + x, n) for w, s in frontier for x, n in rows[s]]
+        found.extend(w for w, _s in frontier)
+    if not isinstance(spec, DegLex):
+        found.sort(key=spec.letter_key(alphabet))
     return [_trusted_word(alphabet, w) for w in found]
+
+
+def irr_counts(alphabet: Alphabet, relations, spec, max_deg: int) -> list[int]:
+    """The number of irreducible words of each degree 0..max_deg.
+
+    Entry ``d`` is the number of degree-``d`` words in ``irr_words``,
+    counted by dynamic programming over the states of the same automaton
+    (the Ufnarovski graph of the leads) without building a word.
+    """
+    if max_deg < 0:
+        raise LimitError(f"max_deg must be >= 0, got {max_deg}")
+    spec.letter_key(alphabet)  # rejects an ordering the alphabet lacks, as irr_words does
+    leads = _leads(alphabet, relations, spec)
+    if () in leads:
+        return [0] * (max_deg + 1)
+    automaton = _LeadAutomaton(leads, range(alphabet.size))
+    weights = [1]  # words of the current degree ending in each state
+    counts = [1]
+    for _ in range(max_deg):
+        rows = automaton.grow()
+        nxt = [0] * len(automaton.suffixes)
+        for s, c in enumerate(weights):
+            if c:
+                for _x, n in rows[s]:
+                    nxt[n] += c
+        weights = nxt
+        counts.append(sum(weights))
+    return counts
 
 
 def word_capacity() -> int:

@@ -77,6 +77,22 @@ def test_irr_and_dim(aab_file, tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "7"
 
 
+def test_irr_count_only_counts_the_listing(tmp_path, capsys):
+    tower = tmp_path / "tower.pres"
+    tower.write_text(
+        "alphabet: t > t^-1 > a\nordering: tower(t, t^-1)\nrelations:\n"
+        "t*t^-1 - 1\na*t - t*a*a\n"
+    )
+    unit = tmp_path / "unit.pres"
+    unit.write_text("alphabet: a > b\nordering: deglex\nrelations:\na - 1\nb - 1\n1\n")
+    for path in (str(tower), str(unit)):
+        for max_deg in ("0", "3"):
+            assert run(["irr", path, "--max-deg", max_deg]) == 0
+            listed = capsys.readouterr().out.splitlines()
+            assert run(["irr", path, "--max-deg", max_deg, "--count-only"]) == 0
+            assert capsys.readouterr().out == f"{len(listed)}\n"
+
+
 def test_lyndon_commands(capsys):
     assert run(["lyndon", "--alphabet", "x2>x1", "--max-len", "4", "--count-only"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
@@ -311,6 +327,7 @@ def test_lyndon_count_only_three_letters(capsys):
         (["construct", "malcev", "nonexistent.pres", "--index-bound", "2"], "--index-bound"),
         (["construct", "hnn", "--cyclic", "3", "--pairs", "x.json", "--cert", "CERT"], "--pairs"),
         (["construct", "module-cyclic", "nonexistent.pres", "--pairs", "x.json"], "--pairs"),
+        (["construct", "hnn", "--cyclic", "2", "--table", "nonexistent.json"], "--table"),
     ],
 )
 def test_construct_rejects_flags_its_kind_does_not_read(tmp_path, argv, flag):

@@ -138,3 +138,25 @@ def test_module_term_error_points_at_the_last_factor():
     assert str(exc.value) == (
         "line 5: module term must end in a basis generator, got 'b' (at position 2)"
     )
+
+
+def test_module_tower_ordering_round_trip():
+    text = (
+        "alphabet: t > t^-1 > a\n"
+        "ordering: module-top(tower(t, t^-1))\n"
+        "basis: y1 > y2\n"
+        "relations:\n"
+        "t*y1 - a*a*y2\n"
+    )
+    p = load_presentation(text)
+    assert p.ordering == ModuleTop(Tower("t", "t^-1"))
+    # under the tower order t*y1 leads; deg-lex would pick a*a*y2
+    assert str(p.relations[0].leading_word(p.ordering)) == "t*y1"
+    assert format_presentation(p) == text
+    assert load_presentation(format_presentation(p)) == p
+    assert format_presentation(load_presentation(MODULE_FILE)).splitlines()[1] == (
+        "ordering: module-top"
+    )
+    for bad in ("module-top(deglex)", "module-top()", "module-top(tower(t, t^-1)"):
+        with pytest.raises(PresentationFormatError):
+            load_presentation(text.replace("module-top(tower(t, t^-1))", bad))

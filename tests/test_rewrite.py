@@ -10,6 +10,7 @@ from gsb.errors import (
     CapacityError,
     LimitError,
     NonMonicRelationError,
+    TowerSymbolMissingError,
     UncertifiedBasisError,
 )
 from gsb.orderings import DegLex, Tower
@@ -18,6 +19,7 @@ from gsb.rewrite import (
     GsbCertificate,
     _Rule,
     _RuleIndex,
+    irr_counts,
     irr_words,
     is_member,
     normal_form,
@@ -26,7 +28,7 @@ from gsb.rewrite import (
     quotient_dim_oracle,
     quotient_dims,
 )
-from gsb.words import Alphabet, pair_formal_inverses
+from gsb.words import Alphabet, Word, pair_formal_inverses
 
 AB = Alphabet(("a", "b"))
 SPEC = DegLex()
@@ -411,3 +413,82 @@ def test_rule_index_updates_match_a_fresh_scan():
                 expected = _leftmost_match(u, rules)
                 got = None if found is None else (found[0], by_rank.index(found[1]))
                 assert got == expected
+
+
+def _irr_oracle(alphabet, relations, spec, max_deg):
+    """Every word of degree <= max_deg with no leading word as a factor,
+    sorted by ``spec.key``."""
+    leads = [f.leading_word(spec).letters for f in relations]
+    words = [
+        Word(alphabet, w)
+        for d in range(max_deg + 1)
+        for w in product(range(alphabet.size), repeat=d)
+        if not any(
+            w[i : i + len(lead)] == lead for lead in leads for i in range(d - len(lead) + 1)
+        )
+    ]
+    return sorted(words, key=spec.key)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_irr_words_under_tower_match_brute_force(seed):
+    tower = Tower("t", "t^-1")
+    rng = random.Random(900 + seed)
+    rels = _seeded_relations(rng, TOWER_AB, tower, rng.randint(1, 4))
+    for max_deg in (0, 1, 4):
+        assert irr_words(TOWER_AB, rels, tower, max_deg) == _irr_oracle(
+            TOWER_AB, rels, tower, max_deg
+        )
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_irr_counts_match_irr_words_per_degree(seed):
+    rng = random.Random(700 + seed)
+    cases = [
+        (AB, SPEC, 6),
+        (Alphabet(("a", "b", "c")), SPEC, 5),
+        (TOWER_AB, Tower("t", "t^-1"), 4),
+    ]
+    for alphabet, spec, max_deg in cases:
+        rels = _seeded_relations(rng, alphabet, spec, rng.randint(0, 4))
+        words = irr_words(alphabet, rels, spec, max_deg)
+        per_degree = [0] * (max_deg + 1)
+        for w in words:
+            per_degree[w.degree] += 1
+        assert irr_counts(alphabet, rels, spec, max_deg) == per_degree
+        assert irr_counts(alphabet, rels, spec, 0) == per_degree[:1]
+
+
+def test_irr_counts_edge_cases():
+    assert irr_counts(AB, [], SPEC, 4) == [1, 2, 4, 8, 16]
+    assert irr_counts(AB, [Polynomial.unit(AB)], SPEC, 3) == [0, 0, 0, 0]
+    assert irr_counts(AB, GSB, SPEC, 3) == [1, 2, 2, 2]
+    with pytest.raises(LimitError):
+        irr_counts(AB, GSB, SPEC, -1)
+    with pytest.raises(NonMonicRelationError):
+        irr_counts(AB, [p("2*a - b")], SPEC, 2)
+    for f in (irr_words, irr_counts):
+        with pytest.raises(TowerSymbolMissingError):
+            f(AB, [], Tower("t", "t^-1"), 2)
+
+
+def _deligne_series(max_deg):
+    """Coefficients of 1/(1 - 3t + t^2 + 2t^3 - t^6), the growth series of B4+."""
+    coeffs = []
+    for n in range(max_deg + 1):
+        value = 1 if n == 0 else 0
+        for shift, weight in ((1, 3), (2, -1), (3, -2), (6, 1)):
+            if n >= shift:
+                value += weight * coeffs[n - shift]
+        coeffs.append(value)
+    return coeffs
+
+
+def test_braid_degree_12_irr_counts_follow_deligne_series():
+    abc = Alphabet(("a", "b", "c"))
+    braid = [parse_polynomial(t, abc) for t in ("a*b*a - b*a*b", "b*c*b - c*b*c", "a*c - c*a")]
+    report = shirshov_complete(braid, SPEC, max_deg=12)
+    assert len(report.relations) == 106
+    counts = irr_counts(abc, report.relations, SPEC, 12)
+    assert counts == _deligne_series(12)
+    assert counts[-1] == 17413
