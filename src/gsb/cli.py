@@ -182,8 +182,11 @@ def _cmd_lyndon(args) -> int:
 
 
 def _load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise PresentationFormatError(f"{path}: not a JSON file: {exc}") from exc
 
 
 def _pair_key(raw: str) -> tuple[int, int]:
@@ -199,8 +202,8 @@ def _load_group_table(path) -> GroupTable:
         product = {_pair_key(k): int(v) for k, v in data["product"].items()}
         inverse = {int(k): int(v) for k, v in data["inverse"].items()}
         return GroupTable(int(data["size"]), product, inverse)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PresentationFormatError(f"bad group table file: {exc}") from exc
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise PresentationFormatError(f"bad group table file {path}: {exc}") from exc
 
 
 def _load_mult_table(path) -> MultTable:
@@ -213,8 +216,8 @@ def _load_mult_table(path) -> MultTable:
             else:
                 products[_pair_key(k)] = {name: Fraction(c) for name, c in v.items()}
         return MultTable(tuple(data["basis"]), products)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PresentationFormatError(f"bad multiplication table file: {exc}") from exc
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise PresentationFormatError(f"bad multiplication table file {path}: {exc}") from exc
 
 
 def _load_pairs(path, alphabet: Alphabet) -> SimpleStepInput:
@@ -231,23 +234,21 @@ def _load_pairs(path, alphabet: Alphabet) -> SimpleStepInput:
                 )
             )
     except (KeyError, TypeError) as exc:
-        raise PresentationFormatError(f"bad pairs file: {exc}") from exc
+        raise PresentationFormatError(f"bad pairs file {path}: {exc}") from exc
     return SimpleStepInput(tuple(pairs))
 
 
 def _write_construction(presentation, report, args) -> None:
+    cert_path = args.cert
     if args.output:
         save_presentation_file(presentation, args.output)
-        cert_path = args.cert or f"{args.output}.cert.json"
+        cert_path = cert_path or f"{args.output}.cert.json"
+    else:
+        print(format_presentation(presentation), end="")
+    if cert_path:
         with open(cert_path, "w", encoding="utf-8") as fh:
             json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-    else:
-        print(format_presentation(presentation), end="")
-        if args.cert:
-            with open(args.cert, "w", encoding="utf-8") as fh:
-                json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
 
 
 # flags that only some construction kinds read, by argparse destination

@@ -52,6 +52,7 @@ from .rewrite import (
     _rank,
     _reduce,
     _remove_from,
+    _replay,
     _RuleIndex,
     compile_rules,
     normal_form,
@@ -222,17 +223,6 @@ class RemovedRelation:
     decomposition: tuple
 
 
-def _replay(residual, decomposition):
-    """residual + sum(coeff * a * s * b); module entries (coeff, a, s) have no b."""
-    total = residual
-    for coeff, a, s, *right in decomposition:
-        term = Polynomial.from_word(a, coeff) * s
-        for b in right:
-            term = term * Polynomial.from_word(b)
-        total = total + term
-    return total
-
-
 @dataclass(frozen=True)
 class CompletionReport:
     status: CompletionStatus
@@ -242,7 +232,6 @@ class CompletionReport:
     added: tuple[AddedRelation, ...]
     removed: tuple[RemovedRelation, ...]
     processed: int
-    nontrivial_log: tuple
     ordering: object
     # work counters, keyed by STAT_KEYS; not part of to_json_dict()
     stats: dict = field(default_factory=dict, compare=False)
@@ -250,6 +239,11 @@ class CompletionReport:
     @property
     def is_certified(self) -> bool:
         return self.status is CompletionStatus.CERTIFIED_GSB
+
+    @property
+    def nontrivial_log(self) -> tuple:
+        """(ambiguity, residual) of each nontrivial composition, in order."""
+        return tuple((e.ambiguity, e.residual) for e in self.added)
 
     def status_text(self) -> str:
         if self.status is CompletionStatus.COMPLETE_UP_TO_DEGREE:
@@ -611,7 +605,6 @@ def shirshov_complete(
             raise ZeroPolynomialError(f"relation #{idx} is zero")
     removed: list[RemovedRelation] = []
     added: list[AddedRelation] = []
-    nontrivial_log = []
     processed = 0
     status = CompletionStatus.CERTIFIED_GSB
     rels = []
@@ -648,7 +641,6 @@ def shirshov_complete(
             # after sorting, a paired relation's rank is its index
             word = _trusted_word
             amb = Ambiguity(kind, f.rank, g.rank, word(A, w), word(A, a), word(A, b))
-            nontrivial_log.append((amb, nf))
             monic = nf.make_monic(spec)
             added.append(
                 AddedRelation(monic, nf, amb, f.poly, g.poly, engine.decomposition(steps))
@@ -668,7 +660,6 @@ def shirshov_complete(
         added=tuple(added),
         removed=tuple(removed),
         processed=processed,
-        nontrivial_log=tuple(nontrivial_log),
         ordering=spec,
         stats=dict(stats),
     )

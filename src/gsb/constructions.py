@@ -31,7 +31,7 @@ from .orderings import DegLex, Tower
 from .poly import ModuleElement, Polynomial
 from .presentation import ModulePresentation, Presentation
 from .rewrite import normal_form
-from .words import Alphabet, ModuleBasis, Word
+from .words import Alphabet, ModuleBasis, Word, module_code
 
 
 class GroupTable:
@@ -512,8 +512,11 @@ def build_module_cyclic(
     basis = ModuleBasis(base.basis.symbols + (generator,))
     alphabet = base.alphabet
 
+    code_alphabet = module_code(alphabet, basis)[0]  # the base code alphabet plus one letter
+
     def embed(m: ModuleElement) -> ModuleElement:
-        return ModuleElement(alphabet, basis, dict(m.raw_terms()))
+        code = Polynomial(code_alphabet, m.code.raw_terms())
+        return ModuleElement._of_code(alphabet, basis, code)
 
     relations = [embed(r) for r in base.relations]
     base_len = len(relations)

@@ -15,15 +15,16 @@ generator letter, at its front, so leading words never overlap properly:
 the only ambiguity is the inclusion lead(f) = lead(g)*b, which is the
 module composition f - a*g with a = rev(b).  (The unreversed code u*Y_g
 would let the engine pick the leftmost, that is the longest, matching
-suffix, and it changed traces, check residuals and completions.)  Codes
-are ordered by ``ModuleTop.module_key`` after decoding, so the module order
-has one definition.
+suffix, and it changed traces, check residuals and completions.)
+``ModuleTop`` is an ordering on codes (``ModuleTop.letter_key``), so the
+caller's ordering is the engine's.
 
-A module element is stored as its code (``poly.module_code``), so the
-functions below hand ``m.code`` to ``shirshov_complete``, ``check_gsb``,
-``find_ambiguities``, ``normal_form_with_trace`` or ``compile_rules`` as
-it is, wrap the resulting polynomials as module elements without
-re-keying a term, and decode only traces, ambiguities and removals into
+A module element is stored as its code (``words.module_code``), so the
+functions below hand ``m.code`` and the caller's ``ModuleTop`` to
+``shirshov_complete``, ``check_gsb``, ``find_ambiguities``,
+``normal_form_with_trace`` or ``compile_rules`` as they are, wrap the
+resulting polynomials as module elements without re-keying a term, and
+decode only traces, ambiguities, removals and irreducible words into
 module types.
 """
 
@@ -36,37 +37,29 @@ from .completion import (
     CheckReport,
     CompletionReport,
     RemovedRelation,
-    _replay,
     check_gsb,
     find_ambiguities,
     shirshov_complete,
 )
 from .errors import AlphabetMismatchError, BasisMismatchError, LimitError
 from .orderings import ModuleTop
-from .poly import ModuleElement, Polynomial, act, module_code
-from .rewrite import compile_rules, normal_form_with_trace
-from .words import Alphabet, ModuleBasis, ModuleWord, Word
+from .poly import ModuleElement, Polynomial, act
+from .rewrite import _replay, compile_rules, normal_form_with_trace
+from .words import Alphabet, ModuleBasis, ModuleWord, Word, module_code
 
 
 class _Codec:
-    """The algebra ordering of module codes, and their decoders.
+    """The decoders of module codes over one (alphabet, basis).
 
     Module elements already hold their codes (``module_code``); the codec
-    checks that an input lives over its (alphabet, basis), orders codes by
-    ``ModuleTop.module_key`` after decoding, and decodes what the engine
-    returns into module types.
+    checks that an input lives over its (alphabet, basis) and decodes what
+    the engine returns into module types.
     """
 
-    def __init__(self, alphabet: Alphabet, basis: ModuleBasis, spec: ModuleTop):
+    def __init__(self, alphabet: Alphabet, basis: ModuleBasis):
         self.alphabet = alphabet
         self.basis = basis
-        self.spec = spec
         self.decode = module_code(alphabet, basis)[2]
-
-    def letter_key(self, _code_alphabet):
-        mkey = self.spec.module_key(self.alphabet)
-        decode = self.decode
-        return lambda code: mkey(decode(code))
 
     def encode(self, relations) -> list[Polynomial]:
         for idx, m in enumerate(relations):
@@ -101,11 +94,11 @@ class _Codec:
         )
 
 
-def _encode_set(relations, spec: ModuleTop):
+def _encode_set(relations):
     """The codec of a relation set and its codes; an empty set needs no codec."""
     if not relations:
         return None, []
-    codec = _Codec(relations[0].alphabet, relations[0].basis, spec)
+    codec = _Codec(relations[0].alphabet, relations[0].basis)
     return codec, codec.encode(relations)
 
 
@@ -133,8 +126,8 @@ def module_nf(m: ModuleElement, relations, spec: ModuleTop) -> ModuleElement:
 
 
 def module_nf_with_trace(m: ModuleElement, relations, spec: ModuleTop):
-    codec = _Codec(m.alphabet, m.basis, spec)
-    nf, trace = normal_form_with_trace(m.code, codec.encode(relations), codec)
+    codec = _Codec(m.alphabet, m.basis)
+    nf, trace = normal_form_with_trace(m.code, codec.encode(relations), spec)
     nf = codec.element(nf)
     steps = tuple(
         ModuleReductionStep(
@@ -164,8 +157,8 @@ class ModuleAmbiguity:
 
 def module_ambiguities(relations, spec: ModuleTop) -> list[ModuleAmbiguity]:
     """Every pair with lead(f) = a*lead(g); equal leading words count once."""
-    codec, rels = _encode_set(relations, spec)
-    return [codec.ambiguity(amb) for amb in find_ambiguities(rels, codec)]
+    codec, rels = _encode_set(relations)
+    return [codec.ambiguity(amb) for amb in find_ambiguities(rels, spec)]
 
 
 def module_composition(f: ModuleElement, g: ModuleElement, a: Word) -> ModuleElement:
@@ -182,13 +175,12 @@ def module_complete(
     composition is ever evaluated: ``processed`` is 0, ``added`` and
     ``nontrivial_log`` are empty, and the result is always certified.
     """
-    codec, rels = _encode_set(relations, spec)
-    report = shirshov_complete(rels, codec, max_deg=max_deg, max_steps=max_steps)
+    codec, rels = _encode_set(relations)
+    report = shirshov_complete(rels, spec, max_deg=max_deg, max_steps=max_steps)
     return replace(
         report,
         relations=tuple(codec.element(r) for r in report.relations),
         removed=tuple(codec.removal(e) for e in report.removed),
-        ordering=spec,
     )
 
 
@@ -196,13 +188,12 @@ def module_check_gsb(relations, spec: ModuleTop, max_deg: int | None = None) -> 
     """Evaluate every module composition; empty and unskipped = certificate."""
     if max_deg is not None and max_deg < 1:
         raise LimitError(f"max_deg must be positive, got {max_deg}")
-    codec, rels = _encode_set(relations, spec)
+    codec, rels = _encode_set(relations)
     # a code is one letter longer than its module word
-    report = check_gsb(rels, codec, None if max_deg is None else max_deg + 1)
+    report = check_gsb(rels, spec, None if max_deg is None else max_deg + 1)
     return replace(
         report,
         relations=tuple(relations),
-        ordering=spec,
         max_deg=max_deg,
         nontrivial=tuple((codec.ambiguity(a), codec.element(h)) for a, h in report.nontrivial),
     )
@@ -214,18 +205,18 @@ def module_irr(
     """Irreducible module words of prefix degree <= max_deg, ascending."""
     if max_deg < 0:
         raise LimitError(f"max_deg must be >= 0, got {max_deg}")
-    codec = _Codec(alphabet, basis, spec)
-    leads = {
-        codec.decode(lead) for lead, _tail in compile_rules(codec.encode(relations), codec)
-    }
+    codec = _Codec(alphabet, basis)
+    leads = {lead for lead, _tail in compile_rules(codec.encode(relations), spec)}
+    code_alphabet, encode, _ = module_code(alphabet, basis)
     found = []
-    words = [((), g) for g in range(basis.size)]
+    codes = [encode((), g) for g in range(basis.size)]
     for deg in range(max_deg + 1):
         if deg:
-            words = [((x,) + u, g) for u, g in words for x in range(alphabet.size)]
+            # the code of x*u*y_g is the code of u*y_g followed by x
+            codes = [c + (x,) for c in codes for x in range(alphabet.size)]
         # x*u*y is reducible when a suffix of it is a lead; only irreducible
         # words are extended, so the one suffix left to test is the word itself
-        words = [k for k in words if k not in leads]
-        found.extend(words)
-    found.sort(key=spec.module_key(alphabet))
-    return [ModuleWord(Word(alphabet, u), basis, g) for u, g in found]
+        codes = [c for c in codes if c not in leads]
+        found.extend(codes)
+    found.sort(key=spec.letter_key(code_alphabet))
+    return [codec.module_word(c) for c in found]

@@ -19,7 +19,7 @@ from .errors import (
     TowerSymbolMissingError,
     UnknownSymbolError,
 )
-from .words import Alphabet, ModuleBasis, ModuleWord, Word
+from .words import Alphabet, ModuleBasis, ModuleWord, Word, module_code
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -85,21 +85,22 @@ class Tower:
 
 @dataclass(frozen=True)
 class ModuleTop:
-    """Ordering on module words: prefixes first, generator order on ties."""
+    """Ordering on module words: prefixes first, generator order on ties.
+
+    Its keys are of codes (``words.module_code``): u*y_g is Y_g*rev(u) over
+    the code alphabet, where each letter keeps its index and generator g is
+    the letter n + g, so the algebra engine runs on this ordering as it is.
+    """
 
     word_order: DegLex | Tower = DegLex()
 
-    def module_key(self, alphabet: Alphabet):
+    def letter_key(self, alphabet: Alphabet):
         wkey = self.word_order.letter_key(alphabet)
-
-        def key(pair):
-            letters, gen = pair
-            return (wkey(letters), -gen)
-
-        return key
+        return lambda code: (wkey(code[:0:-1]), -code[0])
 
     def key(self, mw: ModuleWord):
-        return (self.word_order.key(mw.prefix), -mw.generator)
+        alphabet, encode, _ = module_code(mw.prefix.alphabet, mw.basis)
+        return self.letter_key(alphabet)(encode(mw.prefix.letters, mw.generator))
 
 
 def compare(spec, u: Word, v: Word) -> int:

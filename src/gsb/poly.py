@@ -6,16 +6,16 @@ orderings.  Arithmetic is exact; canceling terms vanish from storage.
 Instances are immutable and safe to share.
 
 A module element is stored encoded, as a polynomial over a code alphabet:
-the module word u*y_g is the algebra word Y_g*rev(u) (``module_code``).
-Its sums, scalings and equality are the polynomial's, and the left action
-of the free algebra is one polynomial product.
+the module word u*y_g is the algebra word Y_g*rev(u) (``words.module_code``).
+Its sums, scalings, equality and leading term are the polynomial's, as
+``ModuleTop`` orders codes, and the left action of the free algebra is one
+polynomial product.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import (
     AlphabetMismatchError,
@@ -25,7 +25,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .orderings import DegLex, ModuleTop
-from .words import Alphabet, ModuleBasis, ModuleWord, Word
+from .words import Alphabet, ModuleBasis, ModuleWord, Word, module_code
 
 _COEFF_RE = re.compile(r"\d+(?:/\d+)?")
 
@@ -208,32 +208,6 @@ class Polynomial(_FormalSum):
         return hash((self.alphabet, frozenset(self._terms.items())))
 
 
-@lru_cache(maxsize=None)
-def module_code(alphabet: Alphabet, basis: ModuleBasis):
-    """The code of the module word u*y_g: the algebra word Y_g*rev(u).
-
-    The code alphabet is ``alphabet`` followed by one letter per generator:
-    generator g is the letter ``alphabet.size + g``, named ``Y<g>`` with
-    ``_`` prepended to the stem until no alphabet symbol starts with it, so
-    it cannot clash with an alphabet symbol.  Returns the code alphabet,
-    ``encode`` from a (prefix letters, generator) key to its code, and
-    ``decode`` back.
-    """
-    stem = "Y"
-    while any(s.startswith(stem) for s in alphabet.symbols):
-        stem = "_" + stem
-    n = alphabet.size
-
-    def encode(letters, g):
-        return (n + g,) + tuple(letters)[::-1]
-
-    def decode(code):
-        return code[:0:-1], code[0] - n
-
-    names = tuple(f"{stem}{g}" for g in range(basis.size))
-    return Alphabet(alphabet.symbols + names), encode, decode
-
-
 class ModuleElement(_FormalSum):
     """A finite formal sum of rational multiples of module words.
 
@@ -302,9 +276,10 @@ class ModuleElement(_FormalSum):
     def leading(self, spec: ModuleTop) -> tuple[Fraction, ModuleWord]:
         if not self.code:
             raise ZeroPolynomialError("the zero element has no leading term")
-        terms = self.raw_terms()
-        k = max(terms, key=spec.module_key(self.alphabet))
-        return terms[k], self._module_word(k)
+        # the code's leading term, by the key Polynomial.leading uses, decoded once
+        terms = self.code.raw_terms()
+        w = max(terms, key=spec.letter_key(self.code.alphabet))
+        return terms[w], self._module_word(module_code(self.alphabet, self.basis)[2](w))
 
     def __add__(self, other: ModuleElement) -> ModuleElement:
         if not isinstance(other, ModuleElement):
@@ -473,28 +448,29 @@ def _join_signed(terms) -> str:
     return " ".join(pieces)
 
 
-def format_polynomial(p: Polynomial, spec=None) -> str:
+def _format_terms(p: Polynomial, spec, read) -> str:
+    """The terms of ``p``, greatest first under ``spec``; ``read`` gives a word's text."""
     terms = p.raw_terms()
     if not terms:
         return "0"
+    key = spec.letter_key(p.alphabet)
+    return _join_signed((read(w), terms[w]) for w in sorted(terms, key=key, reverse=True))
+
+
+def format_polynomial(p: Polynomial, spec=None) -> str:
     names = p.alphabet.symbols
-    key = (spec or DegLex()).letter_key(p.alphabet)
-    return _join_signed(
-        ("*".join([names[i] for i in w]), terms[w])
-        for w in sorted(terms, key=key, reverse=True)
-    )
+    return _format_terms(p, spec or DegLex(), lambda w: "*".join([names[i] for i in w]))
 
 
 def format_module_element(m: ModuleElement, spec: ModuleTop | None = None) -> str:
-    terms = m.raw_terms()
-    if not terms:
-        return "0"
     names, gens = m.alphabet.symbols, m.basis.symbols
-    key = (spec or ModuleTop()).module_key(m.alphabet)
-    return _join_signed(
-        ("*".join([*(names[i] for i in u), gens[g]]), terms[u, g])
-        for u, g in sorted(terms, key=key, reverse=True)
-    )
+    decode = module_code(m.alphabet, m.basis)[2]
+
+    def read(code):
+        u, g = decode(code)
+        return "*".join([*(names[i] for i in u), gens[g]])
+
+    return _format_terms(m.code, spec or ModuleTop(), read)
 
 
 def format_element(x, spec=None) -> str:

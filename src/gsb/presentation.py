@@ -203,7 +203,11 @@ def format_presentation(p) -> str:
 
 def load_presentation_file(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return load_presentation(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise PresentationFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    return load_presentation(text)
 
 
 def save_presentation_file(p, path) -> None:

@@ -307,6 +307,17 @@ class ReductionStep:
     coefficient: Fraction
 
 
+def _replay(residual, decomposition):
+    """residual + sum(coeff * a * s * b); module entries (coeff, a, s) have no b."""
+    total = residual
+    for coeff, a, s, *right in decomposition:
+        term = Polynomial.from_word(a, coeff) * s
+        for b in right:
+            term = term * Polynomial.from_word(b)
+        total = total + term
+    return total
+
+
 @dataclass(frozen=True)
 class ReductionTrace:
     """Replayable record of one reduction run.
@@ -324,14 +335,8 @@ class ReductionTrace:
 
     def reconstruct(self, relations) -> Polynomial:
         """Replay the decomposition; equals the original input exactly."""
-        total = self.residual
-        for s in self.steps:
-            total = total + (
-                Polynomial.from_word(s.left, s.coefficient)
-                * relations[s.rule]
-                * Polynomial.from_word(s.right)
-            )
-        return total
+        steps = ((s.coefficient, s.left, relations[s.rule], s.right) for s in self.steps)
+        return _replay(self.residual, steps)
 
 
 def normal_form(p: Polynomial, relations, spec) -> Polynomial:

@@ -1,4 +1,4 @@
-"""Alphabets, free-monoid words, and module words.
+"""Alphabets, free-monoid words, module words, and their codes as words.
 
 Symbols are interned: a word stores indices into its alphabet, and the
 alphabet's listing order is its precedence (earlier symbol = greater).
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     AlphabetError,
@@ -275,3 +276,29 @@ class ModuleWord:
 
     def __repr__(self) -> str:
         return f"ModuleWord({self})"
+
+
+@lru_cache(maxsize=None)
+def module_code(alphabet: Alphabet, basis: ModuleBasis):
+    """The code of the module word u*y_g: the algebra word Y_g*rev(u).
+
+    The code alphabet is ``alphabet`` followed by one letter per generator:
+    generator g is the letter ``alphabet.size + g``, named ``Y<g>`` with
+    ``_`` prepended to the stem until no alphabet symbol starts with it, so
+    it cannot clash with an alphabet symbol.  Returns the code alphabet,
+    ``encode`` from a (prefix letters, generator) key to its code, and
+    ``decode`` back.
+    """
+    stem = "Y"
+    while any(s.startswith(stem) for s in alphabet.symbols):
+        stem = "_" + stem
+    n = alphabet.size
+
+    def encode(letters, g):
+        return (n + g,) + tuple(letters)[::-1]
+
+    def decode(code):
+        return code[:0:-1], code[0] - n
+
+    names = tuple(f"{stem}{g}" for g in range(basis.size))
+    return Alphabet(alphabet.symbols + names), encode, decode

@@ -265,6 +265,10 @@ def test_selftest_exit_codes(monkeypatch, capsys):
         (["nf", "F", "--poly", "1/0*a"], {}),
         (["check", "Z"], {}),
         (["lyndon", "--alphabet", "b>a", "--max-len", "3", "--count-only", "--bracket"], {}),
+        (["construct", "hnn", "--table", "J"], {}),
+        (["construct", "simple", "--table", "T", "--pairs", "J"], {}),
+        (["construct", "simple", "--table", "P"], {}),
+        (["check", "U"], {}),
     ],
 )
 def test_limit_errors_exit_1_without_traceback(aab_file, tmp_path, argv, env):
@@ -273,9 +277,15 @@ def test_limit_errors_exit_1_without_traceback(aab_file, tmp_path, argv, env):
     for name, text in (
         ("M", "alphabet: a > b\nordering: module-top\nbasis: y1 > y2\nrelations:\na*y1 - y2\n"),
         ("Z", "alphabet: a > b\nordering: deglex\nrelations:\na*a - 1/0*b\n"),
+        ("J", "not json"),
+        ("T", json.dumps({"basis": ["x1"], "product": {"1 1": "x1"}})),
+        ("P", json.dumps({"basis": ["x1"], "product": {"1 1": 5}})),
     ):
         files[name] = str(tmp_path / f"{name}.pres")
         Path(files[name]).write_text(text)
+    # not UTF-8
+    files["U"] = str(tmp_path / "U.pres")
+    Path(files["U"]).write_bytes(b"alphabet: a > b\nordering: deglex\nrelations:\n\xff*a\n")
     argv = [files.get(a, a) for a in argv]
     src = str(Path(gsb.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

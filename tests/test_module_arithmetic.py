@@ -61,7 +61,8 @@ def ref_act(p, x):
 
 
 def ref_leading(x, spec, alphabet):
-    key = max(x, key=spec.module_key(alphabet))
+    wkey = spec.word_order.letter_key(alphabet)
+    key = max(x, key=lambda k: (wkey(k[0]), -k[1]))
     return x[key], key
 
 

@@ -22,7 +22,7 @@ from gsb.modules import (
     module_nf,
     module_nf_with_trace,
 )
-from gsb.orderings import ModuleTop, Tower
+from gsb.orderings import ModuleTop, Tower, compare_module
 from gsb.poly import (
     ModuleElement,
     Polynomial,
@@ -30,7 +30,7 @@ from gsb.poly import (
     format_module_element,
     parse_module_element,
 )
-from gsb.words import Alphabet, ModuleBasis
+from gsb.words import Alphabet, ModuleBasis, ModuleWord, Word, module_code
 
 AB = Alphabet(("a", "b"))
 Y = ModuleBasis(("y1", "y2", "y3"))
@@ -136,7 +136,11 @@ def _module_rank_oracle(alphabet, basis, relations, spec, max_deg):
     from fractions import Fraction
     from itertools import product
 
-    keyf = spec.module_key(alphabet)
+    wkey = spec.word_order.letter_key(alphabet)
+
+    def keyf(k):
+        return (wkey(k[0]), -k[1])
+
     pivots = {}
     rank = 0
     for t in relations:
@@ -485,6 +489,33 @@ def _random_module_set(rng, A, B):
 
 
 SETUPS = [(AB, Y, SPEC), (SHARED, SHARED_Y, SPEC), (TOWER_A, TOWER_Y, TOWER_SPEC)]
+
+
+def test_code_order_is_the_module_order():
+    # ModuleTop orders codes Y_g*rev(u); the reference orders (u, g) pairs
+    rng = random.Random(53)
+    for A, B, spec in SETUPS:
+        code_alphabet, encode, _ = module_code(A, B)
+        code_key = spec.letter_key(code_alphabet)
+        wkey = spec.word_order.letter_key(A)
+
+        def ref_key(w):
+            return (wkey(w.prefix.letters), -w.generator)
+
+        words = [
+            ModuleWord(
+                Word(A, tuple(rng.randrange(A.size) for _ in range(rng.randint(0, 4)))),
+                B,
+                rng.randrange(B.size),
+            )
+            for _ in range(80)
+        ]
+        by_code = sorted(words, key=lambda w: code_key(encode(w.prefix.letters, w.generator)))
+        assert by_code == sorted(words, key=ref_key)
+        for u in words:
+            for v in words:
+                expect = (ref_key(u) > ref_key(v)) - (ref_key(u) < ref_key(v))
+                assert compare_module(spec, u, v) == expect
 
 
 def test_module_complete_never_evaluates_a_pair():
