@@ -79,6 +79,11 @@ class Ambiguity:
     a: Word
     b: Word
 
+    @classmethod
+    def _of(cls, A, kind, i, j, w, a, b) -> Ambiguity:
+        """An ambiguity from letter tuples known to lie in the range of ``A``."""
+        return cls(kind, i, j, _trusted_word(A, w), _trusted_word(A, a), _trusted_word(A, b))
+
     @property
     def degree(self) -> int:
         return self.w.degree
@@ -149,16 +154,11 @@ def find_ambiguities(relations, spec) -> list[Ambiguity]:
     count as an inclusion with empty context, reported for the lower index
     pair only.  Sorted by (w, f_index, g_index).
     """
-    rules = compile_rules(relations, spec)
+    A = relations[0].alphabet if relations else None
+    rules = compile_rules(relations, spec, A)
     if not rules:
         return []
-    A = relations[0].alphabet
-    keyf = spec.letter_key(A)
-    word = _trusted_word
-    return [
-        Ambiguity(kind, i, j, word(A, w), word(A, a), word(A, b))
-        for kind, i, j, w, a, b in _all_overlaps(_RuleIndex.of(rules), keyf)
-    ]
+    return [Ambiguity._of(A, *e) for e in _all_overlaps(_RuleIndex.of(rules), spec.letter_key(A))]
 
 
 def composition(f: Polynomial, g: Polynomial, amb: Ambiguity, spec) -> Polynomial:
@@ -464,7 +464,7 @@ class _Engine:
         while self._dirty:
             r = min(self._dirty, key=_rank)
             steps = []
-            nf = Polynomial(self.alphabet, self.reduce(r.poly.raw_terms(), steps, skip=r))
+            nf = Polynomial._of(self.alphabet, self.reduce(r.poly.raw_terms(), steps, skip=r))
             decomposition = self.decomposition(steps)
             i = rels.index(r)
             self._leave(r)
@@ -637,10 +637,9 @@ def shirshov_complete(
             if not nf_terms:
                 engine.trivial.add((kind, f.id, g.id, w, a, b))
                 continue
-            nf = Polynomial(A, nf_terms)
+            nf = Polynomial._of(A, nf_terms)
             # after sorting, a paired relation's rank is its index
-            word = _trusted_word
-            amb = Ambiguity(kind, f.rank, g.rank, word(A, w), word(A, a), word(A, b))
+            amb = Ambiguity._of(A, kind, f.rank, g.rank, w, a, b)
             monic = nf.make_monic(spec)
             added.append(
                 AddedRelation(monic, nf, amb, f.poly, g.poly, engine.decomposition(steps))
@@ -724,9 +723,7 @@ def check_gsb(relations, spec, max_deg: int | None = None) -> CheckReport:
             h = _compose(kind, rels[i].raw_terms(), rels[j].raw_terms(), a, b)
             nf = _reduce(h, index, keyf)
             if nf:
-                word = _trusted_word
-                amb = Ambiguity(kind, i, j, word(A, w), word(A, a), word(A, b))
-                nontrivial.append((amb, Polynomial(A, nf)))
+                nontrivial.append((Ambiguity._of(A, kind, i, j, w, a, b), Polynomial._of(A, nf)))
     return CheckReport(
         relations=tuple(rels),
         ordering=spec,

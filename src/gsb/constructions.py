@@ -513,12 +513,10 @@ def build_module_cyclic(
     alphabet = base.alphabet
 
     code_alphabet = module_code(alphabet, basis)[0]  # the base code alphabet plus one letter
-
-    def embed(m: ModuleElement) -> ModuleElement:
-        code = Polynomial(code_alphabet, m.code.raw_terms())
-        return ModuleElement._of_code(alphabet, basis, code)
-
-    relations = [embed(r) for r in base.relations]
+    relations = [
+        ModuleElement._of_code(alphabet, basis, Polynomial._of(code_alphabet, r.code.raw_terms()))
+        for r in base.relations
+    ]
     base_len = len(relations)
     y_new = basis.size - 1
     ai, bi = 0, 1

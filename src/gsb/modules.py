@@ -45,7 +45,7 @@ from .errors import AlphabetMismatchError, BasisMismatchError, LimitError
 from .orderings import ModuleTop
 from .poly import ModuleElement, Polynomial, act
 from .rewrite import _replay, compile_rules, normal_form_with_trace
-from .words import Alphabet, ModuleBasis, ModuleWord, Word, module_code
+from .words import Alphabet, ModuleBasis, ModuleWord, Word, _trusted_word, module_code
 
 
 class _Codec:
@@ -74,11 +74,11 @@ class _Codec:
 
     def module_word(self, code) -> ModuleWord:
         u, g = self.decode(code)
-        return ModuleWord(Word(self.alphabet, u), self.basis, g)
+        return ModuleWord(_trusted_word(self.alphabet, u), self.basis, g)
 
     def left(self, right: Word) -> Word:
         """The left factor a of a module word from the right factor of its code."""
-        return Word(self.alphabet, right.letters[::-1])
+        return _trusted_word(self.alphabet, right.letters[::-1])
 
     def ambiguity(self, amb) -> ModuleAmbiguity:
         return ModuleAmbiguity(

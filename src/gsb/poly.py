@@ -3,7 +3,11 @@
 Terms are stored unordered, keyed by word; leading-term queries take the
 ordering as a parameter, so one polynomial can be inspected under several
 orderings.  Arithmetic is exact; canceling terms vanish from storage.
-Instances are immutable and safe to share.
+Instances are immutable and safe to share.  Letters are checked once, where
+values enter: the constructors ``Polynomial`` and ``ModuleElement``
+range-check raw letters and generators.  Values derived from checked ones
+(arithmetic, action, normal forms, completion residuals) are built by
+``Polynomial._of``, and words read from them by ``_trusted_word``.
 
 A module element is stored encoded, as a polynomial over a code alphabet:
 the module word u*y_g is the algebra word Y_g*rev(u) (``words.module_code``).
@@ -18,6 +22,7 @@ import re
 from fractions import Fraction
 
 from .errors import (
+    AlphabetError,
     AlphabetMismatchError,
     BasisMismatchError,
     UnknownSymbolError,
@@ -26,8 +31,18 @@ from .errors import (
 )
 from .orderings import DegLex, ModuleTop
 from .words import Alphabet, ModuleBasis, ModuleWord, Word, module_code
+from .words import _checked_letters, _trusted_word
 
 _COEFF_RE = re.compile(r"\d+(?:/\d+)?")
+
+
+def _sum_terms(pairs) -> dict:
+    """Add up (letters, coefficient) pairs as ``Fraction``s; zero sums are dropped."""
+    acc = {}
+    for w, c in pairs:
+        c = Fraction(c)
+        acc[w] = acc[w] + c if w in acc else c
+    return {w: c for w, c in acc.items() if c}
 
 
 class _FormalSum:
@@ -62,26 +77,29 @@ class Polynomial(_FormalSum):
     __slots__ = ("alphabet", "_terms")
 
     def __init__(self, alphabet: Alphabet, terms=()):
-        items = terms.items() if hasattr(terms, "items") else terms
-        acc = {}
-        for w, c in items:
+        """Terms keyed by ``Word`` or by a letter tuple, range-checked."""
+        pairs = []
+        for w, c in terms.items() if hasattr(terms, "items") else terms:
             if isinstance(w, Word):
                 if w.alphabet != alphabet:
                     raise AlphabetMismatchError("term word over a different alphabet")
                 w = w.letters
             else:
-                w = tuple(w)
-            c = Fraction(c)
-            if w in acc:
-                acc[w] += c
-            else:
-                acc[w] = c
+                w = _checked_letters(w, alphabet.size)
+            pairs.append((w, c))
         self.alphabet = alphabet
-        self._terms = {w: c for w, c in acc.items() if c != 0}
+        self._terms = _sum_terms(pairs)
+
+    @classmethod
+    def _of(cls, alphabet: Alphabet, terms: dict) -> Polynomial:
+        """Wrap a map of in-range letter tuples to nonzero ``Fraction``s, unchecked."""
+        p = object.__new__(cls)
+        p.alphabet, p._terms = alphabet, terms
+        return p
 
     @classmethod
     def zero(cls, alphabet: Alphabet) -> Polynomial:
-        return cls(alphabet, ())
+        return cls._of(alphabet, {})
 
     @classmethod
     def unit(cls, alphabet: Alphabet, coeff=1) -> Polynomial:
@@ -89,7 +107,7 @@ class Polynomial(_FormalSum):
 
     @classmethod
     def from_word(cls, word: Word, coeff=1) -> Polynomial:
-        return cls(word.alphabet, ((word.letters, coeff),))
+        return cls(word.alphabet, ((word, coeff),))
 
     @classmethod
     def parse(cls, text: str, alphabet: Alphabet) -> Polynomial:
@@ -104,14 +122,14 @@ class Polynomial(_FormalSum):
         return len(self._terms)
 
     def terms(self) -> list[tuple[Word, Fraction]]:
-        return [(Word(self.alphabet, w), c) for w, c in self._terms.items()]
+        return [(_trusted_word(self.alphabet, w), c) for w, c in self._terms.items()]
 
     def raw_terms(self) -> dict[tuple[int, ...], Fraction]:
         """Internal term map (letters tuple -> coefficient); do not mutate."""
         return self._terms
 
     def support(self) -> list[Word]:
-        return [Word(self.alphabet, w) for w in self._terms]
+        return [_trusted_word(self.alphabet, w) for w in self._terms]
 
     def coefficient(self, word: Word) -> Fraction:
         return self._terms.get(word.letters, Fraction(0))
@@ -122,7 +140,7 @@ class Polynomial(_FormalSum):
             raise ZeroPolynomialError("the zero polynomial has no leading term")
         key = spec.letter_key(self.alphabet)
         w = max(self._terms, key=key)
-        return self._terms[w], Word(self.alphabet, w)
+        return self._terms[w], _trusted_word(self.alphabet, w)
 
     def degree(self, spec) -> int:
         return len(self.leading(spec)[1])
@@ -136,14 +154,11 @@ class Polynomial(_FormalSum):
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check(self, other: Polynomial):
-        if self.alphabet != other.alphabet:
-            raise AlphabetMismatchError("polynomials over different alphabets")
-
     def __add__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._check(other)
+        if self.alphabet != other.alphabet:
+            raise AlphabetMismatchError("polynomials over different alphabets")
         out = dict(self._terms)
         for w, c in other._terms.items():
             v = out.get(w, 0) + c
@@ -151,7 +166,7 @@ class Polynomial(_FormalSum):
                 out[w] = v
             elif w in out:
                 del out[w]
-        return Polynomial(self.alphabet, out)
+        return Polynomial._of(self.alphabet, out)
 
     def __sub__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
@@ -159,22 +174,21 @@ class Polynomial(_FormalSum):
         return self + (-other)
 
     def __neg__(self) -> Polynomial:
-        return Polynomial(self.alphabet, {w: -c for w, c in self._terms.items()})
+        return Polynomial._of(self.alphabet, {w: -c for w, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return Polynomial.zero(self.alphabet)
-            return Polynomial(
-                self.alphabet, {w: c * other for w, c in self._terms.items()}
-            )
+            return Polynomial._of(self.alphabet, {w: c * other for w, c in self._terms.items()})
         if isinstance(other, Word):
             other = Polynomial.from_word(other)
         if isinstance(other, ModuleElement):
             return act(self, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._check(other)
+        if self.alphabet != other.alphabet:
+            raise AlphabetMismatchError("polynomials over different alphabets")
         acc = {}
         for w1, c1 in self._terms.items():
             for w2, c2 in other._terms.items():
@@ -184,7 +198,7 @@ class Polynomial(_FormalSum):
                     acc[w] = v
                 elif w in acc:
                     del acc[w]
-        return Polynomial(self.alphabet, acc)
+        return Polynomial._of(self.alphabet, acc)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -195,7 +209,7 @@ class Polynomial(_FormalSum):
 
     def __truediv__(self, c) -> Polynomial:
         c = Fraction(c)
-        return Polynomial(self.alphabet, {w: v / c for w, v in self._terms.items()})
+        return Polynomial._of(self.alphabet, {w: v / c for w, v in self._terms.items()})
 
     def __eq__(self, other) -> bool:
         return (
@@ -219,20 +233,25 @@ class ModuleElement(_FormalSum):
     __slots__ = ("alphabet", "basis", "code")
 
     def __init__(self, alphabet: Alphabet, basis: ModuleBasis, terms=()):
+        """Terms keyed by ``ModuleWord`` or by (prefix letters, generator), range-checked."""
         code_alphabet, encode, _ = module_code(alphabet, basis)
-        items = terms.items() if hasattr(terms, "items") else terms
         pairs = []
-        for mw, c in items:
+        for mw, c in terms.items() if hasattr(terms, "items") else terms:
             if isinstance(mw, ModuleWord):
                 if mw.prefix.alphabet != alphabet:
                     raise AlphabetMismatchError("module word over a different alphabet")
                 if mw.basis != basis:
                     raise BasisMismatchError("module word over a different basis")
-                mw = (mw.prefix.letters, mw.generator)
-            pairs.append((encode(*mw), c))
+                u, g = mw.prefix.letters, mw.generator
+            else:
+                u, g = mw
+                u = _checked_letters(u, alphabet.size)
+                if not 0 <= g < basis.size:
+                    raise AlphabetError(f"generator index {g} out of range")
+            pairs.append((encode(u, g), c))
         self.alphabet = alphabet
         self.basis = basis
-        self.code = Polynomial(code_alphabet, pairs)
+        self.code = Polynomial._of(code_alphabet, _sum_terms(pairs))
 
     @classmethod
     def _of_code(cls, alphabet: Alphabet, basis: ModuleBasis, code: Polynomial) -> ModuleElement:
@@ -244,14 +263,6 @@ class ModuleElement(_FormalSum):
     @classmethod
     def zero(cls, alphabet: Alphabet, basis: ModuleBasis) -> ModuleElement:
         return cls(alphabet, basis, ())
-
-    @classmethod
-    def from_module_word(cls, mw: ModuleWord, alphabet: Alphabet, coeff=1) -> ModuleElement:
-        return cls(alphabet, mw.basis, ((mw, coeff),))
-
-    @classmethod
-    def generator(cls, alphabet: Alphabet, basis: ModuleBasis, name: str, coeff=1) -> ModuleElement:
-        return cls(alphabet, basis, ((((), basis.index(name)), coeff),))
 
     def __bool__(self) -> bool:
         return bool(self.code)
@@ -265,7 +276,7 @@ class ModuleElement(_FormalSum):
         return {decode(w): c for w, c in self.code.raw_terms().items()}
 
     def _module_word(self, key) -> ModuleWord:
-        return ModuleWord(Word(self.alphabet, key[0]), self.basis, key[1])
+        return ModuleWord(_trusted_word(self.alphabet, key[0]), self.basis, key[1])
 
     def terms(self) -> list[tuple[ModuleWord, Fraction]]:
         return [(self._module_word(k), c) for k, c in self.raw_terms().items()]
@@ -276,10 +287,8 @@ class ModuleElement(_FormalSum):
     def leading(self, spec: ModuleTop) -> tuple[Fraction, ModuleWord]:
         if not self.code:
             raise ZeroPolynomialError("the zero element has no leading term")
-        # the code's leading term, by the key Polynomial.leading uses, decoded once
-        terms = self.code.raw_terms()
-        w = max(terms, key=spec.letter_key(self.code.alphabet))
-        return terms[w], self._module_word(module_code(self.alphabet, self.basis)[2](w))
+        c, w = self.code.leading(spec)
+        return c, self._module_word(module_code(self.alphabet, self.basis)[2](w.letters))
 
     def __add__(self, other: ModuleElement) -> ModuleElement:
         if not isinstance(other, ModuleElement):
@@ -333,7 +342,7 @@ def act(p: Polynomial, m: ModuleElement) -> ModuleElement:
     """
     if p.alphabet != m.alphabet:
         raise AlphabetMismatchError("action operands over different alphabets")
-    rev = Polynomial(m.code.alphabet, {w[::-1]: c for w, c in p.raw_terms().items()})
+    rev = Polynomial._of(m.code.alphabet, {w[::-1]: c for w, c in p.raw_terms().items()})
     return m._of_code(m.alphabet, m.basis, m.code * rev)
 
 

@@ -19,6 +19,8 @@ import re
 from dataclasses import dataclass
 
 from .errors import (
+    AlphabetMismatchError,
+    BasisMismatchError,
     PresentationFormatError,
     UnknownSymbolError,
     WordSyntaxError,
@@ -50,19 +52,12 @@ class Presentation:
     def __post_init__(self):
         keyf = self.ordering.letter_key(self.alphabet)
         for idx, r in enumerate(self.relations):
+            if r.alphabet != self.alphabet:
+                raise AlphabetMismatchError(f"relation #{idx} lives over a different alphabet")
             if r.is_zero():
                 raise ZeroPolynomialError(f"relation #{idx} is zero")
-        ordered = sorted(
-            self.relations, key=lambda p: keyf(p.leading_word(self.ordering).letters)
-        )
+        ordered = sorted(self.relations, key=lambda p: max(map(keyf, p.raw_terms())))
         object.__setattr__(self, "relations", tuple(ordered))
-
-    def monic(self) -> Presentation:
-        return Presentation(
-            self.alphabet,
-            self.ordering,
-            tuple(r.make_monic(self.ordering) for r in self.relations),
-        )
 
 
 @dataclass(frozen=True)
@@ -75,20 +70,17 @@ class ModulePresentation:
     relations: tuple[ModuleElement, ...]
 
     def __post_init__(self):
+        # orders codes too, and rejects a word order whose letters the alphabet lacks
+        keyf = self.ordering.letter_key(self.alphabet)
         for idx, r in enumerate(self.relations):
+            if r.alphabet != self.alphabet:
+                raise AlphabetMismatchError(f"relation #{idx} lives over a different alphabet")
+            if r.basis != self.basis:
+                raise BasisMismatchError(f"relation #{idx} lives over a different basis")
             if r.is_zero():
                 raise ZeroPolynomialError(f"relation #{idx} is zero")
-        spec = self.ordering
-        ordered = sorted(self.relations, key=lambda m: spec.key(m.leading_word(spec)))
+        ordered = sorted(self.relations, key=lambda m: max(map(keyf, m.code.raw_terms())))
         object.__setattr__(self, "relations", tuple(ordered))
-
-    def monic(self) -> ModulePresentation:
-        return ModulePresentation(
-            self.alphabet,
-            self.basis,
-            self.ordering,
-            tuple(r.make_monic(self.ordering) for r in self.relations),
-        )
 
 
 def _parse_symbol_chain(body: str, where: str) -> tuple[str, ...]:

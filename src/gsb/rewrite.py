@@ -28,13 +28,14 @@ listing needs no sort.  ``irr_counts`` counts words per degree by dynamic
 programming over the same states, the Ufnarovski graph of the leads,
 without building a word.
 
-``compile_rules`` is the validating boundary, run once per public call: it
-checks alphabets and monicity and splits each relation into raw
-(lead, tail) letter tuples.  Inside, nothing builds a validated ``Word``;
-outputs are made by ``_trusted_word``, as their letters are known to be in
-range.  The randomized cross-check (``normal_form_random``) scans every
-rule by brute force and the dimension oracle (``quotient_dims``) uses no
-index, so both stay independent of it.
+Letters are range-checked once, when a ``Word`` or ``Polynomial`` is built.
+``compile_rules`` still checks, once per public call, that a relation set
+is monic and over the caller's alphabet, and splits each relation into raw
+(lead, tail) letter tuples.  Derived values take the trusted path: normal
+forms are wrapped by ``Polynomial._of`` and output words are made by
+``_trusted_word``, with no re-check.  The randomized cross-check
+(``normal_form_random``) scans every rule by brute force and the dimension
+oracle (``quotient_dims``) uses no index, so both stay independent of it.
 """
 
 from __future__ import annotations
@@ -343,14 +344,14 @@ def normal_form(p: Polynomial, relations, spec) -> Polynomial:
     """Reduce ``p`` modulo monic relations; the result avoids every leading word."""
     index = _RuleIndex.of(compile_rules(relations, spec, p.alphabet))
     nf = _reduce(p.raw_terms(), index, spec.letter_key(p.alphabet))
-    return Polynomial(p.alphabet, nf)
+    return Polynomial._of(p.alphabet, nf)
 
 
 def normal_form_with_trace(p: Polynomial, relations, spec) -> tuple[Polynomial, ReductionTrace]:
     index = _RuleIndex.of(compile_rules(relations, spec, p.alphabet))
     raw_steps = []
     A = p.alphabet
-    nf = Polynomial(A, _reduce(p.raw_terms(), index, spec.letter_key(A), steps=raw_steps))
+    nf = Polynomial._of(A, _reduce(p.raw_terms(), index, spec.letter_key(A), steps=raw_steps))
     word = _trusted_word
     steps = tuple(
         ReductionStep(rule.rank, word(A, a), word(A, b), word(A, u), c)
@@ -362,7 +363,7 @@ def normal_form_with_trace(p: Polynomial, relations, spec) -> tuple[Polynomial, 
 def normal_form_random(p: Polynomial, relations, spec, rng: random.Random) -> Polynomial:
     """Randomized-strategy reduction, for confluence cross-checks."""
     rules = compile_rules(relations, spec, p.alphabet)
-    return Polynomial(p.alphabet, _reduce_random(p.raw_terms(), rules, rng))
+    return Polynomial._of(p.alphabet, _reduce_random(p.raw_terms(), rules, rng))
 
 
 class _LeadAutomaton:

@@ -95,13 +95,13 @@ class Alphabet:
         return None
 
     def empty(self) -> Word:
-        return Word(self, ())
+        return _trusted_word(self, ())
 
     def word(self, text: str) -> Word:
         return parse_word(text, self)
 
     def word_from_names(self, names) -> Word:
-        return Word(self, tuple(self.index(n) for n in names))
+        return _trusted_word(self, tuple(self.index(n) for n in names))
 
 
 def pair_formal_inverses(symbols) -> tuple[tuple[str, str], ...]:
@@ -125,11 +125,7 @@ class Word:
     letters: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
-        n = self.alphabet.size
-        for c in self.letters:
-            if not 0 <= c < n:
-                raise AlphabetError(f"letter index {c} out of range")
+        object.__setattr__(self, "letters", _checked_letters(self.letters, self.alphabet.size))
 
     @property
     def degree(self) -> int:
@@ -149,13 +145,22 @@ class Word:
             return NotImplemented
         if self.alphabet != other.alphabet:
             raise AlphabetMismatchError("cannot concatenate words over different alphabets")
-        return Word(self.alphabet, self.letters + other.letters)
+        return _trusted_word(self.alphabet, self.letters + other.letters)
 
     def __str__(self) -> str:
         return print_word(self)
 
     def __repr__(self) -> str:
         return f"Word({print_word(self)})"
+
+
+def _checked_letters(letters, size: int) -> tuple[int, ...]:
+    """``letters`` as a tuple, each checked to lie in 0..size-1."""
+    letters = tuple(letters)
+    for c in letters:
+        if not 0 <= c < size:
+            raise AlphabetError(f"letter index {c} out of range")
+    return letters
 
 
 def _trusted_word(alphabet: Alphabet, letters: tuple[int, ...]) -> Word:
@@ -176,7 +181,7 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
     """Parse ``a*a*b``-style text; the literal ``1`` is the empty word."""
     s = text.strip()
     if s == "1":
-        return Word(alphabet, ())
+        return _trusted_word(alphabet, ())
     letters = []
     i, n = 0, len(s)
     expect_symbol = True
@@ -198,7 +203,7 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
             expect_symbol = True
     if expect_symbol:
         raise WordSyntaxError("dangling '*' or empty word text", n)
-    return Word(alphabet, tuple(letters))
+    return _trusted_word(alphabet, tuple(letters))
 
 
 def print_word(word: Word) -> str:
@@ -216,13 +221,11 @@ def occurrences(pattern: Word, host: Word) -> list[tuple[Word, Word]]:
         raise EmptyPatternError("occurrence search needs a non-empty pattern")
     if pattern.alphabet != host.alphabet:
         raise AlphabetMismatchError("pattern and host live over different alphabets")
-    p, h = pattern.letters, host.letters
+    A, p, h = host.alphabet, pattern.letters, host.letters
     out = []
     for i in range(len(h) - len(p) + 1):
         if h[i : i + len(p)] == p:
-            out.append(
-                (Word(host.alphabet, h[:i]), Word(host.alphabet, h[i + len(p) :]))
-            )
+            out.append((_trusted_word(A, h[:i]), _trusted_word(A, h[i + len(p) :])))
     return out
 
 

@@ -269,6 +269,7 @@ def test_selftest_exit_codes(monkeypatch, capsys):
         (["construct", "simple", "--table", "T", "--pairs", "J"], {}),
         (["construct", "simple", "--table", "P"], {}),
         (["check", "U"], {}),
+        (["check", "W"], {}),
     ],
 )
 def test_limit_errors_exit_1_without_traceback(aab_file, tmp_path, argv, env):
@@ -280,6 +281,7 @@ def test_limit_errors_exit_1_without_traceback(aab_file, tmp_path, argv, env):
         ("J", "not json"),
         ("T", json.dumps({"basis": ["x1"], "product": {"1 1": "x1"}})),
         ("P", json.dumps({"basis": ["x1"], "product": {"1 1": 5}})),
+        ("W", "alphabet: a > b\nordering: module-top(tower(t, t^-1))\nbasis: y1\nrelations:\n"),
     ):
         files[name] = str(tmp_path / f"{name}.pres")
         Path(files[name]).write_text(text)

@@ -443,6 +443,8 @@ def test_completion_and_check_reject_mixed_alphabets():
         shirshov_complete([p("a*a - b"), p("a*b - a", ABC)], SPEC)
     with pytest.raises(AlphabetMismatchError):
         check_gsb([p("a*a - b"), p("a*b - a", ABC)], SPEC)
+    with pytest.raises(AlphabetMismatchError):
+        find_ambiguities([p("a*a - b"), p("a*b - c", ABC)], SPEC)
 
 
 def test_duplicate_leads_removal_log():

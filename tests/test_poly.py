@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gsb.errors import (
+    AlphabetError,
     AlphabetMismatchError,
     UnknownSymbolError,
     WordSyntaxError,
@@ -219,3 +220,30 @@ def test_module_element_leading_and_parse_errors():
         m("a + y1")  # first term has no generator
     with pytest.raises(WordSyntaxError):
         m("2")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Polynomial(AB, {(5,): 1}),
+        lambda: Polynomial(AB, {(-1,): 1}),
+        lambda: Polynomial(AB, [((0, 2), 1), ((1,), 1)]),
+        lambda: ModuleElement(AB, BASIS, {((2,), 0): 1}),
+        lambda: ModuleElement(AB, BASIS, {((-1,), 0): 1}),
+        lambda: ModuleElement(AB, BASIS, {((0,), -1): 1}),
+        lambda: ModuleElement(AB, BASIS, {((0,), 3): 1}),
+    ],
+    ids=[
+        "letter-5",
+        "letter-minus-1",
+        "letter-2-inside-a-word",
+        "prefix-letter-2",
+        "prefix-letter-minus-1",
+        "generator-minus-1",
+        "generator-3",
+    ],
+)
+def test_constructors_range_check_raw_letters(make):
+    # (-1,) would otherwise print as b without being equal to b
+    with pytest.raises(AlphabetError):
+        make()

@@ -1,14 +1,25 @@
 import pytest
 
-from gsb.errors import PresentationFormatError, UnknownSymbolError, WordSyntaxError
+from gsb.constructions import GroupTable, build_hnn, build_module_cyclic
+from gsb.errors import (
+    AlphabetMismatchError,
+    BasisMismatchError,
+    PresentationFormatError,
+    TowerSymbolMissingError,
+    UnknownSymbolError,
+    WordSyntaxError,
+)
 from gsb.orderings import DegLex, ModuleTop, Tower
-from gsb.poly import parse_polynomial
+from gsb.poly import parse_module_element, parse_polynomial
 from gsb.presentation import (
     ModulePresentation,
     Presentation,
     format_presentation,
     load_presentation,
+    load_presentation_file,
+    save_presentation_file,
 )
+from gsb.words import Alphabet, ModuleBasis
 
 ALGEBRA_FILE = """\
 # worked example
@@ -160,3 +171,54 @@ def test_module_tower_ordering_round_trip():
     for bad in ("module-top(deglex)", "module-top()", "module-top(tower(t, t^-1)"):
         with pytest.raises(PresentationFormatError):
             load_presentation(text.replace("module-top(tower(t, t^-1))", bad))
+
+
+AB = Alphabet(("a", "b"))
+XYZ = Alphabet(("x", "y", "z"))
+Y12 = ModuleBasis(("y1", "y2"))
+
+
+def test_presentations_reject_relations_over_another_alphabet_or_basis():
+    with pytest.raises(AlphabetMismatchError):
+        Presentation(AB, DegLex(), (parse_polynomial("x*y - z", XYZ),))
+    with pytest.raises(AlphabetMismatchError):
+        ModulePresentation(AB, Y12, ModuleTop(), (parse_module_element("x*y1", XYZ, Y12),))
+    other_basis = ModuleBasis(("y1", "y3"))
+    with pytest.raises(BasisMismatchError):
+        ModulePresentation(
+            AB, Y12, ModuleTop(), (parse_module_element("a*y1 - y3", AB, other_basis),)
+        )
+
+
+def test_module_tower_ordering_needs_its_letters_even_without_relations():
+    with pytest.raises(TowerSymbolMissingError):
+        ModulePresentation(AB, Y12, ModuleTop(Tower("t", "t^-1")), ())
+    text = "alphabet: a > b\nordering: module-top(tower(t, t^-1))\nbasis: y1\nrelations:\n"
+    with pytest.raises(TowerSymbolMissingError):
+        load_presentation(text)
+
+
+def test_accepted_presentations_survive_a_file_round_trip(tmp_path):
+    module_tower = (
+        "alphabet: t > t^-1 > a\n"
+        "ordering: module-top(tower(t, t^-1))\n"
+        "basis: y1 > y2\n"
+        "relations:\n"
+        "t*y1 - a*a*y2\n"
+    )
+    presentations = [
+        load_presentation(text) for text in (ALGEBRA_FILE, MODULE_FILE, TOWER_FILE, module_tower)
+    ]
+    presentations += [
+        Presentation(XYZ, DegLex(), (parse_polynomial("x*y - z", XYZ),)),
+        Presentation(AB, DegLex(), ()),
+        ModulePresentation(AB, Y12, ModuleTop(Tower("a", "b")), ()),
+        build_hnn(GroupTable.cyclic(3), 2).presentation,
+        build_module_cyclic(ModulePresentation(AB, Y12, ModuleTop(), ()), 2).presentation,
+    ]
+    for n, p in enumerate(presentations):
+        path = tmp_path / f"p{n}.pres"
+        save_presentation_file(p, path)
+        loaded = load_presentation_file(path)
+        assert loaded == p
+        assert format_presentation(loaded) == path.read_text()
