@@ -365,7 +365,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("dim", help="exact quotient dimension oracle")
     p.add_argument("file")
     p.add_argument("--max-deg", type=int, required=True)
-    p.add_argument("--module", action="store_true", help="require a module presentation")
     p.set_defaults(func=_cmd_dim)
 
     p = sub.add_parser("lyndon", help="Lyndon-Shirshov word tooling")

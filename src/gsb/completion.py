@@ -1,11 +1,10 @@
 """Ambiguity detection, compositions, triviality, and Shirshov completion.
 
 Completion keeps a working set of monic relations.  Each relation that
-enters it is interned: equal polynomials share one record with a stable id,
-and its (leading word, tail) rule, sort key and set of factors (every
-subword of every support word) are computed once.  The engine keeps hash
-maps over the working set and updates them as relations enter and leave,
-so no step scans every relation:
+enters it gets a record of its own, whose (leading word, tail) rule, sort
+key and set of factors (every subword of every support word) are computed
+once.  The engine keeps hash maps over the working set and updates them as
+relations enter and leave, so no step scans every relation:
 
 - the rule index (``rewrite._RuleIndex``) maps each lead to its
   lowest-ranked holder, ranked by place in the set, and each proper prefix
@@ -21,13 +20,23 @@ The overlaps of a relation are enumerated once, against the relations
 paired when it enters, and pushed on a heap ordered by (w, lead f, lead g,
 kind, len(a)); since the leading words of the working set are distinct and
 kept sorted, this is the smallest-first order by word and relation indices.
-Pairs whose relation has left the set are dropped when popped, and pairs
-that reduced to zero are cached by (kind, f id, g id, w, a, b).  The monic
+Pairs whose relation has left the set are dropped when popped.  The monic
 normal form of each nontrivial composition is added and the set is
 inter-reduced, always rewriting the lowest-ranked relation whose support
 contains another relation's leading word.  Every accepted addition and
 every removal carries an exact replayable decomposition, so ideal
 preservation is certified, not assumed.
+
+No pair is routed twice, so nothing about a pair is kept once it has been
+evaluated.  Pairing begins in ``seed``, after the first interreduction,
+and from then on the leads are distinct.  A relation leaves only when one
+of its words contains the lead of a relation that stays; that word stays
+reducible for the rest of the run, because a lead is only ever replaced by
+a lead it contains, or kept.  Every relation that enters is irreducible
+modulo the rest of the set, so a relation that has been paired never
+comes back.  (Before ``seed`` one can: in {a*a - c, a*a - b}, a*a - c
+leaves as b - c and a*a - b is then rewritten to a*a - c; but no pair has
+been routed yet.)
 """
 
 from __future__ import annotations
@@ -227,7 +236,6 @@ class RemovedRelation:
 class CompletionReport:
     status: CompletionStatus
     degree_bound: int | None
-    input_size: int
     relations: tuple[Polynomial, ...]
     added: tuple[AddedRelation, ...]
     removed: tuple[RemovedRelation, ...]
@@ -284,7 +292,6 @@ class CompletionReport:
 
 STAT_KEYS = (
     "pairs_enumerated",
-    "pairs_cached_trivial",
     "compositions_evaluated",
     "reduction_steps",
     "rules_compiled",
@@ -310,19 +317,17 @@ def _compose(kind, f_terms, g_terms, a, b) -> dict:
 
 
 class _Relation:
-    """A relation of the working set, compiled once.
+    """A relation of the working set, compiled once when it enters.
 
-    Equal polynomials share one record, so ``id`` can key the trivial-pair
-    cache.  ``stamp`` is set while the relation is paired and is fresh each
-    time it re-enters, so queued pairs of a departed relation are dropped.
+    ``paired`` is set once its pairs are routed and cleared when it leaves,
+    which is for good, so queued pairs of a departed relation are dropped.
     ``rank`` is its place in the working set while it is there.
     ``subwords`` holds every factor of every support word.
     """
 
-    __slots__ = ("id", "poly", "lead", "tail", "key", "subwords", "stamp", "rank")
+    __slots__ = ("poly", "lead", "tail", "key", "subwords", "paired", "rank")
 
-    def __init__(self, id_, poly, lead, tail, key):
-        self.id = id_
+    def __init__(self, poly, lead, tail, key):
         self.poly = poly
         self.lead = lead
         self.tail = tail
@@ -333,7 +338,7 @@ class _Relation:
             for i in range(len(u) + 1)
             for j in range(i, len(u) + 1)
         )
-        self.stamp = None
+        self.paired = False
         self.rank = None
 
 
@@ -342,7 +347,7 @@ def _lead_key(rel: _Relation):
 
 
 class _Engine:
-    """The working set and its maps, the pair queue and the trivial-pair cache.
+    """The working set, its maps and the pair queue.
 
     ``rels`` is the working set in rank order.  ``index`` is its rule index,
     whose ``prefixed`` map takes each proper prefix of a lead to the
@@ -360,38 +365,25 @@ class _Engine:
         self.keyf = spec.letter_key(alphabet)
         self.max_deg = max_deg
         self.stats = dict.fromkeys(STAT_KEYS, 0)
-        self.trivial = set()
         self.rels = []
         self.index = _RuleIndex()
         self._containing = {}
         self._suffixes = {}
         self._hits = {}
         self._dirty = set()
-        self._interned = {}
-        self._paired = []
         self._queue = []
         self._beyond = []
-        self._stamps = itertools.count()
         self._seq = itertools.count()
 
-    def intern(self, poly: Polynomial) -> _Relation:
-        rel = self._interned.get(poly)
-        if rel is None:
-            lead, tail = _lead_and_tail(poly.raw_terms(), self.keyf)
-            rel = _Relation(len(self._interned), poly, lead, tail, self.keyf(lead))
-            self._interned[poly] = rel
-            self.stats["rules_compiled"] += 1
-        return rel
+    def compile(self, poly: Polynomial) -> _Relation:
+        """A new record for ``poly``, counted in ``rules_compiled``."""
+        lead, tail = _lead_and_tail(poly.raw_terms(), self.keyf)
+        self.stats["rules_compiled"] += 1
+        return _Relation(poly, lead, tail, self.keyf(lead))
 
     def start(self, polys) -> None:
-        """Enter the interned inputs, sorted by lead, as the working set."""
-        rels = sorted((self.intern(s) for s in polys), key=_lead_key)
-        seen = set()
-        for rel in rels:
-            if rel in seen:
-                # a repeated input takes a slot of its own until interreduction
-                rel = _Relation(rel.id, rel.poly, rel.lead, rel.tail, rel.key)
-            seen.add(rel)
+        """Enter the inputs, sorted by lead, as the working set."""
+        for rel in sorted(map(self.compile, polys), key=_lead_key):
             self.append(rel)
 
     def append(self, rel: _Relation) -> None:
@@ -423,6 +415,7 @@ class _Engine:
             _add_to(self._suffixes, lead[o:], rel)
 
     def _leave(self, rel) -> None:
+        rel.paired = False
         lead = rel.lead
         self.index.discard(rel)
         for f in rel.subwords:
@@ -474,7 +467,7 @@ class _Engine:
             else:
                 monic = nf.make_monic(self.spec)
                 removed_log.append(RemovedRelation(r.poly, nf, monic, decomposition))
-                rels[i] = self.intern(monic)
+                rels[i] = self.compile(monic)
                 self._enter(rels[i], r.rank)
 
     def seed(self) -> None:
@@ -482,8 +475,9 @@ class _Engine:
         reports for it; later entrants are paired by ``update``."""
         rels = self.rels
         for rel in rels:
-            rel.stamp = next(self._stamps)
-        self._paired = list(rels)
+            rel.paired = True
+        # find_ambiguities rather than _pair: the traced benchmark counts the
+        # ambiguities a completion enumerates through this call
         for amb in find_ambiguities([r.poly for r in rels], self.spec):
             self._route(
                 rels[amb.f_index],
@@ -495,35 +489,26 @@ class _Engine:
             )
 
     def update(self) -> None:
-        """Pair every relation that entered the working set; retire those that left."""
-        live = set(self.rels)
-        for rel in self._paired:
-            if rel not in live:
-                rel.stamp = None
-        self._paired = [rel for rel in self._paired if rel.stamp is not None]
+        """Pair every relation that entered the working set."""
         for rel in self.rels:
-            if rel.stamp is None:
-                rel.stamp = next(self._stamps)
+            if not rel.paired:
+                rel.paired = True
                 self._pair(rel)
-                self._paired.append(rel)
 
     def _pair(self, rel) -> None:
-        """Route the overlaps of ``rel`` with itself and every paired relation.
-
-        A paired relation is one of the working set with a stamp; ``rel``
-        pairs with each of them in both orders.
-        """
+        """Route the overlaps of ``rel`` with itself, and in both orders with
+        every paired relation."""
         f = rel.lead
         n = len(f)
         route = self._route
         for o in range(1, n):
             # a proper suffix of f is a proper prefix of g, and the reverse
             for other in self.index.prefixed.get(f[n - o :], ()):
-                if other.stamp is not None and other is not rel:
+                if other.paired and other is not rel:
                     g = other.lead
                     route(rel, other, INTERSECTION, f + g[o:], f[: n - o], g[o:])
             for other in self._suffixes.get(f[:o], ()):
-                if other.stamp is not None and other is not rel:
+                if other.paired and other is not rel:
                     g = other.lead
                     route(other, rel, INTERSECTION, g + f[o:], g[: len(g) - o], f[o:])
         # a shorter lead inside f
@@ -534,12 +519,12 @@ class _Engine:
             for start in range(n - m + 1):
                 if f[start : start + m] in leads:
                     for other in self.index.holders(f[start : start + m]):
-                        if other.stamp is not None:
+                        if other.paired:
                             route(rel, other, INCLUSION, f, f[:start], f[start + m :])
         # f inside a longer lead: only relations whose support contains f
         for other in self._containing.get(f, ()):
             g = other.lead
-            if other.stamp is not None and len(g) > n:
+            if other.paired and len(g) > n:
                 for start in range(len(g) - n + 1):
                     if g[start : start + n] == f:
                         route(other, rel, INCLUSION, g, g[:start], g[start + n :])
@@ -550,11 +535,9 @@ class _Engine:
         self.stats["pairs_enumerated"] += 1
         if len(w) > self.max_deg:
             # only the liveness of a pair beyond the bound is ever read
-            self._beyond.append((f, f.stamp, g, g.stamp))
-        elif (kind, f.id, g.id, w, a, b) in self.trivial:
-            self.stats["pairs_cached_trivial"] += 1
+            self._beyond.append((f, g))
         else:
-            self.queue((f, f.stamp, g, g.stamp, kind, w, a, b))
+            self.queue((f, g, kind, w, a, b))
 
     def queue(self, entry) -> None:
         """Queue a pair if both relations are still paired.
@@ -562,8 +545,8 @@ class _Engine:
         With distinct leads sorted ascending, (w, lead f, lead g) orders
         pairs exactly as (w, f_index, g_index) does.
         """
-        f, fs, g, gs, kind, w, a, b = entry
-        if f.stamp == fs and g.stamp == gs:
+        f, g, kind, w, a, b = entry
+        if f.paired and g.paired:
             heapq.heappush(
                 self._queue,
                 (self.keyf(w), f.key, g.key, kind, len(a), next(self._seq), entry),
@@ -573,16 +556,13 @@ class _Engine:
         """The smallest queued pair whose relations are both still paired."""
         while self._queue:
             entry = heapq.heappop(self._queue)[-1]
-            f, fs, g, gs = entry[:4]
-            if f.stamp == fs and g.stamp == gs:
+            if entry[0].paired and entry[1].paired:
                 return entry
         return None
 
     def pending_beyond(self) -> bool:
         """Whether a live pair lies on a word above the degree bound."""
-        return any(
-            f.stamp == fs and g.stamp == gs for f, fs, g, gs in self._beyond
-        )
+        return any(f.paired and g.paired for f, g in self._beyond)
 
 
 def shirshov_complete(
@@ -630,12 +610,11 @@ def shirshov_complete(
                 status = CompletionStatus.BUDGET_EXHAUSTED
                 break
             processed += 1
-            f, _, g, _, kind, w, a, b = entry
+            f, g, kind, w, a, b = entry
             h = _compose(kind, f.poly.raw_terms(), g.poly.raw_terms(), a, b)
             steps = []
             nf_terms = engine.reduce(h, steps)
             if not nf_terms:
-                engine.trivial.add((kind, f.id, g.id, w, a, b))
                 continue
             nf = Polynomial._of(A, nf_terms)
             # after sorting, a paired relation's rank is its index
@@ -644,7 +623,7 @@ def shirshov_complete(
             added.append(
                 AddedRelation(monic, nf, amb, f.poly, g.poly, engine.decomposition(steps))
             )
-            engine.append(engine.intern(monic))
+            engine.append(engine.compile(monic))
             engine.interreduce(removed)
             engine.sort()
             engine.update()
@@ -654,7 +633,6 @@ def shirshov_complete(
     return CompletionReport(
         status=status,
         degree_bound=max_deg if status is CompletionStatus.COMPLETE_UP_TO_DEGREE else None,
-        input_size=len(relations),
         relations=tuple(r.poly for r in rels),
         added=tuple(added),
         removed=tuple(removed),

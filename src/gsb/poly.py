@@ -22,7 +22,6 @@ import re
 from fractions import Fraction
 
 from .errors import (
-    AlphabetError,
     AlphabetMismatchError,
     BasisMismatchError,
     UnknownSymbolError,
@@ -31,7 +30,7 @@ from .errors import (
 )
 from .orderings import DegLex, ModuleTop
 from .words import Alphabet, ModuleBasis, ModuleWord, Word, module_code
-from .words import _checked_letters, _trusted_word
+from .words import _checked_index, _checked_letters, _trusted_word
 
 _COEFF_RE = re.compile(r"\d+(?:/\d+)?")
 
@@ -246,8 +245,7 @@ class ModuleElement(_FormalSum):
             else:
                 u, g = mw
                 u = _checked_letters(u, alphabet.size)
-                if not 0 <= g < basis.size:
-                    raise AlphabetError(f"generator index {g} out of range")
+                _checked_index(g, basis.size, "generator")
             pairs.append((encode(u, g), c))
         self.alphabet = alphabet
         self.basis = basis

@@ -8,9 +8,9 @@ File layout (UTF-8, ``#`` starts a comment):
     relations:
     a*a - b
 
-Relations are normalized monic on load (scaling does not change the ideal)
-and presentations keep their relations sorted by leading word, so the
-loader and writer are mutually inverse.
+Presentations make their relations monic (scaling does not change the
+ideal) and keep them sorted by leading word, so the loader and writer are
+mutually inverse.
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ class Presentation:
                 raise AlphabetMismatchError(f"relation #{idx} lives over a different alphabet")
             if r.is_zero():
                 raise ZeroPolynomialError(f"relation #{idx} is zero")
-        ordered = sorted(self.relations, key=lambda p: max(map(keyf, p.raw_terms())))
+        monic = [r.make_monic(self.ordering) for r in self.relations]
+        ordered = sorted(monic, key=lambda p: max(map(keyf, p.raw_terms())))
         object.__setattr__(self, "relations", tuple(ordered))
 
 
@@ -79,7 +80,8 @@ class ModulePresentation:
                 raise BasisMismatchError(f"relation #{idx} lives over a different basis")
             if r.is_zero():
                 raise ZeroPolynomialError(f"relation #{idx} is zero")
-        ordered = sorted(self.relations, key=lambda m: max(map(keyf, m.code.raw_terms())))
+        monic = [r.make_monic(self.ordering) for r in self.relations]
+        ordered = sorted(monic, key=lambda m: max(map(keyf, m.code.raw_terms())))
         object.__setattr__(self, "relations", tuple(ordered))
 
 
@@ -147,13 +149,10 @@ def load_presentation(text: str):
             raise PresentationFormatError("a basis section needs the module-top ordering")
         basis = ModuleBasis(_parse_symbol_chain(sections["basis"], "basis"))
         rels = _parse_relations(
-            relation_lines,
-            lambda line: parse_module_element(line, alphabet, basis).make_monic(ordering),
+            relation_lines, lambda line: parse_module_element(line, alphabet, basis)
         )
         return ModulePresentation(alphabet, basis, ordering, rels)
-    rels = _parse_relations(
-        relation_lines, lambda line: parse_polynomial(line, alphabet).make_monic(ordering)
-    )
+    rels = _parse_relations(relation_lines, lambda line: parse_polynomial(line, alphabet))
     return Presentation(alphabet, ordering, rels)
 
 

@@ -154,12 +154,17 @@ class Word:
         return f"Word({print_word(self)})"
 
 
+def _checked_index(i, size: int, what: str) -> None:
+    """Check that ``i`` is an ``int`` (not a ``bool``) in 0..size-1."""
+    if type(i) is not int or not 0 <= i < size:
+        raise AlphabetError(f"{what} index {i!r} is not an int in 0..{size - 1}")
+
+
 def _checked_letters(letters, size: int) -> tuple[int, ...]:
-    """``letters`` as a tuple, each checked to lie in 0..size-1."""
+    """``letters`` as a tuple, each checked to be an index in 0..size-1."""
     letters = tuple(letters)
     for c in letters:
-        if not 0 <= c < size:
-            raise AlphabetError(f"letter index {c} out of range")
+        _checked_index(c, size, "letter")
     return letters
 
 
@@ -262,8 +267,7 @@ class ModuleWord:
     generator: int
 
     def __post_init__(self):
-        if not 0 <= self.generator < self.basis.size:
-            raise AlphabetError(f"generator index {self.generator} out of range")
+        _checked_index(self.generator, self.basis.size, "generator")
 
     @property
     def degree(self) -> int:

@@ -210,6 +210,11 @@ def test_dim_rejects_module_presentations(tmp_path, capsys):
     assert run(["dim", str(mod), "--max-deg", "2"]) == 1
 
 
+def test_dim_does_not_take_module_flag(aab_file, capsys):
+    assert run(["dim", aab_file, "--max-deg", "2", "--module"]) == 1
+    assert "unrecognized arguments: --module" in capsys.readouterr().err
+
+
 def test_module_flag_asserts_module_input(aab_file, tmp_path, capsys):
     assert run(["check", aab_file, "--module"]) == 1
     assert "module" in capsys.readouterr().err

@@ -588,10 +588,10 @@ def _completion_family(name):
 
 
 COMPLETION_DIGESTS = {
-    "braid": "73b2baee816236551c501e5be05709046eb95c81e87cc757d23fe2a76f063d2e",
-    "criterion_1": "ae6f453f246f8362f2ca5fcafe9dd2d807567c7b7494f1bba1f0bcea5b87e53f",
-    "hnn_tower": "1973f96ca284c3e8f8e434a7dd9fc030be29025b72581f1dfd29501aeec48f7f",
-    "binomial": "b7fdf728e31ed54a53596cbbc4f8f3005358a2cd792a54d0263a08155cb1ecdc",
+    "braid": "791091c1961d5ba4d15047c375b392545d0cfcd4eda269323469278840fc0932",
+    "criterion_1": "e5522855e858faa406a11462fa48c74d4e4f8afe8992e2dafdbe3a9eeacb759e",
+    "hnn_tower": "637df25adb7016b43eac9a287b620d55e6dbf79cd0fe773e0762d412c3d686e6",
+    "binomial": "aecc78042be9951cb0d1f313ad374ceb15bb9fc35c168e8f6b28349d06957350",
 }
 
 
@@ -672,7 +672,6 @@ def test_braid_degree_10_counters_pinned():
     report = shirshov_complete([p(t, ABC) for t in BRAID], SPEC, max_deg=10)
     assert report.stats == {
         "pairs_enumerated": 1480,
-        "pairs_cached_trivial": 0,
         "compositions_evaluated": 169,
         "reduction_steps": 623,
         "rules_compiled": 47,
@@ -802,3 +801,97 @@ def test_engine_interreduction_equals_restarting_scan():
         assert ([str(r.poly) for r in engine.rels], log) == _interreduce_by_scan(polys)
         rewritten += len(log)
     assert rewritten > 200
+
+
+# -- no relation comes back once pairing has begun ---------------------------
+
+
+def _record_reentries(monkeypatch):
+    """Wrap ``_Engine`` so each engine logs relations that enter again after
+    leaving, as ``(after_seed, polynomial)``; a relation is matched by its
+    polynomial, so a fresh record of a departed relation counts."""
+    log = {}
+    enter, leave, seed = _Engine._enter, _Engine._leave, _Engine.seed
+
+    def state(engine):
+        return log.setdefault(engine, {"seeded": False, "left": set(), "back": [], "leaves": 0})
+
+    def _enter(self, rel, rank):
+        s = state(self)
+        if rel.poly in s["left"]:
+            s["back"].append((s["seeded"], rel.poly))
+        enter(self, rel, rank)
+
+    def _leave(self, rel):
+        s = state(self)
+        s["left"].add(rel.poly)
+        if s["seeded"]:
+            s["leaves"] += 1
+        leave(self, rel)
+
+    def _seed(self):
+        state(self)["seeded"] = True
+        seed(self)
+
+    monkeypatch.setattr(_Engine, "_enter", _enter)
+    monkeypatch.setattr(_Engine, "_leave", _leave)
+    monkeypatch.setattr(_Engine, "seed", _seed)
+    return log
+
+
+def test_relation_comes_back_only_before_seed(monkeypatch):
+    log = _record_reentries(monkeypatch)
+    shirshov_complete([p("a*a - c", ABC), p("a*a - b", ABC)], SPEC)
+    (s,) = log.values()
+    # a*a - c leaves as b - c, and a*a - b is then rewritten to a*a - c
+    assert s["back"] == [(False, p("a*a - c", ABC))]
+
+
+def _module_sets(seed, count):
+    from gsb.orderings import ModuleTop, Tower
+    from gsb.poly import ModuleElement
+    from gsb.words import ModuleBasis
+
+    rng = random.Random(seed)
+    tower = Alphabet(("t", "t^-1", "a", "b"), (("t", "t^-1"),))
+    setups = [
+        (AB, ModuleBasis(("y",)), ModuleTop()),
+        (tower, ModuleBasis(("y1", "y2")), ModuleTop(Tower("t", "t^-1"))),
+    ]
+    for k in range(count):
+        A, B, spec = setups[k % 2]
+        rels = []
+        while not rels:
+            for _ in range(rng.randint(1, 4)):
+                terms = [
+                    (
+                        (
+                            tuple(rng.randrange(A.size) for _ in range(rng.randint(0, 3))),
+                            rng.randrange(B.size),
+                        ),
+                        rng.choice((1, -1, 2, Fraction(1, 2))),
+                    )
+                    for _ in range(rng.randint(1, 4))
+                ]
+                elt = ModuleElement(A, B, terms)
+                if not elt.is_zero():
+                    rels.append(elt)
+        if rng.random() < 0.3:
+            rels.append(rng.choice(rels))
+        yield rels, spec
+
+
+def test_no_relation_reenters_after_seed(monkeypatch):
+    from gsb.modules import module_complete
+
+    log = _record_reentries(monkeypatch)
+    for family in sorted(COMPLETION_DIGESTS):
+        _completion_family(family)
+    for rels, spec in _module_sets(74, 120):
+        module_complete(rels, spec, max_deg=3)
+    assert len(log) == 76 + 120
+    assert all(s["seeded"] for s in log.values())
+    assert [back for s in log.values() for seeded, back in s["back"] if seeded] == []
+    # relations do leave after seed, and some come back before it
+    assert sum(s["leaves"] for s in log.values()) > 40
+    assert any(s["back"] for s in log.values())

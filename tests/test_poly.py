@@ -232,6 +232,11 @@ def test_module_element_leading_and_parse_errors():
         lambda: ModuleElement(AB, BASIS, {((-1,), 0): 1}),
         lambda: ModuleElement(AB, BASIS, {((0,), -1): 1}),
         lambda: ModuleElement(AB, BASIS, {((0,), 3): 1}),
+        lambda: Polynomial(AB, {(1.0,): 1}),
+        lambda: Polynomial(AB, {(True,): 1}),
+        lambda: ModuleElement(AB, BASIS, {((0.0,), 0): 1}),
+        lambda: ModuleElement(AB, BASIS, {((0,), 1.0): 1}),
+        lambda: ModuleElement(AB, BASIS, {((0,), False): 1}),
     ],
     ids=[
         "letter-5",
@@ -241,6 +246,11 @@ def test_module_element_leading_and_parse_errors():
         "prefix-letter-minus-1",
         "generator-minus-1",
         "generator-3",
+        "letter-float",
+        "letter-bool",
+        "prefix-letter-float",
+        "generator-float",
+        "generator-bool",
     ],
 )
 def test_constructors_range_check_raw_letters(make):

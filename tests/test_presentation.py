@@ -212,6 +212,9 @@ def test_accepted_presentations_survive_a_file_round_trip(tmp_path):
     presentations += [
         Presentation(XYZ, DegLex(), (parse_polynomial("x*y - z", XYZ),)),
         Presentation(AB, DegLex(), ()),
+        # not monic as given
+        Presentation(AB, DegLex(), (parse_polynomial("2*a - b", AB),)),
+        ModulePresentation(AB, Y12, ModuleTop(), (parse_module_element("-3*a*y1 + y2", AB, Y12),)),
         ModulePresentation(AB, Y12, ModuleTop(Tower("a", "b")), ()),
         build_hnn(GroupTable.cyclic(3), 2).presentation,
         build_module_cyclic(ModulePresentation(AB, Y12, ModuleTop(), ()), 2).presentation,

@@ -11,6 +11,8 @@ from gsb.errors import (
 )
 from gsb.words import (
     Alphabet,
+    ModuleBasis,
+    ModuleWord,
     Word,
     concat,
     occurrences,
@@ -138,3 +140,19 @@ def test_occurrences_against_position_scan():
         assert [len(left) for left, _ in got] == expected
         for left, right in got:
             assert left * pattern * right == host
+
+
+@pytest.mark.parametrize(
+    "letters",
+    [(2,), (-1,), (0, 5), (1.0,), (True,), ("a",)],
+    ids=["2", "minus-1", "5-inside", "float", "bool", "str"],
+)
+def test_word_checks_its_letters(letters):
+    with pytest.raises(AlphabetError):
+        Word(AB, letters)
+
+
+@pytest.mark.parametrize("generator", [2, -1, 1.0, True], ids=["2", "minus-1", "float", "bool"])
+def test_module_word_checks_its_generator(generator):
+    with pytest.raises(AlphabetError):
+        ModuleWord(Word(AB, (0,)), ModuleBasis(("y1", "y2")), generator)
