@@ -1,10 +1,16 @@
 """Ambiguity detection, compositions, triviality, and Shirshov completion.
 
 Completion keeps a working set of monic relations.  Each relation that
-enters it gets a record of its own, whose (leading word, tail) rule, sort
-key and set of factors (every subword of every support word) are computed
-once.  The engine keeps hash maps over the working set and updates them as
-relations enter and leave, so no step scans every relation:
+enters it gets a record of its own, whose rule, sort key and set of
+factors (every subword of every support word) are computed once.  The
+rule is the relation's primitive integer row ``p*lead + tail``, as in
+``rewrite``: a composition is built from the two rows scaled to
+lcm(p_f, p_g), where the leads cancel exactly, and reduced on integers.
+Coefficients become ``Fraction`` only where a polynomial leaves the
+engine: residuals, decomposition coefficients, and the monic form of each
+relation that enters.  The engine keeps hash maps over the working set
+and updates them as relations enter and leave, so no step scans every
+relation:
 
 - the rule index (``rewrite._RuleIndex``) maps each lead to its
   lowest-ranked holder, ranked by place in the set, and each proper prefix
@@ -45,6 +51,8 @@ import enum
 import heapq
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import lcm
 
 from .errors import (
     LeadingNotBelowError,
@@ -57,7 +65,8 @@ from .poly import Polynomial, format_element
 from .rewrite import (
     GsbCertificate,
     _add_to,
-    _lead_and_tail,
+    _integer_row,
+    _integer_rules,
     _rank,
     _reduce,
     _remove_from,
@@ -298,43 +307,53 @@ STAT_KEYS = (
 )
 
 
-def _compose(kind, f_terms, g_terms, a, b) -> dict:
-    """Raw terms of f*b - a*g (intersection) or f - a*g*b (inclusion)."""
+def _compose(kind, f, g, a, b) -> tuple[dict, int]:
+    """Integer terms and scale of f*b - a*g (intersection) or f - a*g*b
+    (inclusion), for rules with integer rows ``p*lead + tail``.
+
+    The two leads cancel exactly, so only the tails are multiplied, each
+    scaled to lcm(p_f, p_g), which is the scale of the result.
+    """
+    scale = lcm(f.p, g.p)
+    mf, mg = scale // f.p, scale // g.p
     if kind == INTERSECTION:
-        h = {u + b: c for u, c in f_terms.items()}
+        h = {u + b: mf * c for u, c in f.tail}
         right = ()
     else:
-        h = dict(f_terms)
+        h = {u: mf * c for u, c in f.tail}
         right = b
-    for u, c in g_terms.items():
+    for u, c in g.tail:
         w = a + u + right
-        v = h.get(w, 0) - c
+        v = h.get(w, 0) - mg * c
         if v:
             h[w] = v
         else:
             h.pop(w, None)
-    return h
+    return h, scale
 
 
 class _Relation:
     """A relation of the working set, compiled once when it enters.
 
+    Its rule is the integer row ``p*lead + tail`` of the monic ``poly``,
+    with ``p`` the lcm of the denominators, as a public ``_Rule`` has it.
     ``paired`` is set once its pairs are routed and cleared when it leaves,
     which is for good, so queued pairs of a departed relation are dropped.
     ``rank`` is its place in the working set while it is there.
     ``subwords`` holds every factor of every support word.
     """
 
-    __slots__ = ("poly", "lead", "tail", "key", "subwords", "paired", "rank")
+    __slots__ = ("poly", "lead", "tail", "p", "key", "subwords", "paired", "rank")
 
-    def __init__(self, poly, lead, tail, key):
+    def __init__(self, poly, keyf):
+        terms = poly.raw_terms()
         self.poly = poly
-        self.lead = lead
-        self.tail = tail
-        self.key = key
+        self.lead = lead = max(terms, key=keyf)
+        self.p, self.tail = _integer_row([(w, c) for w, c in terms.items() if w != lead])
+        self.key = keyf(lead)
         self.subwords = frozenset(
             u[i:j]
-            for u in poly.raw_terms()
+            for u in terms
             for i in range(len(u) + 1)
             for j in range(i, len(u) + 1)
         )
@@ -377,9 +396,8 @@ class _Engine:
 
     def compile(self, poly: Polynomial) -> _Relation:
         """A new record for ``poly``, counted in ``rules_compiled``."""
-        lead, tail = _lead_and_tail(poly.raw_terms(), self.keyf)
         self.stats["rules_compiled"] += 1
-        return _Relation(poly, lead, tail, self.keyf(lead))
+        return _Relation(poly, self.keyf)
 
     def start(self, polys) -> None:
         """Enter the inputs, sorted by lead, as the working set."""
@@ -434,16 +452,18 @@ class _Engine:
         for rank, rel in enumerate(self.rels):
             rel.rank = rank
 
-    def reduce(self, terms, steps, skip=None) -> dict:
-        """Normal form of raw terms by the working set, ``skip`` left out."""
-        nf = _reduce(terms, self.index, self.keyf, steps, skip)
+    def reduce(self, terms, scale, steps, skip=None) -> dict:
+        """Normal form of integer terms over ``scale`` by the working set,
+        ``skip`` left out."""
+        nf = _reduce(terms, scale, self.index, self.keyf, steps, skip)
         self.stats["reduction_steps"] += len(steps)
         return nf
 
     def decomposition(self, steps) -> tuple:
         A = self.alphabet
         return tuple(
-            (c, _trusted_word(A, a), rel.poly, _trusted_word(A, b)) for rel, a, b, _u, c in steps
+            (Fraction(c, scale), _trusted_word(A, a), rel.poly, _trusted_word(A, b))
+            for rel, a, b, _u, c, scale in steps
         )
 
     def interreduce(self, removed_log) -> None:
@@ -457,7 +477,9 @@ class _Engine:
         while self._dirty:
             r = min(self._dirty, key=_rank)
             steps = []
-            nf = Polynomial._of(self.alphabet, self.reduce(r.poly.raw_terms(), steps, skip=r))
+            terms = dict(r.tail)
+            terms[r.lead] = r.p
+            nf = Polynomial._of(self.alphabet, self.reduce(terms, r.p, steps, skip=r))
             decomposition = self.decomposition(steps)
             i = rels.index(r)
             self._leave(r)
@@ -611,9 +633,8 @@ def shirshov_complete(
                 break
             processed += 1
             f, g, kind, w, a, b = entry
-            h = _compose(kind, f.poly.raw_terms(), g.poly.raw_terms(), a, b)
             steps = []
-            nf_terms = engine.reduce(h, steps)
+            nf_terms = engine.reduce(*_compose(kind, f, g, a, b), steps)
             if not nf_terms:
                 continue
             nf = Polynomial._of(A, nf_terms)
@@ -692,14 +713,14 @@ def check_gsb(relations, spec, max_deg: int | None = None) -> CheckReport:
     skipped = 0
     if rules:
         keyf = spec.letter_key(A)
-        index = _RuleIndex.of(rules)
+        rows = _integer_rules(rules)
+        index = _RuleIndex(rows)
         for kind, i, j, w, a, b in _all_overlaps(index, keyf):
             if max_deg is not None and len(w) > max_deg:
                 skipped += 1
                 continue
             evaluated += 1
-            h = _compose(kind, rels[i].raw_terms(), rels[j].raw_terms(), a, b)
-            nf = _reduce(h, index, keyf)
+            nf = _reduce(*_compose(kind, rows[i], rows[j], a, b), index, keyf)
             if nf:
                 nontrivial.append((Ambiguity._of(A, kind, i, j, w, a, b), Polynomial._of(A, nf)))
     return CheckReport(

@@ -33,6 +33,11 @@ from .words import Alphabet, ModuleBasis, ModuleWord, Word, module_code
 from .words import _checked_index, _checked_letters, _trusted_word
 
 _COEFF_RE = re.compile(r"\d+(?:/\d+)?")
+# Python refuses int/str conversions of more digits than a settable limit
+# (sys.set_int_max_str_digits), 640 at the lowest, so coefficients are
+# converted at most 640 digits at a time
+_CHUNK_DIGITS = 640
+_CHUNK = 10**_CHUNK_DIGITS
 
 
 def _sum_terms(pairs) -> dict:
@@ -389,10 +394,11 @@ def _parse_term_factors(chunk: str, position: int):
         start += len(piece) + 1
     coeff = Fraction(1)
     if _COEFF_RE.fullmatch(factors[0][0]):
-        try:
-            coeff = Fraction(factors[0][0])
-        except ZeroDivisionError:
-            raise WordSyntaxError("zero denominator", factors[0][1]) from None
+        num, _, den = factors[0][0].partition("/")
+        den = _int_of_digits(den) if den else 1
+        if not den:
+            raise WordSyntaxError("zero denominator", factors[0][1])
+        coeff = Fraction(_int_of_digits(num), den)
         factors = factors[1:]
     elif factors[0][0] == "1" and len(factors) == 1:
         factors = []
@@ -437,14 +443,39 @@ def parse_module_element(text: str, alphabet: Alphabet, basis: ModuleBasis) -> M
     return ModuleElement(alphabet, basis, terms)
 
 
+def _int_of_digits(digits: str) -> int:
+    """The value of a decimal digit string, read in chunks of ``_CHUNK_DIGITS``."""
+    n = 0
+    for i in range(0, len(digits), _CHUNK_DIGITS):
+        piece = digits[i : i + _CHUNK_DIGITS]
+        n = n * 10 ** len(piece) + int(piece)
+    return n
+
+
+def _digits(n: int) -> str:
+    """The decimal digits of an int >= 0, written in chunks of ``_CHUNK_DIGITS``."""
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
+
+
+def _magnitude_text(c: Fraction) -> str:
+    """``str(abs(c))``, whatever the number of digits."""
+    num = _digits(abs(c.numerator))
+    return num if c.denominator == 1 else f"{num}/{_digits(c.denominator)}"
+
+
 def _join_signed(terms) -> str:
     """Join (word text, coefficient) pairs as signed terms; the unit word's text is empty."""
     pieces = []
     for word, c in terms:
-        mag = abs(c)
+        mag = _magnitude_text(c)
         if not word:
-            body = str(mag)
-        elif mag == 1:
+            body = mag
+        elif mag == "1":
             body = word
         else:
             body = f"{mag}*{word}"

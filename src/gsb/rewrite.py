@@ -6,6 +6,18 @@ leftmost; among rules matching there take the lowest index.  For a
 certified basis the result is strategy-independent; the fixed strategy
 makes traces reproducible.
 
+Reduction runs on integer rows.  A rule is the row ``p*lead + tail`` of
+its monic relation ``lead + tail/p``, with ``p`` the lcm of the
+denominators, so the row is primitive; the work is an integer map and one
+scale.  Each step is the pseudo-remainder step (Knuth, TAOCP vol. 2,
+§4.6.1): scale the work by p/gcd(c, p), subtract an integer multiple of
+the tail, and divide the content out once the scale has grown.  Scaling
+changes no zero test and no key, so the steps are those of reduction over
+the rationals.  Values become ``Fraction`` only where they leave the
+loop: normal-form terms and step coefficients, each an exact quotient by
+the scale of its moment.  ``compile_rules`` keeps rational tails, so the
+callers that read only leads build no integer row.
+
 Redexes are found through one ``_RuleIndex``: hash maps from each leading
 word to its lowest-ranked rule and from each proper prefix of a leading
 word to the rules that extend it.  The leftmost redex of a word is found by
@@ -34,8 +46,9 @@ is monic and over the caller's alphabet, and splits each relation into raw
 (lead, tail) letter tuples.  Derived values take the trusted path: normal
 forms are wrapped by ``Polynomial._of`` and output words are made by
 ``_trusted_word``, with no re-check.  The randomized cross-check
-(``normal_form_random``) scans every rule by brute force and the dimension
-oracle (``quotient_dims``) uses no index, so both stay independent of it.
+(``normal_form_random``) scans every rule by brute force over ``Fraction``
+coefficients and the dimension oracle (``quotient_dims``) uses no index,
+so both stay independent of the index and of the integer rows.
 """
 
 from __future__ import annotations
@@ -102,15 +115,38 @@ def _remove_from(table, key, item):
         del table[key]
 
 
+def _integer_row(pairs):
+    """``(p, integer pairs)`` of rational ``(word, coefficient)`` pairs: ``p``
+    is the lcm of the denominators, and each coefficient is scaled by it."""
+    pairs = tuple(pairs)
+    p = lcm(*[c.denominator for _w, c in pairs])
+    return p, tuple([(w, c.numerator * (p // c.denominator)) for w, c in pairs])
+
+
 class _Rule:
-    """A compiled rule of a public call; its rank is its relation index."""
+    """A compiled rule of a public call; its rank is its relation index.
 
-    __slots__ = ("lead", "tail", "rank")
+    The rule is the integer row ``p*lead + tail`` of the monic relation
+    ``lead + tail/p``; ``p`` is the lcm of the denominators of the monic
+    form, so the row is primitive.
+    """
 
-    def __init__(self, lead, tail, rank):
+    __slots__ = ("lead", "tail", "rank", "p")
+
+    def __init__(self, lead, tail, rank, p=1):
         self.lead = lead
         self.tail = tail
         self.rank = rank
+        self.p = p
+
+
+def _integer_rules(rules) -> list:
+    """``_Rule``s with integer rows from ``compile_rules`` output, ranked by position."""
+    out = []
+    for idx, (lead, tail) in enumerate(rules):
+        p, ints = _integer_row(tail)
+        out.append(_Rule(lead, ints, idx, p))
+    return out
 
 
 class _RuleIndex:
@@ -137,8 +173,9 @@ class _RuleIndex:
 
     @classmethod
     def of(cls, rules) -> _RuleIndex:
-        """The index of ``compile_rules`` output, ranked by position."""
-        return cls(_Rule(lead, tail, idx) for idx, (lead, tail) in enumerate(rules))
+        """The index of the leads of ``compile_rules`` output, ranked by
+        position, for overlap searches; its rules have empty tails."""
+        return cls(_Rule(lead, (), idx) for idx, (lead, _tail) in enumerate(rules))
 
     def add(self, rule) -> None:
         lead = rule.lead
@@ -237,37 +274,72 @@ def _all_matches(u, rules):
     return out
 
 
-def _reduce(terms, index, keyf, steps=None, skip=None):
-    """Core rewriting loop over raw term dicts; returns the normal form map.
+# the bits the scale of a reduction may grow by between two content removals
+_CONTENT_BITS = 64
+
+
+def _reduce(terms, scale, index, keyf, steps=None, skip=None):
+    """Core rewriting loop; returns the normal form of ``terms / scale``.
+
+    ``terms`` maps words to integers and is consumed.  The work is an
+    integer map W and a scale S and stands for W/S.  A step on the word u,
+    with W[u] = c, by a rule with integer row ``p*lead + tail`` takes
+    g = gcd(c, p), multiplies W and S by p/g and subtracts (c/g)*a*tail*b:
+    the pseudo-remainder step.  Scaling changes no zero test and no key,
+    so every step is the one the rational reduction takes.  When S has
+    grown by ``_CONTENT_BITS`` bits, the content of W and S is divided out.
 
     Rewrites by every rule of ``index`` but ``skip``; each step is recorded
-    in ``steps`` as (rule, left, right, rewritten word, coefficient).
+    in ``steps`` as (rule, left, right, rewritten word, c, S), whose
+    coefficient is c/S.  The normal form maps each word to its
+    ``Fraction``; a word leaves the work once, so nothing is summed.
     """
-    work = dict(terms)
+    work = terms
     keys = {w: keyf(w) for w in work}
     out = {}
     leftmost = index.leftmost
+    limit = scale.bit_length() + _CONTENT_BITS
     while work:
         u = max(work, key=keys.__getitem__)
         c = work.pop(u)
         hit = leftmost(u, skip)
         if hit is None:
-            out[u] = out.get(u, Fraction(0)) + c
+            out[u] = Fraction(c, scale)
             continue
         pos, rule = hit
         a, b = u[:pos], u[pos + len(rule.lead) :]
         if steps is not None:
-            steps.append((rule, a, b, u, c))
+            steps.append((rule, a, b, u, c, scale))
+        p = rule.p
+        if p != 1:
+            g = gcd(c, p)
+            c //= g
+            m = p // g
+            if m != 1:
+                for w in work:
+                    work[w] *= m
+                scale *= m
         for t, tc in rule.tail:
             w2 = a + t + b
-            v = work.get(w2, Fraction(0)) - c * tc
+            v = work.get(w2, 0) - c * tc
             if v:
                 work[w2] = v
                 if w2 not in keys:
                     keys[w2] = keyf(w2)
             else:
                 work.pop(w2, None)
-    return {w: c for w, c in out.items() if c}
+        if scale.bit_length() > limit:
+            g = scale
+            for v in work.values():
+                g = gcd(g, v)
+                if g == 1:
+                    break
+            if g != 1:
+                for w in work:
+                    work[w] //= g
+                scale //= g
+            limit = scale.bit_length() + _CONTENT_BITS
+    return out
 
 
 def _reduce_random(terms, rules, rng):
@@ -340,22 +412,27 @@ class ReductionTrace:
         return _replay(self.residual, steps)
 
 
-def normal_form(p: Polynomial, relations, spec) -> Polynomial:
-    """Reduce ``p`` modulo monic relations; the result avoids every leading word."""
-    index = _RuleIndex.of(compile_rules(relations, spec, p.alphabet))
-    nf = _reduce(p.raw_terms(), index, spec.letter_key(p.alphabet))
+def _reduce_public(p: Polynomial, relations, spec, steps=None) -> Polynomial:
+    """``p`` reduced by the rules of ``relations``, scaled to integers on the way in."""
+    index = _RuleIndex(_integer_rules(compile_rules(relations, spec, p.alphabet)))
+    scale, terms = _integer_row(p.raw_terms().items())
+    nf = _reduce(dict(terms), scale, index, spec.letter_key(p.alphabet), steps)
     return Polynomial._of(p.alphabet, nf)
 
 
+def normal_form(p: Polynomial, relations, spec) -> Polynomial:
+    """Reduce ``p`` modulo monic relations; the result avoids every leading word."""
+    return _reduce_public(p, relations, spec)
+
+
 def normal_form_with_trace(p: Polynomial, relations, spec) -> tuple[Polynomial, ReductionTrace]:
-    index = _RuleIndex.of(compile_rules(relations, spec, p.alphabet))
     raw_steps = []
+    nf = _reduce_public(p, relations, spec, raw_steps)
     A = p.alphabet
-    nf = Polynomial._of(A, _reduce(p.raw_terms(), index, spec.letter_key(A), steps=raw_steps))
     word = _trusted_word
     steps = tuple(
-        ReductionStep(rule.rank, word(A, a), word(A, b), word(A, u), c)
-        for rule, a, b, u, c in raw_steps
+        ReductionStep(rule.rank, word(A, a), word(A, b), word(A, u), Fraction(c, scale))
+        for rule, a, b, u, c, scale in raw_steps
     )
     return nf, ReductionTrace(steps, nf)
 

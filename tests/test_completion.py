@@ -429,7 +429,9 @@ def test_completion_work_counters():
     held = {e.relation for e in report.added}
     held |= {r.make_monic(SPEC) for r in rels}
     held |= {e.replacement for e in report.removed if e.replacement is not None}
-    # each distinct relation is compiled once, however often it is reduced against
+    # each record that enters the working set is compiled once, however often
+    # it is reduced against; a repeated input or a relation rebuilt equal to an
+    # earlier one would count again, and this braid input has neither
     assert stats["rules_compiled"] == len(held)
     assert stats["compositions_evaluated"] == report.processed
     assert stats["pairs_enumerated"] >= report.processed
@@ -486,8 +488,15 @@ def _amb_text(amb):
 
 
 def _decomposition_text(decomposition, spec):
+    # a coefficient is written as a constant polynomial, which reads as
+    # str(c) but converts digits in chunks below Python's digit limit
     return [
-        (str(c), str(a), format_element(s, spec), *(str(b) for b in right))
+        (
+            format_element(Polynomial.unit(AB, c)),
+            str(a),
+            format_element(s, spec),
+            *(str(b) for b in right),
+        )
         for c, a, s, *right in decomposition
     ]
 
@@ -600,6 +609,20 @@ def test_completion_report_dumps_pinned(family):
     reports = _completion_family(family)
     assert all(r.verify_ideal_preservation() for r in reports)
     assert _digest(_completion_dump(r) for r in reports) == COMPLETION_DIGESTS[family]
+
+
+# coefficients grow to thousands of bits within 49 compositions; the digest
+# comes from reduction over Fraction coefficients, so it pins the integer
+# rows to the rational results
+GROWTH = ("3*b*b*c - a + 1/2", "3*a*c*a + 1/2*b*c*a - 2", "b*a*c + 2*b*c + 3*a")
+GROWTH_DIGEST = "c0b69b9070e1e868d528aa32aaeb400993a6dcfe3ec43168883ebab764f04477"
+
+
+def test_coefficient_growth_dumps_pinned():
+    rels = [p(t, ABC) for t in GROWTH]
+    reports = [shirshov_complete(rels, SPEC, max_deg=5, max_steps=n) for n in (40, 48, 49)]
+    assert all(r.verify_ideal_preservation() for r in reports)
+    assert _digest(_completion_dump(r) for r in reports) == GROWTH_DIGEST
 
 
 def _construction_checks():

@@ -257,3 +257,44 @@ def test_constructors_range_check_raw_letters(make):
     # (-1,) would otherwise print as b without being equal to b
     with pytest.raises(AlphabetError):
         make()
+
+
+@pytest.mark.parametrize(
+    "coeff, text",
+    [
+        (Fraction(10**700 + 123), "1" + "0" * 697 + "123"),
+        (Fraction(1, 10**700 + 123), "1/1" + "0" * 697 + "123"),
+        (Fraction(10**640, 3), "1" + "0" * 640 + "/3"),
+        (Fraction(10**640 - 1), "9" * 640),
+        (Fraction(7 * 10**5000 + 1, 10**4400), "7" + "0" * 4999 + "1/1" + "0" * 4400),
+    ],
+    ids=["703-digits", "703-digit-denominator", "641-digits-over-3", "640-digits", "5001-digits"],
+)
+def test_long_coefficients_print_and_parse_back(coeff, text):
+    # Python refuses int/str conversions beyond sys.get_int_max_str_digits()
+    # digits, 4300 by default and 640 at the lowest; chunk edges included
+    f = Polynomial(AB, [((0,), -coeff), ((), coeff)])
+    assert str(f) == f"-{text}*a + {text}"
+    assert parse_polynomial(str(f), AB) == f
+    m = ModuleElement(AB, ModuleBasis(("e",)), [(((1,), 0), coeff)])
+    assert str(m) == f"{text}*b*e"
+    assert parse_module_element(str(m), AB, m.basis) == m
+
+
+def test_removed_relations_with_long_coefficients_print_and_parse_back():
+    from gsb.completion import shirshov_complete
+
+    abc = Alphabet(("a", "b", "c"))
+    texts = (
+        "b*b - 2/3*a - 2/3*c",
+        "2*a*c + 1/2*a + 1",
+        "2*a*a*b + 1/2*b*c + 1",
+        "-b*c*b - 3*c*b + 2*a",
+    )
+    rels = [parse_polynomial(t, abc) for t in texts]
+    report = shirshov_complete(rels, SPEC, max_deg=5, max_steps=25)
+    removed = [e.relation for e in report.removed]
+    # one coefficient is far beyond the default limit of 4300 digits
+    assert max(c.denominator.bit_length() for f in removed for c in f.raw_terms().values()) > 15000
+    for f in removed:
+        assert parse_polynomial(str(f), abc) == f

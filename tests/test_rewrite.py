@@ -315,6 +315,43 @@ def test_randomized_strategy_agrees_on_certified_basis():
         assert normal_form(f, GSB, SPEC) == normal_form_random(f, GSB, SPEC, rng)
 
 
+def test_integer_rows_agree_with_random_strategy_on_fractional_bases():
+    # certified bases with denominators, so the rules' integer rows are
+    # scaled (p > 1), reduced from inputs with fractional coefficients: the
+    # pseudo-remainder steps against the Fraction-valued randomized
+    # reduction, and each trace replayed exactly
+    rng = random.Random(71)
+    abc = Alphabet(("a", "b", "c"))
+    coeffs = (1, -1, 2, Fraction(1, 2), Fraction(2, 3), Fraction(-2, 3))
+
+    def poly(alphabet, count, max_len):
+        terms = []
+        for _ in range(count):
+            word = tuple(rng.randrange(alphabet.size) for _ in range(rng.randint(0, max_len)))
+            terms.append((word, rng.choice(coeffs)))
+        return Polynomial(alphabet, terms)
+
+    bases = 0
+    while bases < 40:
+        alphabet = rng.choice((AB, abc))
+        rels = [f for f in (poly(alphabet, rng.randint(2, 3), 3) for _ in range(rng.randint(1, 3))) if f]
+        if not rels:
+            continue
+        report = shirshov_complete(rels, SPEC, max_deg=6, max_steps=200)
+        basis = report.relations
+        if not report.is_certified or all(
+            c.denominator == 1 for f in basis for c in f.raw_terms().values()
+        ):
+            continue
+        bases += 1
+        for _ in range(10):
+            f = poly(alphabet, rng.randint(1, 5), 5)
+            nf, trace = normal_form_with_trace(f, basis, SPEC)
+            assert nf == normal_form(f, basis, SPEC)
+            assert nf == normal_form_random(f, basis, SPEC, rng)
+            assert trace.reconstruct(basis) == f
+
+
 # -- the rule index against the per-rule scan it replaced -----------------------
 
 
