@@ -251,23 +251,32 @@ def _write_construction(presentation, report, args) -> None:
             fh.write("\n")
 
 
-# flags that only some construction kinds read, by argparse destination
+# flags that only some construction kinds read, by argparse destination: the flag, its
+# readers and its default, set here because argparse must leave an unread flag None
 _CONSTRUCT_FLAG_READERS = {
-    "base": ("a base presentation file", ("malcev", "module-cyclic")),
-    "cyclic": ("--cyclic", ("hnn",)),
-    "table": ("--table", ("hnn", "simple")),
-    "index_bound": ("--index-bound", ("hnn",)),
-    "pairs": ("--pairs", ("simple",)),
-    "output": ("-o/--output", ("hnn", "malcev", "simple", "module-cyclic")),
-    "cert": ("--cert", ("hnn", "malcev", "simple", "module-cyclic")),
-    "count": ("--count", ("malcev", "module-cyclic")),
+    "base": ("a base presentation file", ("malcev", "module-cyclic"), None),
+    "cyclic": ("--cyclic", ("hnn",), None),
+    "table": ("--table", ("hnn", "simple"), None),
+    "index_bound": ("--index-bound", ("hnn",), None),
+    "pairs": ("--pairs", ("simple",), None),
+    "output": ("-o/--output", ("hnn", "malcev", "simple", "module-cyclic"), None),
+    "cert": ("--cert", ("hnn", "malcev", "simple", "module-cyclic"), None),
+    "count": ("--count", ("malcev", "module-cyclic"), None),
+    "a": ("--a", ("malcev",), "a"),
+    "b": ("--b", ("malcev",), "b"),
+    "generator": ("--generator", ("module-cyclic",), "y"),
+    "m_bound": ("--m-bound", ("simple",), 1),
+    "n_bound": ("--n-bound", ("simple",), 1),
+    "max_i": ("--max-i", ("lie-words",), 4),
 }
 
 
 def _cmd_construct(args) -> int:
     kind = args.kind
-    for dest, (flag, readers) in _CONSTRUCT_FLAG_READERS.items():
-        if getattr(args, dest) is not None and kind not in readers:
+    for dest, (flag, readers, default) in _CONSTRUCT_FLAG_READERS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif kind not in readers:
             raise PresentationFormatError(f"construct {kind} does not read {flag}")
     if kind == "hnn":
         if args.cyclic is not None and args.table is not None:
@@ -381,13 +390,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--table", help="hnn/simple: table file (JSON)")
     p.add_argument("--index-bound", type=int)
     p.add_argument("--count", type=int)
-    p.add_argument("--a", default="a")
-    p.add_argument("--b", default="b")
-    p.add_argument("--generator", default="y")
+    p.add_argument("--a", help="malcev: first fresh generator (default a)")
+    p.add_argument("--b", help="malcev: second fresh generator (default b)")
+    p.add_argument("--generator", help="module-cyclic: fresh generator (default y)")
     p.add_argument("--pairs", help="simple: pairs file (JSON)")
-    p.add_argument("--m-bound", type=int, default=1)
-    p.add_argument("--n-bound", type=int, default=1)
-    p.add_argument("--max-i", type=int, default=4)
+    p.add_argument("--m-bound", type=int, help="simple (default 1)")
+    p.add_argument("--n-bound", type=int, help="simple (default 1)")
+    p.add_argument("--max-i", type=int, help="lie-words (default 4)")
     p.add_argument("-o", "--output")
     p.add_argument("--cert", help="write the JSON certificate here")
     p.set_defaults(func=_cmd_construct)

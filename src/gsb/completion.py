@@ -15,7 +15,7 @@ relation:
 - the rule index (``rewrite._RuleIndex``) maps each lead to its
   lowest-ranked holder, ranked by place in the set, and each proper prefix
   of a lead to the relations with that lead; it finds every redex, and
-  interreduction reduces a relation by "all but one" through it;
+  interreduction takes a relation out of it before reducing it by the rest;
 - the factor map takes each factor to the relations whose support contains
   it, so a new lead finds the relations it makes reducible, and the longer
   leads that include it;
@@ -23,7 +23,8 @@ relation:
   prefixes of a new lead, give its intersection overlaps.
 
 The overlaps of a relation are enumerated once, against the relations
-paired when it enters, and pushed on a heap ordered by (w, lead f, lead g,
+paired when it enters.  Those on words above the degree bound are counted
+and dropped; the rest are pushed on a heap ordered by (w, lead f, lead g,
 kind, len(a)); since the leading words of the working set are distinct and
 kept sorted, this is the smallest-first order by word and relation indices.
 Pairs whose relation has left the set are dropped when popped.  The monic
@@ -55,6 +56,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import (
+    AlphabetMismatchError,
     LeadingNotBelowError,
     LimitError,
     MalformedAmbiguityError,
@@ -66,7 +68,6 @@ from .rewrite import (
     GsbCertificate,
     _add_to,
     _integer_row,
-    _integer_rules,
     _rank,
     _reduce,
     _remove_from,
@@ -118,7 +119,7 @@ def _overlaps(f, g, inclusion: bool) -> list:
     Returns raw ``(kind, w, a, b)`` tuples: every proper suffix of f that
     is a prefix of g (intersections), then, when ``inclusion`` is set,
     every occurrence of g inside f.  This is the definition the indexed
-    searches below reproduce; completion uses it for self-overlaps.
+    searches below reproduce, and the tests' reference for them.
     """
     out = []
     nf, ng = len(f), len(g)
@@ -176,7 +177,7 @@ def find_ambiguities(relations, spec) -> list[Ambiguity]:
     rules = compile_rules(relations, spec, A)
     if not rules:
         return []
-    return [Ambiguity._of(A, *e) for e in _all_overlaps(_RuleIndex.of(rules), spec.letter_key(A))]
+    return [Ambiguity._of(A, *e) for e in _all_overlaps(_RuleIndex(rules), spec.letter_key(A))]
 
 
 def composition(f: Polynomial, g: Polynomial, amb: Ambiguity, spec) -> Polynomial:
@@ -391,7 +392,6 @@ class _Engine:
         self._hits = {}
         self._dirty = set()
         self._queue = []
-        self._beyond = []
         self._seq = itertools.count()
 
     def compile(self, poly: Polynomial) -> _Relation:
@@ -452,10 +452,9 @@ class _Engine:
         for rank, rel in enumerate(self.rels):
             rel.rank = rank
 
-    def reduce(self, terms, scale, steps, skip=None) -> dict:
-        """Normal form of integer terms over ``scale`` by the working set,
-        ``skip`` left out."""
-        nf = _reduce(terms, scale, self.index, self.keyf, steps, skip)
+    def reduce(self, terms, scale, steps) -> dict:
+        """Normal form of integer terms over ``scale`` by the working set."""
+        nf = _reduce(terms, scale, self.index, self.keyf, steps)
         self.stats["reduction_steps"] += len(steps)
         return nf
 
@@ -471,18 +470,19 @@ class _Engine:
 
         Always rewrites the lowest-ranked relation whose support contains
         another relation's leading word, so the removal log has the order
-        of a scan from the front that restarts after every change.
+        of a scan from the front that restarts after every change.  The
+        relation leaves the maps first, so it is reduced by the others.
         """
         rels = self.rels
         while self._dirty:
             r = min(self._dirty, key=_rank)
+            self._leave(r)
             steps = []
             terms = dict(r.tail)
             terms[r.lead] = r.p
-            nf = Polynomial._of(self.alphabet, self.reduce(terms, r.p, steps, skip=r))
+            nf = Polynomial._of(self.alphabet, self.reduce(terms, r.p, steps))
             decomposition = self.decomposition(steps)
             i = rels.index(r)
-            self._leave(r)
             if nf.is_zero():
                 removed_log.append(RemovedRelation(r.poly, nf, None, decomposition))
                 del rels[i]
@@ -524,9 +524,10 @@ class _Engine:
         n = len(f)
         route = self._route
         for o in range(1, n):
-            # a proper suffix of f is a proper prefix of g, and the reverse
+            # a proper suffix of f is a proper prefix of g, and the reverse;
+            # rel is indexed, so only the first probe finds its self-overlaps
             for other in self.index.prefixed.get(f[n - o :], ()):
-                if other.paired and other is not rel:
+                if other.paired:
                     g = other.lead
                     route(rel, other, INTERSECTION, f + g[o:], f[: n - o], g[o:])
             for other in self._suffixes.get(f[:o], ()):
@@ -550,15 +551,11 @@ class _Engine:
                 for start in range(len(g) - n + 1):
                     if g[start : start + n] == f:
                         route(other, rel, INCLUSION, g, g[:start], g[start + n :])
-        for kind, w, a, b in _overlaps(f, f, False):
-            route(rel, rel, kind, w, a, b)
 
     def _route(self, f, g, kind, w, a, b) -> None:
+        """Count a pair, and queue it unless its word is above the bound."""
         self.stats["pairs_enumerated"] += 1
-        if len(w) > self.max_deg:
-            # only the liveness of a pair beyond the bound is ever read
-            self._beyond.append((f, g))
-        else:
+        if len(w) <= self.max_deg:
             self.queue((f, g, kind, w, a, b))
 
     def queue(self, entry) -> None:
@@ -583,8 +580,17 @@ class _Engine:
         return None
 
     def pending_beyond(self) -> bool:
-        """Whether a live pair lies on a word above the degree bound."""
-        return any(f.paired and g.paired for f, g in self._beyond)
+        """Whether a pair of live relations lies on a word above the bound.
+
+        Every such pair was routed.  In the interreduced set no lead is
+        inside another, so it is an intersection, on |f| + |g| - o letters."""
+        prefixed = self.index.prefixed
+        return any(
+            len(f) + len(other.lead) - o > self.max_deg
+            for f in (rel.lead for rel in self.rels)
+            for o in range(1, len(f))
+            for other in prefixed.get(f[len(f) - o :], ())
+        )
 
 
 def shirshov_complete(
@@ -614,7 +620,9 @@ def shirshov_complete(
     if relations:
         monic = [s.make_monic(spec) for s in relations]
         A = monic[0].alphabet
-        compile_rules(monic, spec, A)  # one alphabet check for the whole run
+        for idx, s in enumerate(monic):
+            if s.alphabet != A:
+                raise AlphabetMismatchError(f"relation #{idx} lives over a different alphabet")
         engine = _Engine(spec, A, max_deg)
         stats = engine.stats
         rels = engine.rels
@@ -713,14 +721,13 @@ def check_gsb(relations, spec, max_deg: int | None = None) -> CheckReport:
     skipped = 0
     if rules:
         keyf = spec.letter_key(A)
-        rows = _integer_rules(rules)
-        index = _RuleIndex(rows)
+        index = _RuleIndex(rules)
         for kind, i, j, w, a, b in _all_overlaps(index, keyf):
             if max_deg is not None and len(w) > max_deg:
                 skipped += 1
                 continue
             evaluated += 1
-            nf = _reduce(*_compose(kind, rows[i], rows[j], a, b), index, keyf)
+            nf = _reduce(*_compose(kind, rules[i], rules[j], a, b), index, keyf)
             if nf:
                 nontrivial.append((Ambiguity._of(A, kind, i, j, w, a, b), Polynomial._of(A, nf)))
     return CheckReport(

@@ -22,7 +22,7 @@ caller's ordering is the engine's.
 A module element is stored as its code (``words.module_code``), so the
 functions below hand ``m.code`` and the caller's ``ModuleTop`` to
 ``shirshov_complete``, ``check_gsb``, ``find_ambiguities``,
-``normal_form_with_trace`` or ``compile_rules`` as they are, wrap the
+``normal_form_with_trace`` or ``rewrite._checked`` as they are, wrap the
 resulting polynomials as module elements without re-keying a term, and
 decode only traces, ambiguities, removals and irreducible words into
 module types.
@@ -44,7 +44,7 @@ from .completion import (
 from .errors import AlphabetMismatchError, BasisMismatchError, LimitError
 from .orderings import ModuleTop
 from .poly import ModuleElement, Polynomial, act
-from .rewrite import _replay, compile_rules, normal_form_with_trace
+from .rewrite import _checked, _replay, normal_form_with_trace
 from .words import Alphabet, ModuleBasis, ModuleWord, Word, _trusted_word, module_code
 
 
@@ -206,7 +206,7 @@ def module_irr(
     if max_deg < 0:
         raise LimitError(f"max_deg must be >= 0, got {max_deg}")
     codec = _Codec(alphabet, basis)
-    leads = {lead for lead, _tail in compile_rules(codec.encode(relations), spec)}
+    leads = {lead for _terms, lead in _checked(codec.encode(relations), spec)}
     code_alphabet, encode, _ = module_code(alphabet, basis)
     found = []
     codes = [encode((), g) for g in range(basis.size)]

@@ -15,8 +15,7 @@ the tail, and divide the content out once the scale has grown.  Scaling
 changes no zero test and no key, so the steps are those of reduction over
 the rationals.  Values become ``Fraction`` only where they leave the
 loop: normal-form terms and step coefficients, each an exact quotient by
-the scale of its moment.  ``compile_rules`` keeps rational tails, so the
-callers that read only leads build no integer row.
+the scale of its moment.
 
 Redexes are found through one ``_RuleIndex``: hash maps from each leading
 word to its lowest-ranked rule and from each proper prefix of a leading
@@ -41,14 +40,17 @@ programming over the same states, the Ufnarovski graph of the leads,
 without building a word.
 
 Letters are range-checked once, when a ``Word`` or ``Polynomial`` is built.
-``compile_rules`` still checks, once per public call, that a relation set
-is monic and over the caller's alphabet, and splits each relation into raw
-(lead, tail) letter tuples.  Derived values take the trusted path: normal
-forms are wrapped by ``Polynomial._of`` and output words are made by
-``_trusted_word``, with no re-check.  The randomized cross-check
-(``normal_form_random``) scans every rule by brute force over ``Fraction``
-coefficients and the dimension oracle (``quotient_dims``) uses no index,
-so both stay independent of the index and of the integer rows.
+``_checked`` still checks, once per public call, that a relation set is
+nonzero, monic and over the caller's alphabet, and finds each leading
+word.  ``compile_rules``, the one compiler, turns its output into ranked
+integer-row rules; the callers that read only leads take them from
+``_checked`` and build no tail.  Derived values take the trusted path:
+normal forms are wrapped by ``Polynomial._of`` and output words are made
+by ``_trusted_word``, with no re-check.  The randomized cross-check
+(``normal_form_random``) builds its own ``Fraction`` tails and scans
+every rule by brute force, and the dimension oracle (``quotient_dims``)
+uses no index, so both stay independent of the index and of the integer
+rows.
 """
 
 from __future__ import annotations
@@ -75,15 +77,10 @@ DEFAULT_WORD_CAPACITY = 20_000
 _CAPACITY_ENV = "GSB_MAX_WORDS"
 
 
-def _lead_and_tail(terms, keyf):
-    """Split a raw term map into its greatest word and the other terms."""
-    lead = max(terms, key=keyf)
-    return lead, tuple((w, c) for w, c in terms.items() if w != lead)
-
-
-def compile_rules(relations, spec, alphabet=None):
-    """Check monicity and split each relation into (leading word, tail)."""
-    rules = []
+def _checked(relations, spec, alphabet=None):
+    """Yield ``(terms, lead)`` of each relation: its raw term map and its
+    greatest word, after checking that it is over ``alphabet``, nonzero and
+    monic."""
     keyed = keyf = None
     for idx, s in enumerate(relations):
         if alphabet is not None and s.alphabet != alphabet:
@@ -93,11 +90,10 @@ def compile_rules(relations, spec, alphabet=None):
         if s.alphabet is not keyed:
             keyed, keyf = s.alphabet, spec.letter_key(s.alphabet)
         terms = s.raw_terms()
-        lead, tail = _lead_and_tail(terms, keyf)
+        lead = max(terms, key=keyf)
         if terms[lead] != 1:
             raise NonMonicRelationError(idx)
-        rules.append((lead, tail))
-    return rules
+        yield terms, lead
 
 
 def _rank(rule):
@@ -140,13 +136,13 @@ class _Rule:
         self.p = p
 
 
-def _integer_rules(rules) -> list:
-    """``_Rule``s with integer rows from ``compile_rules`` output, ranked by position."""
-    out = []
-    for idx, (lead, tail) in enumerate(rules):
-        p, ints = _integer_row(tail)
-        out.append(_Rule(lead, ints, idx, p))
-    return out
+def compile_rules(relations, spec, alphabet=None) -> list:
+    """The integer-row ``_Rule`` of each checked relation, ranked by position."""
+    rules = []
+    for idx, (terms, lead) in enumerate(_checked(relations, spec, alphabet)):
+        p, tail = _integer_row([(w, c) for w, c in terms.items() if w != lead])
+        rules.append(_Rule(lead, tail, idx, p))
+    return rules
 
 
 class _RuleIndex:
@@ -170,12 +166,6 @@ class _RuleIndex:
         self._per_length = {}
         for rule in rules:
             self.add(rule)
-
-    @classmethod
-    def of(cls, rules) -> _RuleIndex:
-        """The index of the leads of ``compile_rules`` output, ranked by
-        position, for overlap searches; its rules have empty tails."""
-        return cls(_Rule(lead, (), idx) for idx, (lead, _tail) in enumerate(rules))
 
     def add(self, rule) -> None:
         lead = rule.lead
@@ -224,17 +214,9 @@ class _RuleIndex:
             return []
         return [held, *self._others.get(lead, ())]
 
-    def _first_but(self, lead, skip):
-        """The lowest-ranked rule with this lead other than ``skip``."""
-        rule = self.first.get(lead)
-        if rule is not None and rule is skip:
-            others = self._others.get(lead)
-            rule = min(others, key=_rank) if others else None
-        return rule
-
-    def leftmost(self, u, skip=None):
+    def leftmost(self, u):
         """``(position, rule)`` of the leftmost redex in ``u``, taking the
-        lowest rank among the rules matching there; ``skip`` is left out.
+        lowest rank among the rules matching there.
 
         At each position the windows grow one letter at a time while they
         are proper prefixes of some lead, so most positions cost one probe.
@@ -243,17 +225,14 @@ class _RuleIndex:
         prefixed = self.prefixed
         n = len(u)
         # the empty lead matches at position 0 of every word
-        empty = self._first_but((), skip)
+        empty = first.get(())
         for i in range(n + 1):
             best = empty
             for j in range(i + 1, n + 1):
                 w = u[i:j]
                 rule = first.get(w)
-                if rule is not None:
-                    if rule is skip:
-                        rule = self._first_but(w, skip)
-                    if rule is not None and (best is None or rule.rank < best.rank):
-                        best = rule
+                if rule is not None and (best is None or rule.rank < best.rank):
+                    best = rule
                 if w not in prefixed:
                     break
             if best is not None:
@@ -278,7 +257,7 @@ def _all_matches(u, rules):
 _CONTENT_BITS = 64
 
 
-def _reduce(terms, scale, index, keyf, steps=None, skip=None):
+def _reduce(terms, scale, index, keyf, steps=None):
     """Core rewriting loop; returns the normal form of ``terms / scale``.
 
     ``terms`` maps words to integers and is consumed.  The work is an
@@ -289,8 +268,8 @@ def _reduce(terms, scale, index, keyf, steps=None, skip=None):
     so every step is the one the rational reduction takes.  When S has
     grown by ``_CONTENT_BITS`` bits, the content of W and S is divided out.
 
-    Rewrites by every rule of ``index`` but ``skip``; each step is recorded
-    in ``steps`` as (rule, left, right, rewritten word, c, S), whose
+    Rewrites by every rule of ``index``; each step is recorded in
+    ``steps`` as (rule, left, right, rewritten word, c, S), whose
     coefficient is c/S.  The normal form maps each word to its
     ``Fraction``; a word leaves the work once, so nothing is summed.
     """
@@ -302,7 +281,7 @@ def _reduce(terms, scale, index, keyf, steps=None, skip=None):
     while work:
         u = max(work, key=keys.__getitem__)
         c = work.pop(u)
-        hit = leftmost(u, skip)
+        hit = leftmost(u)
         if hit is None:
             out[u] = Fraction(c, scale)
             continue
@@ -414,7 +393,7 @@ class ReductionTrace:
 
 def _reduce_public(p: Polynomial, relations, spec, steps=None) -> Polynomial:
     """``p`` reduced by the rules of ``relations``, scaled to integers on the way in."""
-    index = _RuleIndex(_integer_rules(compile_rules(relations, spec, p.alphabet)))
+    index = _RuleIndex(compile_rules(relations, spec, p.alphabet))
     scale, terms = _integer_row(p.raw_terms().items())
     nf = _reduce(dict(terms), scale, index, spec.letter_key(p.alphabet), steps)
     return Polynomial._of(p.alphabet, nf)
@@ -439,7 +418,10 @@ def normal_form_with_trace(p: Polynomial, relations, spec) -> tuple[Polynomial, 
 
 def normal_form_random(p: Polynomial, relations, spec, rng: random.Random) -> Polynomial:
     """Randomized-strategy reduction, for confluence cross-checks."""
-    rules = compile_rules(relations, spec, p.alphabet)
+    rules = [
+        (lead, tuple((w, c) for w, c in terms.items() if w != lead))
+        for terms, lead in _checked(relations, spec, p.alphabet)
+    ]
     return Polynomial._of(p.alphabet, _reduce_random(p.raw_terms(), rules, rng))
 
 
@@ -496,7 +478,7 @@ class _LeadAutomaton:
 
 
 def _leads(alphabet, relations, spec):
-    return {lead for lead, _tail in compile_rules(relations, spec, alphabet)}
+    return {lead for _terms, lead in _checked(relations, spec, alphabet)}
 
 
 def irr_words(alphabet: Alphabet, relations, spec, max_deg: int) -> list[Word]:
@@ -629,7 +611,7 @@ def quotient_dims(
     divided by the gcd of its entries and given a positive leading
     coefficient.  The pivot order changes no rank, so the ordering ``spec``
     serves only to check monicity and find each leading word (through
-    ``compile_rules``); nothing else is shared with the rewriting engine.
+    ``_checked``); nothing else is shared with the rewriting engine.
     """
     if max_deg < 0:
         raise LimitError(f"max_deg must be >= 0, got {max_deg}")
@@ -644,11 +626,10 @@ def quotient_dims(
         raise CapacityError(
             f"{nwords} words of degree <= {max_deg} exceed the capacity {cap}"
         )
-    rules = compile_rules(relations, spec, alphabet)
     # (lead degree, [(degree, number within its degree, integer coefficient)])
     scaled = []
-    for (lead, _tail), s in zip(rules, relations):
-        terms = s.raw_terms()
+    # the whole set is checked before any relation is scaled
+    for terms, lead in list(_checked(relations, spec, alphabet)):
         lead_len = len(lead)
         # every term must fit inside the bounded span for the quotient to make sense
         if any(len(w) > lead_len for w in terms):

@@ -345,6 +345,12 @@ def test_lyndon_count_only_three_letters(capsys):
         (["construct", "hnn", "--cyclic", "3", "--pairs", "x.json", "--cert", "CERT"], "--pairs"),
         (["construct", "module-cyclic", "nonexistent.pres", "--pairs", "x.json"], "--pairs"),
         (["construct", "hnn", "--cyclic", "2", "--table", "nonexistent.json"], "--table"),
+        (["construct", "lie-words", "--max-i", "1", "--a", "p"], "--a"),
+        (["construct", "module-cyclic", "nonexistent.pres", "--b", "q"], "--b"),
+        (["construct", "lie-words", "--max-i", "1", "--generator", "z"], "--generator"),
+        (["construct", "lie-words", "--m-bound", "2"], "--m-bound"),
+        (["construct", "malcev", "nonexistent.pres", "--n-bound", "2"], "--n-bound"),
+        (["construct", "hnn", "--cyclic", "3", "--max-i", "2"], "--max-i"),
     ],
 )
 def test_construct_rejects_flags_its_kind_does_not_read(tmp_path, argv, flag):

@@ -28,7 +28,7 @@ from gsb.errors import (
 )
 from gsb.orderings import DegLex
 from gsb.poly import Polynomial, parse_polynomial
-from gsb.rewrite import _RuleIndex, normal_form, normal_form_with_trace
+from gsb.rewrite import _Rule, _RuleIndex, normal_form, normal_form_with_trace
 from gsb.words import Alphabet
 
 AB = Alphabet(("a", "b"))
@@ -144,6 +144,9 @@ def test_worked_completion():
 def test_completion_rejects_zero_and_bad_limits():
     with pytest.raises(ZeroPolynomialError):
         shirshov_complete([Polynomial.zero(AB)], SPEC)
+    # every relation is checked for zero before any alphabet is compared
+    with pytest.raises(ZeroPolynomialError):
+        shirshov_complete([p("a*b - b"), Polynomial.zero(ABC)], SPEC)
     with pytest.raises(ValueError):
         shirshov_complete([p("a*a - b")], SPEC, max_deg=0)
     with pytest.raises(LimitError):
@@ -701,6 +704,44 @@ def test_braid_degree_10_counters_pinned():
     }
 
 
+def test_braid_degree_14_pinned():
+    report = shirshov_complete([p(t, ABC) for t in BRAID], SPEC, max_deg=14)
+    assert report.status_text() == "CompleteUpToDegree(14)"
+    assert len(report.relations) == 254
+    text = "\n".join(str(r) for r in report.relations)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ad4ee7c3b5dac06b59547bdefdd509f900c5a36d77930204ce11cb4914dc7f99"
+    )
+    assert report.stats == {
+        "pairs_enumerated": 34731,
+        "compositions_evaluated": 1372,
+        "reduction_steps": 9518,
+        "rules_compiled": 254,
+    }
+
+
+def test_degree_bounded_status_equals_overlap_scan_of_final_leads():
+    # CompleteUpToDegree exactly when two final leads (or one with itself)
+    # overlap on a word longer than the bound
+    outcomes = Counter()
+    for seed in range(300):
+        max_deg = 2 + seed % 4
+        report = shirshov_complete(
+            _criterion_1_shaped(1000 + seed), SPEC, max_deg=max_deg, max_steps=20_000
+        )
+        leads = [r.leading_word(SPEC).letters for r in report.relations]
+        above = any(
+            len(w) > max_deg
+            for i, f in enumerate(leads)
+            for j, g in enumerate(leads)
+            for _kind, w, _a, _b in _overlaps(f, g, i != j)
+        )
+        assert report.status is not CompletionStatus.BUDGET_EXHAUSTED
+        assert (report.status is CompletionStatus.COMPLETE_UP_TO_DEGREE) == above
+        outcomes[report.status] += 1
+    assert min(outcomes.values()) >= 50 and len(outcomes) == 2
+
+
 # -- indexed overlap discovery against the pairwise scan ---------------------
 
 
@@ -729,7 +770,8 @@ def test_all_overlaps_equal_pairwise_scan():
                 inclusion = i != j and (len(g) < len(f) or (len(g) == len(f) and i < j))
                 for kind, w, a, b in _overlaps(f, g, inclusion):
                     expected[(kind, i, j, w, a, b)] += 1
-        found = _all_overlaps(_RuleIndex.of([(lead, ()) for lead in leads]), keyf)
+        index = _RuleIndex([_Rule(lead, (), i) for i, lead in enumerate(leads)])
+        found = _all_overlaps(index, keyf)
         assert Counter(found) == expected
         order = [(keyf(w), i, j, kind, len(a)) for kind, i, j, w, a, b in found]
         assert order == sorted(order)

@@ -244,12 +244,15 @@ def test_quotient_dims_raise_where_the_oracle_does():
     tower = Tower("t", "t^-1")
     # under the tower order t outranks a*a*a, so the leading word is not of maximal degree
     short_lead = [Polynomial.parse("t - a*a*a", TOWER_AB).make_monic(tower)]
+    # the whole set is checked for monicity before any relation is scaled
+    then_not_monic = short_lead + [Polynomial.parse("2*t*a - b", TOWER_AB)]
     cases = [
         (AB, GSB, SPEC, 3, 14, CapacityError),
         (AB, GSB, SPEC, 3, 15, None),
         (AB, GSB, SPEC, -1, None, LimitError),
         (TOWER_AB, short_lead, tower, 0, None, LimitError),
         (TOWER_AB, short_lead, tower, 3, None, LimitError),
+        (TOWER_AB, then_not_monic, tower, 3, None, NonMonicRelationError),
     ]
     for alphabet, rels, spec, max_deg, cap, error in cases:
         for f in (quotient_dims, quotient_dim_oracle):
@@ -416,13 +419,15 @@ def test_indexed_leftmost_match_equals_scan():
             assert _hit(index.leftmost(u)) == _leftmost_match(u, rules)
             if not rules:
                 continue
-            # reducing by all rules but one is a scan of the others
-            skip = rng.randrange(len(rules))
-            (rule,) = [r for r in index.holders(leads[skip]) if r.rank == skip]
-            expected = _leftmost_match(u, rules[:skip] + rules[skip + 1 :])
-            if expected is not None and expected[1] >= skip:
+            # with one rule discarded, the index is a scan of the others
+            drop = rng.randrange(len(rules))
+            (rule,) = [r for r in index.holders(leads[drop]) if r.rank == drop]
+            expected = _leftmost_match(u, rules[:drop] + rules[drop + 1 :])
+            if expected is not None and expected[1] >= drop:
                 expected = (expected[0], expected[1] + 1)
-            assert _hit(index.leftmost(u, skip=rule)) == expected
+            index.discard(rule)
+            assert _hit(index.leftmost(u)) == expected
+            index.add(rule)
     assert min(empty_leads, repeated_leads, long_leads) > 100
 
 
