@@ -11,7 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .completion import check_gsb, format_element, shirshov_complete
+from .completion import check_gsb, shirshov_complete
 from .constructions import (
     GroupTable,
     MultTable,
@@ -26,7 +26,7 @@ from .constructions import (
 from .errors import GsbError, LimitError, PresentationFormatError
 from .lyndon import alsw_up_to, nlsw_basis_count, std_bracketing
 from .modules import module_check_gsb, module_complete, module_irr
-from .poly import parse_module_element, parse_polynomial
+from .poly import format_element, parse_module_element, parse_polynomial
 from .presentation import (
     ModulePresentation,
     Presentation,
@@ -185,7 +185,8 @@ def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers undecodable bytes, bad JSON and over-long integer literals
         raise PresentationFormatError(f"{path}: not a JSON file: {exc}") from exc
 
 
@@ -196,13 +197,19 @@ def _pair_key(raw: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
+def _element(v) -> int:
+    if isinstance(v, (bool, float)):  # JSON's true or 2.7 is no table size or entry
+        raise TypeError(f"expected an integer, got {json.dumps(v)}")
+    return int(v)
+
+
 def _load_group_table(path) -> GroupTable:
     data = _load_json(path)
     try:
-        product = {_pair_key(k): int(v) for k, v in data["product"].items()}
-        inverse = {int(k): int(v) for k, v in data["inverse"].items()}
-        return GroupTable(int(data["size"]), product, inverse)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        product = {_pair_key(k): _element(v) for k, v in data["product"].items()}
+        inverse = {int(k): _element(v) for k, v in data["inverse"].items()}
+        return GroupTable(_element(data["size"]), product, inverse)
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise PresentationFormatError(f"bad group table file {path}: {exc}") from exc
 
 
@@ -216,7 +223,7 @@ def _load_mult_table(path) -> MultTable:
             else:
                 products[_pair_key(k)] = {name: Fraction(c) for name, c in v.items()}
         return MultTable(tuple(data["basis"]), products)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise PresentationFormatError(f"bad multiplication table file {path}: {exc}") from exc
 
 
@@ -341,7 +348,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="gsb", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("complete", parents=[], help="run Shirshov completion")
+    p = sub.add_parser("complete", help="run Shirshov completion")
     p.add_argument("file")
     p.add_argument("--max-deg", type=int, default=12)
     p.add_argument("--max-steps", type=int, default=10_000)

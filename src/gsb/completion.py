@@ -1,24 +1,23 @@
 """Ambiguity detection, compositions, triviality, and Shirshov completion.
 
 Completion keeps a working set of monic relations.  Each relation that
-enters it gets a record of its own, whose rule, sort key and set of
-factors (every subword of every support word) are computed once.  The
-rule is the relation's primitive integer row ``p*lead + tail``, as in
-``rewrite``: a composition is built from the two rows scaled to
-lcm(p_f, p_g), where the leads cancel exactly, and reduced on integers.
-Coefficients become ``Fraction`` only where a polynomial leaves the
-engine: residuals, decomposition coefficients, and the monic form of each
-relation that enters.  The engine keeps hash maps over the working set
-and updates them as relations enter and leave, so no step scans every
-relation:
+enters it gets a record of its own, computed once: a ``rewrite._Rule``,
+the primitive integer row ``p*lead + tail`` built as for a public call,
+with a sort key and its factors (every subword of every support word).
+A composition is built from the two rows scaled to lcm(p_f, p_g), where
+the leads cancel exactly, and reduced on integers.  Coefficients become
+``Fraction`` only where a polynomial leaves the engine: residuals,
+decomposition coefficients, and the monic form of each relation that
+enters.  The engine keeps hash maps over the working set and updates them
+as relations enter and leave, so no step scans every relation:
 
 - the rule index (``rewrite._RuleIndex``) maps each lead to its
   lowest-ranked holder, ranked by place in the set, and each proper prefix
   of a lead to the relations with that lead; it finds every redex, and
   interreduction takes a relation out of it before reducing it by the rest;
 - the factor map takes each factor to the relations whose support contains
-  it, so a new lead finds the relations it makes reducible, and the longer
-  leads that include it;
+  it, so a new lead finds the relations it may make reducible (the
+  interreduction candidates) and the longer leads that include it;
 - the prefix map and a suffix map, probed with the proper suffixes and
   prefixes of a new lead, give its intersection overlaps.
 
@@ -67,11 +66,11 @@ from .poly import Polynomial, format_element
 from .rewrite import (
     GsbCertificate,
     _add_to,
-    _integer_row,
     _rank,
     _reduce,
     _remove_from,
     _replay,
+    _Rule,
     _RuleIndex,
     compile_rules,
     normal_form,
@@ -333,25 +332,23 @@ def _compose(kind, f, g, a, b) -> tuple[dict, int]:
     return h, scale
 
 
-class _Relation:
-    """A relation of the working set, compiled once when it enters.
+class _Relation(_Rule):
+    """A relation of the working set: the ``_Rule`` of the monic ``poly``,
+    compiled once when it enters.
 
-    Its rule is the integer row ``p*lead + tail`` of the monic ``poly``,
-    with ``p`` the lcm of the denominators, as a public ``_Rule`` has it.
+    ``rank`` is its place in the working set while it is there.
     ``paired`` is set once its pairs are routed and cleared when it leaves,
     which is for good, so queued pairs of a departed relation are dropped.
-    ``rank`` is its place in the working set while it is there.
     ``subwords`` holds every factor of every support word.
     """
 
-    __slots__ = ("poly", "lead", "tail", "p", "key", "subwords", "paired", "rank")
+    __slots__ = ("poly", "key", "subwords", "paired")
 
     def __init__(self, poly, keyf):
         terms = poly.raw_terms()
+        _Rule.__init__(self, terms, max(terms, key=keyf))
         self.poly = poly
-        self.lead = lead = max(terms, key=keyf)
-        self.p, self.tail = _integer_row([(w, c) for w, c in terms.items() if w != lead])
-        self.key = keyf(lead)
+        self.key = keyf(self.lead)
         self.subwords = frozenset(
             u[i:j]
             for u in terms
@@ -359,7 +356,6 @@ class _Relation:
             for j in range(i, len(u) + 1)
         )
         self.paired = False
-        self.rank = None
 
 
 def _lead_key(rel: _Relation):
@@ -373,10 +369,10 @@ class _Engine:
     whose ``prefixed`` map takes each proper prefix of a lead to the
     relations with that lead; ``_suffixes`` does the same for proper
     suffixes, and ``_containing`` maps each factor to the relations whose
-    support contains it.  ``_hits`` counts, for each relation, the other
-    relations whose lead is a factor of its support; ``_dirty`` holds those
-    with a nonzero count, which are the relations interreduction must
-    rewrite.
+    support contains it.  ``_dirty`` holds the interreduction candidates:
+    each relation that entered, or whose support contains a lead that
+    entered, since it was last picked; so it holds every relation that
+    another relation's lead makes reducible.
     """
 
     def __init__(self, spec, alphabet, max_deg):
@@ -389,7 +385,6 @@ class _Engine:
         self.index = _RuleIndex()
         self._containing = {}
         self._suffixes = {}
-        self._hits = {}
         self._dirty = set()
         self._queue = []
         self._seq = itertools.count()
@@ -409,23 +404,12 @@ class _Engine:
         self.rels.append(rel)
         self._enter(rel, len(self.rels) - 1)
 
-    def _count(self, rel, delta) -> None:
-        hits = self._hits[rel] + delta
-        self._hits[rel] = hits
-        if hits:
-            self._dirty.add(rel)
-        else:
-            self._dirty.discard(rel)
-
     def _enter(self, rel, rank) -> None:
         rel.rank = rank
         lead = rel.lead
-        # the new lead makes every relation containing it reducible
-        for other in self._containing.get(lead, ()):
-            self._count(other, 1)
-        self._hits[rel] = 0
-        held = self.index.holders
-        self._count(rel, sum(len(held(f)) for f in rel.subwords.intersection(self.index.first)))
+        # the new relation may be reducible, and so may those containing its lead
+        self._dirty.add(rel)
+        self._dirty.update(self._containing.get(lead, ()))
         self.index.add(rel)
         for f in rel.subwords:
             _add_to(self._containing, f, rel)
@@ -440,10 +424,6 @@ class _Engine:
             _remove_from(self._containing, f, rel)
         for o in range(1, len(lead)):
             _remove_from(self._suffixes, lead[o:], rel)
-        for other in self._containing.get(lead, ()):
-            self._count(other, -1)
-        del self._hits[rel]
-        self._dirty.discard(rel)
 
     def sort(self) -> None:
         """Sort the interreduced working set by lead; ranks become list
@@ -471,11 +451,18 @@ class _Engine:
         Always rewrites the lowest-ranked relation whose support contains
         another relation's leading word, so the removal log has the order
         of a scan from the front that restarts after every change.  The
-        relation leaves the maps first, so it is reduced by the others.
+        lowest-ranked candidate is rewritten if another relation's lead is a
+        factor of its support, and dropped otherwise.  It leaves the maps
+        first, so it is reduced by the others.
         """
         rels = self.rels
+        first = self.index.first
+        held = self.index.holders
         while self._dirty:
             r = min(self._dirty, key=_rank)
+            self._dirty.remove(r)
+            if all(h is r for f in r.subwords if f in first for h in held(f)):
+                continue
             self._leave(r)
             steps = []
             terms = dict(r.tail)

@@ -42,9 +42,10 @@ without building a word.
 Letters are range-checked once, when a ``Word`` or ``Polynomial`` is built.
 ``_checked`` still checks, once per public call, that a relation set is
 nonzero, monic and over the caller's alphabet, and finds each leading
-word.  ``compile_rules``, the one compiler, turns its output into ranked
-integer-row rules; the callers that read only leads take them from
-``_checked`` and build no tail.  Derived values take the trusted path:
+word.  ``_Rule`` alone builds an integer row, from ``(terms, lead)``: for
+``compile_rules``, ranked by relation index, and for the completion
+engine, whose relations are ``_Rule``s.  The callers that read only leads
+take them from ``_checked`` and build no tail.  Derived values take the trusted path:
 normal forms are wrapped by ``Polynomial._of`` and output words are made
 by ``_trusted_word``, with no re-check.  The randomized cross-check
 (``normal_form_random``) builds its own ``Fraction`` tails and scans
@@ -120,29 +121,24 @@ def _integer_row(pairs):
 
 
 class _Rule:
-    """A compiled rule of a public call; its rank is its relation index.
-
-    The rule is the integer row ``p*lead + tail`` of the monic relation
-    ``lead + tail/p``; ``p`` is the lcm of the denominators of the monic
-    form, so the row is primitive.
+    """The integer row ``p*lead + tail`` of the monic relation with term
+    map ``terms``, ``lead + tail/p``; ``p`` is the lcm of the denominators
+    of the monic form, so the row is primitive.  A public call ranks its
+    rules by relation index, the completion engine by place in its set.
     """
 
     __slots__ = ("lead", "tail", "rank", "p")
 
-    def __init__(self, lead, tail, rank, p=1):
+    def __init__(self, terms, lead, rank=None):
         self.lead = lead
-        self.tail = tail
+        self.p, self.tail = _integer_row([(w, c) for w, c in terms.items() if w != lead])
         self.rank = rank
-        self.p = p
 
 
 def compile_rules(relations, spec, alphabet=None) -> list:
     """The integer-row ``_Rule`` of each checked relation, ranked by position."""
-    rules = []
-    for idx, (terms, lead) in enumerate(_checked(relations, spec, alphabet)):
-        p, tail = _integer_row([(w, c) for w, c in terms.items() if w != lead])
-        rules.append(_Rule(lead, tail, idx, p))
-    return rules
+    checked = _checked(relations, spec, alphabet)
+    return [_Rule(terms, lead, idx) for idx, (terms, lead) in enumerate(checked)]
 
 
 class _RuleIndex:
@@ -151,9 +147,9 @@ class _RuleIndex:
     ``first`` maps each lead to its lowest-ranked rule and ``_others`` holds
     the further rules of a lead that several rules share.  ``prefixed`` maps
     each proper prefix of a lead to the rules whose lead extends it, and
-    ``lengths`` lists the distinct lead lengths in ascending order.  A rule
-    is any object with ``lead``, ``tail`` and ``rank`` attributes; ranks are
-    distinct, lower first, and may change only while no lead has two rules.
+    ``lengths`` lists the distinct lead lengths in ascending order.  Each
+    rule is a ``_Rule``; ranks are distinct, lower first, and may change
+    only while no lead has two rules.
     """
 
     __slots__ = ("first", "prefixed", "lengths", "_others", "_per_length")

@@ -330,7 +330,7 @@ CRITERIA = (
 )
 
 
-def run_all(stream=None):
+def run_all():
     """Run every criterion, print one pass/fail line each, return failures."""
     failures = []
     for name, fn in CRITERIA:
@@ -341,10 +341,7 @@ def run_all(stream=None):
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         elapsed = time.time() - start
         line = f"{'PASS' if passed else 'FAIL'}  criterion {name}  [{elapsed:.1f}s]  {detail}"
-        if stream is not None:
-            print(line, file=stream, flush=True)
-        else:
-            print(line, flush=True)
+        print(line, flush=True)
         if not passed:
             failures.append(name)
     return failures

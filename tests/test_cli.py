@@ -10,6 +10,16 @@ import gsb
 from gsb.cli import run
 
 AAB = "alphabet: a > b\nordering: deglex\nrelations:\na*a - b\n"
+# the cyclic group of order 3 as a group-table file: elements 1, 2 and the identity 0
+CYCLIC_3 = {
+    "size": 2,
+    "product": {"1 1": 2, "1 2": 0, "2 1": 0, "2 2": 1},
+    "inverse": {"1": 2, "2": 1},
+}
+
+
+def _with_product(entry, value):
+    return json.dumps({**CYCLIC_3, "product": {**CYCLIC_3["product"], entry: value}})
 
 
 @pytest.fixture
@@ -131,6 +141,16 @@ def test_construct_hnn_cyclic(tmp_path, capsys):
     assert run(["construct", "hnn", "--cyclic", "3", "-o", out]) == 0
     capsys.readouterr()
     assert run(["check", out]) == 0
+
+
+def test_construct_hnn_table_file_equals_cyclic(tmp_path, capsys):
+    table = tmp_path / "c3.json"
+    table.write_text(json.dumps(CYCLIC_3))
+    assert run(["construct", "hnn", "--table", str(table)]) == 0
+    from_table = capsys.readouterr().out
+    assert run(["construct", "hnn", "--cyclic", "3"]) == 0
+    assert from_table == capsys.readouterr().out
+    assert from_table.startswith("alphabet: ")
 
 
 def test_construct_simple_with_tables(tmp_path, capsys):
@@ -275,6 +295,13 @@ def test_selftest_exit_codes(monkeypatch, capsys):
         (["construct", "simple", "--table", "P"], {}),
         (["check", "U"], {}),
         (["check", "W"], {}),
+        (["construct", "hnn", "--table", "GI"], {}),
+        (["construct", "hnn", "--table", "GS"], {}),
+        (["construct", "simple", "--table", "MI"], {}),
+        (["construct", "hnn", "--table", "LD"], {}),
+        (["construct", "hnn", "--table", "DN"], {}),
+        (["construct", "hnn", "--table", "GF"], {}),
+        (["construct", "hnn", "--table", "GB"], {}),
     ],
 )
 def test_limit_errors_exit_1_without_traceback(aab_file, tmp_path, argv, env):
@@ -287,6 +314,15 @@ def test_limit_errors_exit_1_without_traceback(aab_file, tmp_path, argv, env):
         ("T", json.dumps({"basis": ["x1"], "product": {"1 1": "x1"}})),
         ("P", json.dumps({"basis": ["x1"], "product": {"1 1": 5}})),
         ("W", "alphabet: a > b\nordering: module-top(tower(t, t^-1))\nbasis: y1\nrelations:\n"),
+        # JSON tables: Infinity as an entry, 1e400 as the size, Infinity as a
+        # coefficient, a 5000-digit literal, deep nesting, a float, a bool
+        ("GI", _with_product("1 1", float("inf"))),
+        ("GS", json.dumps(CYCLIC_3).replace('"size": 2', '"size": 1e400')),
+        ("MI", json.dumps({"basis": ["x1"], "product": {"1 1": {"x1": float("inf")}}})),
+        ("LD", json.dumps(CYCLIC_3).replace('"size": 2', '"size": ' + "9" * 5000)),
+        ("DN", "[" * 200_000),
+        ("GF", _with_product("1 1", 2.7)),
+        ("GB", _with_product("2 2", True)),
     ):
         files[name] = str(tmp_path / f"{name}.pres")
         Path(files[name]).write_text(text)

@@ -770,7 +770,7 @@ def test_all_overlaps_equal_pairwise_scan():
                 inclusion = i != j and (len(g) < len(f) or (len(g) == len(f) and i < j))
                 for kind, w, a, b in _overlaps(f, g, inclusion):
                     expected[(kind, i, j, w, a, b)] += 1
-        index = _RuleIndex([_Rule(lead, (), i) for i, lead in enumerate(leads)])
+        index = _RuleIndex([_Rule({lead: 1}, lead, i) for i, lead in enumerate(leads)])
         found = _all_overlaps(index, keyf)
         assert Counter(found) == expected
         order = [(keyf(w), i, j, kind, len(a)) for kind, i, j, w, a, b in found]

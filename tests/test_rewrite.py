@@ -412,7 +412,9 @@ def test_indexed_leftmost_match_equals_scan():
         leads = [lead for lead, _ in rules]
         empty_leads += () in leads
         repeated_leads += len(set(leads)) < len(leads)
-        index = _RuleIndex([_Rule(lead, tail, idx) for idx, (lead, tail) in enumerate(rules)])
+        index = _RuleIndex(
+            [_Rule({lead: 1, **dict(tail)}, lead, idx) for idx, (lead, tail) in enumerate(rules)]
+        )
         for _ in range(4):
             u = tuple(rng.randrange(letters) for _ in range(rng.randint(0, 7)))
             long_leads += any(len(lead) > len(u) for lead in leads)
@@ -443,7 +445,8 @@ def test_rule_index_updates_match_a_fresh_scan():
             if live and rng.random() < 0.35:
                 index.discard(live.pop(rng.randrange(len(live))))
             else:
-                rule = _Rule(_random_lead(rng, letters), (), next(ranks))
+                lead = _random_lead(rng, letters)
+                rule = _Rule({lead: 1}, lead, next(ranks))
                 index.add(rule)
                 live.append(rule)
             by_rank = sorted(live, key=lambda r: r.rank)
