@@ -203,6 +203,12 @@ def _element(v) -> int:
     return int(v)
 
 
+def _coefficient(c) -> Fraction:
+    if isinstance(c, (bool, float)):  # JSON's true or 2.7 is no exact coefficient
+        raise TypeError(f"expected an integer or a fraction string, got {json.dumps(c)}")
+    return Fraction(c)
+
+
 def _load_group_table(path) -> GroupTable:
     data = _load_json(path)
     try:
@@ -221,7 +227,7 @@ def _load_mult_table(path) -> MultTable:
             if isinstance(v, str):
                 products[_pair_key(k)] = v
             else:
-                products[_pair_key(k)] = {name: Fraction(c) for name, c in v.items()}
+                products[_pair_key(k)] = {name: _coefficient(c) for name, c in v.items()}
         return MultTable(tuple(data["basis"]), products)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise PresentationFormatError(f"bad multiplication table file {path}: {exc}") from exc

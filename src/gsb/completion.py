@@ -12,20 +12,22 @@ enters.  The engine keeps hash maps over the working set and updates them
 as relations enter and leave, so no step scans every relation:
 
 - the rule index (``rewrite._RuleIndex``) maps each lead to its
-  lowest-ranked holder, ranked by place in the set, and each proper prefix
-  of a lead to the relations with that lead; it finds every redex, and
+  lowest-ranked holder, ranked by place in the set, and keeps the trie of
+  the leads, whose node for each proper prefix of a lead holds the
+  relations with a lead extending it; it finds every redex, and
   interreduction takes a relation out of it before reducing it by the rest;
 - the factor map takes each factor to the relations whose support contains
   it, so a new lead finds the relations it may make reducible (the
   interreduction candidates) and the longer leads that include it;
-- the prefix map and a suffix map, probed with the proper suffixes and
-  prefixes of a new lead, give its intersection overlaps.
+- the trie and a suffix map, probed with the proper suffixes and prefixes
+  of a new lead, give its intersection overlaps.
 
 The overlaps of a relation are enumerated once, against the relations
 paired when it enters.  Those on words above the degree bound are counted
-and dropped; the rest are pushed on a heap ordered by (w, lead f, lead g,
-kind, len(a)); since the leading words of the working set are distinct and
-kept sorted, this is the smallest-first order by word and relation indices.
+without being built; the rest are pushed on a heap ordered by (w, lead f,
+lead g, kind, len(a)); since the leading words of the working set are
+distinct and kept sorted, this is the smallest-first order by word and
+relation indices.
 Pairs whose relation has left the set are dropped when popped.  The monic
 normal form of each nontrivial composition is added and the set is
 inter-reduced, always rewriting the lowest-ranked relation whose support
@@ -65,10 +67,8 @@ from .errors import (
 from .poly import Polynomial, format_element
 from .rewrite import (
     GsbCertificate,
-    _add_to,
     _rank,
     _reduce,
-    _remove_from,
     _replay,
     _Rule,
     _RuleIndex,
@@ -136,31 +136,24 @@ def _all_overlaps(index: _RuleIndex, keyf) -> list:
     """Every ambiguity among the rules of ``index`` (ranked by relation
     index) as raw ``(kind, i, j, w, a, b)``, sorted by (w, i, j, kind, len(a)).
 
-    Intersections probe the index's map from proper prefixes of leads with
-    the proper suffixes of every lead; inclusions probe its lead map with
-    the factors of every lead.  Equal leads count once, as an inclusion of
-    the lower index pair.
+    Intersections probe the index's trie with the proper suffixes of every
+    lead; inclusions walk it from each position of every lead.  Equal leads
+    count once, as an inclusion of the lower index pair.
     """
-    leads = index.first
     found = []
-    for rule in [r for lead in leads for r in index.holders(lead)]:
+    for rule in [r for lead in index.first for r in index.holders(lead)]:
         i, f = rule.rank, rule.lead
         nf = len(f)
         for o in range(1, nf):
-            for other in index.prefixed.get(f[nf - o :], ()):
+            for other in index.extending(f[nf - o :]):
                 w, a, b = f + other.lead[o:], f[: nf - o], other.lead[o:]
                 found.append((keyf(w), i, other.rank, INTERSECTION, nf - o, w, a, b))
-        for m in index.lengths:
-            if m > nf:
-                break
-            for start in range(nf - m + 1):
-                if f[start : start + m] not in leads:
-                    continue
-                for other in index.holders(f[start : start + m]):
-                    j = other.rank
-                    if i != j and (m < nf or i < j):
-                        a, b = f[:start], f[start + m :]
-                        found.append((keyf(f), i, j, INCLUSION, start, f, a, b))
+        for start, end in index.factors(f):
+            for other in index.holders(f[start:end]):
+                j = other.rank
+                if i != j and (end - start < nf or i < j):
+                    a, b = f[:start], f[end:]
+                    found.append((keyf(f), i, j, INCLUSION, start, f, a, b))
     found.sort(key=lambda e: e[:5])
     return [(kind, i, j, w, a, b) for _, i, j, kind, _, w, a, b in found]
 
@@ -332,6 +325,17 @@ def _compose(kind, f, g, a, b) -> tuple[dict, int]:
     return h, scale
 
 
+def _add_to(table, key, item):
+    table.setdefault(key, set()).add(item)
+
+
+def _remove_from(table, key, item):
+    held = table[key]
+    held.discard(item)
+    if not held:
+        del table[key]
+
+
 class _Relation(_Rule):
     """A relation of the working set: the ``_Rule`` of the monic ``poly``,
     compiled once when it enters.
@@ -366,13 +370,13 @@ class _Engine:
     """The working set, its maps and the pair queue.
 
     ``rels`` is the working set in rank order.  ``index`` is its rule index,
-    whose ``prefixed`` map takes each proper prefix of a lead to the
-    relations with that lead; ``_suffixes`` does the same for proper
-    suffixes, and ``_containing`` maps each factor to the relations whose
-    support contains it.  ``_dirty`` holds the interreduction candidates:
-    each relation that entered, or whose support contains a lead that
-    entered, since it was last picked; so it holds every relation that
-    another relation's lead makes reducible.
+    whose trie gives, for each proper prefix of a lead, the relations with
+    a lead extending it; ``_suffixes`` maps each proper suffix of a lead to
+    the relations with that lead, and ``_containing`` maps each factor to
+    the relations whose support contains it.  ``_dirty`` holds the
+    interreduction candidates: each relation that entered, or whose support
+    contains a lead that entered, since it was last picked; so it holds
+    every relation that another relation's lead makes reducible.
     """
 
     def __init__(self, spec, alphabet, max_deg):
@@ -506,31 +510,42 @@ class _Engine:
 
     def _pair(self, rel) -> None:
         """Route the overlaps of ``rel`` with itself, and in both orders with
-        every paired relation."""
+        every paired relation.
+
+        An intersection on more than ``max_deg`` letters is only counted:
+        its word, context and route are never built.
+        """
         f = rel.lead
         n = len(f)
         route = self._route
+        index = self.index
+        # an intersection of f and g at overlap o has |f| + |g| - o letters
+        room = self.max_deg - n
+        above = 0
         for o in range(1, n):
             # a proper suffix of f is a proper prefix of g, and the reverse;
             # rel is indexed, so only the first probe finds its self-overlaps
-            for other in self.index.prefixed.get(f[n - o :], ()):
+            for other in index.extending(f[n - o :]):
                 if other.paired:
                     g = other.lead
-                    route(rel, other, INTERSECTION, f + g[o:], f[: n - o], g[o:])
+                    if len(g) - o > room:
+                        above += 1
+                    else:
+                        route(rel, other, INTERSECTION, f + g[o:], f[: n - o], g[o:])
             for other in self._suffixes.get(f[:o], ()):
                 if other.paired and other is not rel:
                     g = other.lead
-                    route(other, rel, INTERSECTION, g + f[o:], g[: len(g) - o], f[o:])
+                    if len(g) - o > room:
+                        above += 1
+                    else:
+                        route(other, rel, INTERSECTION, g + f[o:], g[: len(g) - o], f[o:])
+        self.stats["pairs_enumerated"] += above
         # a shorter lead inside f
-        leads = self.index.first
-        for m in self.index.lengths:
-            if m >= n:
-                break
-            for start in range(n - m + 1):
-                if f[start : start + m] in leads:
-                    for other in self.index.holders(f[start : start + m]):
-                        if other.paired:
-                            route(rel, other, INCLUSION, f, f[:start], f[start + m :])
+        for start, end in index.factors(f):
+            if end - start < n:
+                for other in index.holders(f[start:end]):
+                    if other.paired:
+                        route(rel, other, INCLUSION, f, f[:start], f[end:])
         # f inside a longer lead: only relations whose support contains f
         for other in self._containing.get(f, ()):
             g = other.lead
@@ -569,14 +584,14 @@ class _Engine:
     def pending_beyond(self) -> bool:
         """Whether a pair of live relations lies on a word above the bound.
 
-        Every such pair was routed.  In the interreduced set no lead is
+        Every such pair was counted.  In the interreduced set no lead is
         inside another, so it is an intersection, on |f| + |g| - o letters."""
-        prefixed = self.index.prefixed
+        extending = self.index.extending
         return any(
             len(f) + len(other.lead) - o > self.max_deg
             for f in (rel.lead for rel in self.rels)
             for o in range(1, len(f))
-            for other in prefixed.get(f[len(f) - o :], ())
+            for other in extending(f[len(f) - o :])
         )
 
 

@@ -79,15 +79,15 @@ class GroupTable:
         return self.product.get((x, y))
 
     def _check_associativity(self):
-        for j in range(1, self.size + 1):
-            for k in range(1, self.size + 1):
-                jk = self.product.get((j, k))
-                if jk is None:
-                    continue
-                for l in range(1, self.size + 1):
-                    kl = self.product.get((k, l))
-                    if kl is None:
-                        continue
+        """Check (j*k)*l == j*(k*l) over the defined entries (j, k) and
+        (k, l), in ascending (j, k, l), so the cost follows the entries and
+        not ``size``."""
+        rows = {}
+        for (j, k), jk in sorted(self.product.items()):
+            rows.setdefault(j, []).append((k, jk))
+        for j, row in rows.items():
+            for k, jk in row:
+                for l, kl in rows.get(k, ()):
                     left = self._mul(jk, l)
                     right = self._mul(j, kl)
                     if left is None or right is None:

@@ -17,12 +17,14 @@ the rationals.  Values become ``Fraction`` only where they leave the
 loop: normal-form terms and step coefficients, each an exact quotient by
 the scale of its moment.
 
-Redexes are found through one ``_RuleIndex``: hash maps from each leading
-word to its lowest-ranked rule and from each proper prefix of a leading
-word to the rules that extend it.  The leftmost redex of a word is found by
-walking its positions in order; at each position the window grows one
-letter at a time while it is a proper prefix of some lead, so a lookup
-costs a few hashes per position however many rules there are.  A rule's
+Redexes are found through one ``_RuleIndex``: a hash map from each
+leading word to its lowest-ranked rule, and the letter trie of the leading
+words, whose node for a prefix holds the lowest-ranked rule whose lead
+ends there and the rules whose lead extends it.  The leftmost redex of a
+word is found by walking the trie from each position in order, one letter
+at a time while the letters read are a proper prefix of some lead, so a
+lookup costs a few letter-keyed probes per position however many rules
+there are, and no window of the word is sliced or hashed.  A rule's
 rank is its index at the public entry points; the completion engine keeps
 one index over its working set, ranked by place in the set, and updates it
 as relations enter and leave.
@@ -58,7 +60,6 @@ from __future__ import annotations
 
 import os
 import random
-from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -101,17 +102,6 @@ def _rank(rule):
     return rule.rank
 
 
-def _add_to(table, key, item):
-    table.setdefault(key, set()).add(item)
-
-
-def _remove_from(table, key, item):
-    held = table[key]
-    held.discard(item)
-    if not held:
-        del table[key]
-
-
 def _integer_row(pairs):
     """``(p, integer pairs)`` of rational ``(word, coefficient)`` pairs: ``p``
     is the lcm of the denominators, and each coefficient is scaled by it."""
@@ -142,44 +132,44 @@ def compile_rules(relations, spec, alphabet=None) -> list:
 
 
 class _RuleIndex:
-    """The leading words of a rule set, hashed.
+    """The leading words of a rule set, in a hash map and a letter trie.
 
     ``first`` maps each lead to its lowest-ranked rule and ``_others`` holds
-    the further rules of a lead that several rules share.  ``prefixed`` maps
-    each proper prefix of a lead to the rules whose lead extends it, and
-    ``lengths`` lists the distinct lead lengths in ascending order.  Each
-    rule is a ``_Rule``; ranks are distinct, lower first, and may change
-    only while no lead has two rules.
+    the further rules of a lead that several rules share.  ``trie`` is the
+    trie of the leads, one node per prefix of a lead, its root the empty
+    prefix.  A node is a list ``[children, held, below]``: ``children``
+    maps a letter to the node one letter longer, ``held`` is the rule that
+    ``first`` holds for the lead ending at the node (None if none does), and
+    ``below`` lists, in no particular order, the rules whose lead has the
+    node's prefix as a proper prefix.  A node with no child and no rule is
+    pruned.  Each rule is a ``_Rule``; ranks are distinct, lower first, and
+    may change only while no lead has two rules.
     """
 
-    __slots__ = ("first", "prefixed", "lengths", "_others", "_per_length")
+    __slots__ = ("first", "trie", "_others")
 
     def __init__(self, rules=()):
         self.first = {}
-        self.prefixed = {}
-        self.lengths = []
+        self.trie = [{}, None, []]
         self._others = {}
-        self._per_length = {}
         for rule in rules:
             self.add(rule)
 
     def add(self, rule) -> None:
         lead = rule.lead
         held = self.first.get(lead)
-        if held is None:
+        if held is None or rule.rank < held.rank:
             self.first[lead] = rule
-        elif rule.rank < held.rank:
-            self.first[lead] = rule
-            self._others.setdefault(lead, []).append(held)
-        else:
-            self._others.setdefault(lead, []).append(rule)
-        for o in range(1, len(lead)):
-            _add_to(self.prefixed, lead[:o], rule)
-        n = len(lead)
-        count = self._per_length.get(n, 0)
-        if not count:
-            insort(self.lengths, n)
-        self._per_length[n] = count + 1
+        if held is not None:
+            self._others.setdefault(lead, []).append(max(held, rule, key=_rank))
+        node = self.trie
+        for c in lead:
+            children, _, below = node
+            below.append(rule)
+            node = children.get(c)
+            if node is None:
+                children[c] = node = [{}, None, []]
+        node[1] = self.first[lead]
 
     def discard(self, rule) -> None:
         lead = rule.lead
@@ -195,13 +185,18 @@ class _RuleIndex:
             others.remove(rule)
         if others is not None and not others:
             del self._others[lead]
-        for o in range(1, len(lead)):
-            _remove_from(self.prefixed, lead[:o], rule)
-        n = len(lead)
-        self._per_length[n] -= 1
-        if not self._per_length[n]:
-            del self._per_length[n]
-            self.lengths.remove(n)
+        path = [self.trie]
+        for c in lead:
+            children, _, below = path[-1]
+            below.remove(rule)
+            path.append(children[c])
+        path[-1][1] = self.first.get(lead)
+        # prune the nodes left with no child and no rule, deepest first
+        for depth in range(len(lead), 0, -1):
+            children, held, _ = path[depth]
+            if children or held is not None:
+                break
+            del path[depth - 1][0][lead[depth - 1]]
 
     def holders(self, lead) -> list:
         """Every rule with this lead, in no particular order."""
@@ -210,27 +205,56 @@ class _RuleIndex:
             return []
         return [held, *self._others.get(lead, ())]
 
+    def extending(self, prefix):
+        """The rules whose lead has ``prefix`` as a proper prefix."""
+        node = self.trie
+        for c in prefix:
+            node = node[0].get(c)
+            if node is None:
+                return ()
+        return node[2]
+
+    def factors(self, u):
+        """``(start, end)`` of each factor ``u[start:end]`` that is a lead,
+        the empty factor included, by start and then end."""
+        n = len(u)
+        for start in range(n + 1):
+            node = self.trie
+            end = start
+            while True:
+                children, held, _ = node
+                if held is not None:
+                    yield start, end
+                if end == n:
+                    break
+                node = children.get(u[end])
+                if node is None:
+                    break
+                end += 1
+
     def leftmost(self, u):
         """``(position, rule)`` of the leftmost redex in ``u``, taking the
         lowest rank among the rules matching there.
 
-        At each position the windows grow one letter at a time while they
-        are proper prefixes of some lead, so most positions cost one probe.
+        From each position the trie is walked one letter at a time while
+        the letters read are a proper prefix of some lead, so most positions
+        cost one lookup.
         """
-        first = self.first
-        prefixed = self.prefixed
+        root, empty, _ = self.trie
         n = len(u)
-        # the empty lead matches at position 0 of every word
-        empty = first.get(())
         for i in range(n + 1):
+            # the empty lead matches at position 0 of every word
             best = empty
-            for j in range(i + 1, n + 1):
-                w = u[i:j]
-                rule = first.get(w)
+            children = root
+            j = i
+            while j < n:
+                node = children.get(u[j])
+                if node is None:
+                    break
+                children, rule, _ = node
                 if rule is not None and (best is None or rule.rank < best.rank):
                     best = rule
-                if w not in prefixed:
-                    break
+                j += 1
             if best is not None:
                 return i, best
         return None

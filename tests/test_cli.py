@@ -302,6 +302,8 @@ def test_selftest_exit_codes(monkeypatch, capsys):
         (["construct", "hnn", "--table", "DN"], {}),
         (["construct", "hnn", "--table", "GF"], {}),
         (["construct", "hnn", "--table", "GB"], {}),
+        (["construct", "simple", "--table", "MF"], {}),
+        (["construct", "simple", "--table", "MB"], {}),
     ],
 )
 def test_limit_errors_exit_1_without_traceback(aab_file, tmp_path, argv, env):
@@ -315,7 +317,8 @@ def test_limit_errors_exit_1_without_traceback(aab_file, tmp_path, argv, env):
         ("P", json.dumps({"basis": ["x1"], "product": {"1 1": 5}})),
         ("W", "alphabet: a > b\nordering: module-top(tower(t, t^-1))\nbasis: y1\nrelations:\n"),
         # JSON tables: Infinity as an entry, 1e400 as the size, Infinity as a
-        # coefficient, a 5000-digit literal, deep nesting, a float, a bool
+        # coefficient, a 5000-digit literal, deep nesting, a float, a bool, and a
+        # float and a bool as multiplication-table coefficients
         ("GI", _with_product("1 1", float("inf"))),
         ("GS", json.dumps(CYCLIC_3).replace('"size": 2', '"size": 1e400')),
         ("MI", json.dumps({"basis": ["x1"], "product": {"1 1": {"x1": float("inf")}}})),
@@ -323,6 +326,8 @@ def test_limit_errors_exit_1_without_traceback(aab_file, tmp_path, argv, env):
         ("DN", "[" * 200_000),
         ("GF", _with_product("1 1", 2.7)),
         ("GB", _with_product("2 2", True)),
+        ("MF", json.dumps({"basis": ["x1"], "product": {"1 1": {"x1": 2.7}}})),
+        ("MB", json.dumps({"basis": ["x1"], "product": {"1 1": {"x1": True}}})),
     ):
         files[name] = str(tmp_path / f"{name}.pres")
         Path(files[name]).write_text(text)

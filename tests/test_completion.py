@@ -720,6 +720,24 @@ def test_braid_degree_14_pinned():
     }
 
 
+def test_braid_degree_16_pinned():
+    # deep enough that most routed pairs lie above the bound and redex
+    # search runs over several hundred leads
+    report = shirshov_complete([p(t, ABC) for t in BRAID], SPEC, max_deg=16)
+    assert report.status_text() == "CompleteUpToDegree(16)"
+    assert len(report.relations) == 635
+    text = "\n".join(str(r) for r in report.relations)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a936f931579dd88c26770a4933fa871a6b319ac60205d15658afae4b2a544b48"
+    )
+    assert report.stats == {
+        "pairs_enumerated": 190135,
+        "compositions_evaluated": 3821,
+        "reduction_steps": 31613,
+        "rules_compiled": 635,
+    }
+
+
 def test_degree_bounded_status_equals_overlap_scan_of_final_leads():
     # CompleteUpToDegree exactly when two final leads (or one with itself)
     # overlap on a word longer than the bound

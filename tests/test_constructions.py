@@ -1,3 +1,7 @@
+import itertools
+import random
+import time
+
 import pytest
 
 from gsb.completion import shirshov_complete
@@ -49,6 +53,52 @@ def test_group_table_validation():
             {(1, 1): 2, (1, 2): 1, (2, 1): 2, (2, 2): 1},
             {},
         )
+
+
+def _first_non_associative(size, product):
+    """The first (j, k, l) of the full walk over 1..size where both products
+    are defined and disagree, or None."""
+    def mul(x, y):
+        return y if x == 0 else x if y == 0 else product.get((x, y))
+
+    for j, k, l in itertools.product(range(1, size + 1), repeat=3):
+        jk, kl = product.get((j, k)), product.get((k, l))
+        if jk is None or kl is None:
+            continue
+        left, right = mul(jk, l), mul(j, kl)
+        if left is not None and right is not None and left != right:
+            return j, k, l
+    return None
+
+
+def test_associativity_check_equals_full_walk():
+    rng = random.Random(81)
+    failures = 0
+    for _ in range(400):
+        size = rng.randint(1, 4)
+        pairs = list(itertools.product(range(1, size + 1), repeat=2))
+        defined = rng.sample(pairs, rng.randint(0, len(pairs)))
+        product = {pair: rng.randrange(size + 1) for pair in defined}
+        bad = _first_non_associative(size, product)
+        if bad is None:
+            GroupTable(size, product, {})
+            continue
+        failures += 1
+        with pytest.raises(PresentationFormatError) as err:
+            GroupTable(size, product, {})
+        assert str(err.value) == "table is not associative at ({},{},{})".format(*bad)
+    assert 100 < failures < 400
+
+
+def test_group_table_check_cost_follows_entries_not_size():
+    # the order-3 cyclic table under a size of 20000: a walk over every
+    # (j, k) up to size would take about a minute
+    start = time.perf_counter()
+    table = GroupTable(20_000, GroupTable.cyclic(3).product, {1: 2, 2: 1})
+    assert time.perf_counter() - start < 1.0
+    assert table.require(2, 2) == 1
+    with pytest.raises(TableIncompleteError):
+        table.require(1, 3)
 
 
 def test_cyclic_table():

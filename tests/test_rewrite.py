@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -403,6 +404,13 @@ def _hit(found):
     return None if found is None else (found[0], found[1].rank)
 
 
+def _trie(node):
+    """A trie node with each ``below`` list as a multiset, so that two
+    indexes built in different orders compare equal."""
+    children, held, below = node
+    return {c: _trie(child) for c, child in children.items()}, held, Counter(below)
+
+
 def test_indexed_leftmost_match_equals_scan():
     rng = random.Random(61)
     empty_leads = repeated_leads = long_leads = 0
@@ -451,13 +459,92 @@ def test_rule_index_updates_match_a_fresh_scan():
                 live.append(rule)
             by_rank = sorted(live, key=lambda r: r.rank)
             rules = [(r.lead, r.tail) for r in by_rank]
-            assert index.lengths == sorted({len(r.lead) for r in live})
+            fresh = _RuleIndex(live)
+            assert (index.first, _trie(index.trie)) == (fresh.first, _trie(fresh.trie))
             for _ in range(3):
                 u = tuple(rng.randrange(letters) for _ in range(rng.randint(0, 7)))
                 found = index.leftmost(u)
                 expected = _leftmost_match(u, rules)
                 got = None if found is None else (found[0], by_rank.index(found[1]))
                 assert got == expected
+
+
+def _assert_index_equals_scan(index, rules, words):
+    """``index`` holds the ``_Rule``s ``rules``: its redexes, prefix probes
+    and lead factors are those a scan of every rule finds."""
+    by_rank = sorted(rules, key=lambda r: r.rank)
+    scan = [(r.lead, r.tail) for r in by_rank]
+    leads = {r.lead for r in rules}
+    for u in words:
+        found = index.leftmost(u)
+        got = None if found is None else (found[0], by_rank.index(found[1]))
+        assert got == _leftmost_match(u, scan)
+        assert list(index.factors(u)) == [
+            (i, j) for i in range(len(u) + 1) for j in range(i, len(u) + 1) if u[i:j] in leads
+        ]
+    for prefix in {r.lead[:o] for r in rules for o in range(1, len(r.lead) + 1)}:
+        assert set(index.extending(prefix)) == {
+            r for r in rules if len(r.lead) > len(prefix) and r.lead[: len(prefix)] == prefix
+        }
+
+
+def test_rule_index_with_leads_that_prefix_other_leads():
+    # every lead is a chain a, ab, abb, ... cut from one word, so most leads
+    # are proper prefixes of others and a word matches several at a position
+    rng = random.Random(63)
+    nested = 0
+    for _ in range(300):
+        letters = rng.randint(1, 3)
+        stems = [tuple(rng.randrange(letters) for _ in range(6)) for _ in range(rng.randint(1, 2))]
+        leads = [s[:k] for s in stems for k in rng.sample(range(1, 7), rng.randint(1, 4))]
+        ranks = rng.sample(range(100), len(leads))
+        rules = [_Rule({lead: 1}, lead, rank) for lead, rank in zip(leads, ranks)]
+        index = _RuleIndex(rules)
+        nested += any(f != g and g[: len(f)] == f for f in leads for g in leads)
+        words = [tuple(rng.randrange(letters) for _ in range(rng.randint(0, 8))) for _ in range(4)]
+        _assert_index_equals_scan(index, rules, words + stems)
+    assert nested > 200
+
+
+def test_rule_index_emptied_by_discards_holds_nothing():
+    rng = random.Random(64)
+    for _ in range(200):
+        letters = rng.randint(1, 3)
+        leads = [_random_lead(rng, letters) for _ in range(rng.randint(1, 12))]
+        rules = [_Rule({lead: 1}, lead, rank) for rank, lead in enumerate(leads)]
+        rules += [_Rule({r.lead: 1}, r.lead, 100 + k) for k, r in enumerate(rules[:3])]
+        index = _RuleIndex(rules)
+        rng.shuffle(rules)
+        for rule in rules:
+            index.discard(rule)
+        assert (index.first, index.trie, index._others) == ({}, [{}, None, []], {})
+        assert index.leftmost((0,) * 5) is None
+
+
+def test_rule_index_after_ranks_are_reassigned():
+    # as ``_Engine.sort`` does: distinct leads stay indexed while their
+    # ranks become their places in a new order
+    rng = random.Random(65)
+    for _ in range(200):
+        letters = rng.randint(1, 3)
+        leads = list(dict.fromkeys(_random_lead(rng, letters) for _ in range(rng.randint(1, 10))))
+        rules = [_Rule({lead: 1}, lead, rank) for rank, lead in enumerate(leads)]
+        index = _RuleIndex(rules)
+        words = [tuple(rng.randrange(letters) for _ in range(rng.randint(0, 8))) for _ in range(4)]
+        rng.shuffle(rules)
+        for rank, rule in enumerate(rules):
+            rule.rank = rank
+        _assert_index_equals_scan(index, rules, words)
+        # and later updates see the new ranks
+        gone = rules.pop(rng.randrange(len(rules)))
+        index.discard(gone)
+        lead = _random_lead(rng, letters)
+        if lead not in {r.lead for r in rules}:
+            rules.append(_Rule({lead: 1}, lead, -1))
+            index.add(rules[-1])
+        _assert_index_equals_scan(index, rules, words)
+        fresh = _RuleIndex(rules)
+        assert (index.first, _trie(index.trie)) == (fresh.first, _trie(fresh.trie))
 
 
 def _irr_oracle(alphabet, relations, spec, max_deg):
