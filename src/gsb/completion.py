@@ -3,31 +3,34 @@
 Completion keeps a working set of monic relations.  Each relation that
 enters it gets a record of its own, computed once: a ``rewrite._Rule``,
 the primitive integer row ``p*lead + tail`` built as for a public call,
-with a sort key and its factors (every subword of every support word).
+with a sort key and its support as one string.
 A composition is built from the two rows scaled to lcm(p_f, p_g), where
 the leads cancel exactly, and reduced on integers.  Coefficients become
 ``Fraction`` only where a polynomial leaves the engine: residuals,
 decomposition coefficients, and the monic form of each relation that
-enters.  The engine keeps hash maps over the working set and updates them
-as relations enter and leave, so no step scans every relation:
+enters.  The engine keeps maps over the working set and updates them as
+relations enter and leave:
 
 - the rule index (``rewrite._RuleIndex``) maps each lead to its
   lowest-ranked holder, ranked by place in the set, and keeps the trie of
   the leads, whose node for each proper prefix of a lead holds the
   relations with a lead extending it; it finds every redex, and
   interreduction takes a relation out of it before reducing it by the rest;
-- the factor map takes each factor to the relations whose support contains
-  it, so a new lead finds the relations it may make reducible (the
-  interreduction candidates) and the longer leads that include it;
 - the trie and a suffix map, probed with the proper suffixes and prefixes
   of a new lead, give its intersection overlaps.
 
-The overlaps of a relation are enumerated once, against the relations
-paired when it enters.  Those on words above the degree bound are counted
-without being built; the rest are pushed on a heap ordered by (w, lead f,
-lead g, kind, len(a)); since the leading words of the working set are
-distinct and kept sorted, this is the smallest-first order by word and
-relation indices.
+A new lead finds the relations it may make reducible (the interreduction
+candidates) by one substring test per relation, on the string of its
+support; relations enter far less often than they are reduced or paired.
+
+Pairing runs only on an interreduced set: no lead is a factor of another
+relation's support, so no lead contains another and ``_pair`` routes only
+intersections.  The overlaps of a relation are enumerated once, against
+the relations paired when it enters.  Those on words above the degree
+bound are counted without being built; the rest are pushed on a heap
+ordered by (w, lead f, lead g, kind, len(a)); since the leading words of
+the working set are distinct and kept sorted, this is the smallest-first
+order by word and relation indices.
 Pairs whose relation has left the set are dropped when popped.  The monic
 normal form of each nontrivial composition is added and the set is
 inter-reduced, always rewriting the lowest-ranked relation whose support
@@ -343,23 +346,26 @@ class _Relation(_Rule):
     ``rank`` is its place in the working set while it is there.
     ``paired`` is set once its pairs are routed and cleared when it leaves,
     which is for good, so queued pairs of a departed relation are dropped.
-    ``subwords`` holds every factor of every support word.
+    ``text`` is its support as one string: the words, each spelled by
+    ``_text``, joined by a character that is no letter, so a lead is a
+    factor of a support word exactly when its spelling is a substring of
+    ``text``.
     """
 
-    __slots__ = ("poly", "key", "subwords", "paired")
+    __slots__ = ("poly", "key", "text", "paired")
 
     def __init__(self, poly, keyf):
         terms = poly.raw_terms()
         _Rule.__init__(self, terms, max(terms, key=keyf))
         self.poly = poly
         self.key = keyf(self.lead)
-        self.subwords = frozenset(
-            u[i:j]
-            for u in terms
-            for i in range(len(u) + 1)
-            for j in range(i, len(u) + 1)
-        )
+        self.text = chr(poly.alphabet.size).join(map(_text, terms))
         self.paired = False
+
+
+def _text(u) -> str:
+    """A word as a string, one character per letter."""
+    return "".join(map(chr, u))
 
 
 def _lead_key(rel: _Relation):
@@ -372,11 +378,12 @@ class _Engine:
     ``rels`` is the working set in rank order.  ``index`` is its rule index,
     whose trie gives, for each proper prefix of a lead, the relations with
     a lead extending it; ``_suffixes`` maps each proper suffix of a lead to
-    the relations with that lead, and ``_containing`` maps each factor to
-    the relations whose support contains it.  ``_dirty`` holds the
-    interreduction candidates: each relation that entered, or whose support
-    contains a lead that entered, since it was last picked; so it holds
-    every relation that another relation's lead makes reducible.
+    the relations with that lead.  ``_dirty`` holds the interreduction
+    candidates: each relation that entered, or whose support contains a
+    lead that entered, since it was last picked; so it holds every relation
+    that another relation's lead makes reducible.  A new lead finds the
+    relations containing it by a substring test on each ``text`` of
+    ``rels``.
     """
 
     def __init__(self, spec, alphabet, max_deg):
@@ -387,7 +394,6 @@ class _Engine:
         self.stats = dict.fromkeys(STAT_KEYS, 0)
         self.rels = []
         self.index = _RuleIndex()
-        self._containing = {}
         self._suffixes = {}
         self._dirty = set()
         self._queue = []
@@ -411,12 +417,11 @@ class _Engine:
     def _enter(self, rel, rank) -> None:
         rel.rank = rank
         lead = rel.lead
-        # the new relation may be reducible, and so may those containing its lead
-        self._dirty.add(rel)
-        self._dirty.update(self._containing.get(lead, ()))
+        # the new relation may be reducible, and so may those containing its
+        # lead; rel is in rels already, and its support contains its lead
+        text = _text(lead)
+        self._dirty.update(r for r in self.rels if text in r.text)
         self.index.add(rel)
-        for f in rel.subwords:
-            _add_to(self._containing, f, rel)
         for o in range(1, len(lead)):
             _add_to(self._suffixes, lead[o:], rel)
 
@@ -424,8 +429,6 @@ class _Engine:
         rel.paired = False
         lead = rel.lead
         self.index.discard(rel)
-        for f in rel.subwords:
-            _remove_from(self._containing, f, rel)
         for o in range(1, len(lead)):
             _remove_from(self._suffixes, lead[o:], rel)
 
@@ -460,12 +463,17 @@ class _Engine:
         first, so it is reduced by the others.
         """
         rels = self.rels
-        first = self.index.first
+        factors = self.index.factors
         held = self.index.holders
         while self._dirty:
             r = min(self._dirty, key=_rank)
             self._dirty.remove(r)
-            if all(h is r for f in r.subwords if f in first for h in held(f)):
+            if all(
+                h is r
+                for u in r.poly.raw_terms()
+                for start, end in factors(u)
+                for h in held(u[start:end])
+            ):
                 continue
             self._leave(r)
             steps = []
@@ -512,8 +520,9 @@ class _Engine:
         """Route the overlaps of ``rel`` with itself, and in both orders with
         every paired relation.
 
-        An intersection on more than ``max_deg`` letters is only counted:
-        its word, context and route are never built.
+        The set is interreduced, so no lead is inside another and every
+        overlap is an intersection.  One on more than ``max_deg`` letters is
+        only counted: its word, context and route are never built.
         """
         f = rel.lead
         n = len(f)
@@ -540,19 +549,6 @@ class _Engine:
                     else:
                         route(other, rel, INTERSECTION, g + f[o:], g[: len(g) - o], f[o:])
         self.stats["pairs_enumerated"] += above
-        # a shorter lead inside f
-        for start, end in index.factors(f):
-            if end - start < n:
-                for other in index.holders(f[start:end]):
-                    if other.paired:
-                        route(rel, other, INCLUSION, f, f[:start], f[end:])
-        # f inside a longer lead: only relations whose support contains f
-        for other in self._containing.get(f, ()):
-            g = other.lead
-            if other.paired and len(g) > n:
-                for start in range(len(g) - n + 1):
-                    if g[start : start + n] == f:
-                        route(other, rel, INCLUSION, g, g[:start], g[start + n :])
 
     def _route(self, f, g, kind, w, a, b) -> None:
         """Count a pair, and queue it unless its word is above the bound."""

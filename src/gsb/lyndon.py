@@ -56,7 +56,7 @@ def alsw_up_to(alphabet: Alphabet, max_len: int) -> list[Word]:
     return [u for group in groups for u in group]
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class BracketedWord:
     """A binary bracketing of a word; leaves are single letters."""
 
@@ -99,14 +99,21 @@ class BracketedWord:
         return f"BracketedWord({self})"
 
 
+# a frozen dataclass: its fields are set through the slot descriptors, as
+# its __init__ does, bypassing the frozen __setattr__
+_set_node_alphabet = BracketedWord.alphabet.__set__
+_set_node_letter = BracketedWord.letter.__set__
+_set_node_left = BracketedWord.left.__set__
+_set_node_right = BracketedWord.right.__set__
+
+
 def _trusted_node(alphabet, letter, left, right) -> BracketedWord:
     """A ``BracketedWord`` known to be a valid leaf or pair; skips the checks."""
     node = object.__new__(BracketedWord)
-    fields = node.__dict__  # a frozen dataclass: fields set directly, as its __init__ does
-    fields["alphabet"] = alphabet
-    fields["letter"] = letter
-    fields["left"] = left
-    fields["right"] = right
+    _set_node_alphabet(node, alphabet)
+    _set_node_letter(node, letter)
+    _set_node_left(node, left)
+    _set_node_right(node, right)
     return node
 
 
@@ -143,8 +150,12 @@ def std_bracketing(u: Word) -> BracketedWord:
     if not _is_lyndon(u.letters):
         raise NotAlswError(f"{u} is not an associative Lyndon-Shirshov word")
     stack = []  # (letters, bracketing) per factor, the first factor on top
+    leaves = {}  # one leaf per letter, shared: the nodes are immutable
     for c in reversed(u.letters):
-        word, tree = (c,), _trusted_node(u.alphabet, c, None, None)
+        tree = leaves.get(c)
+        if tree is None:
+            tree = leaves[c] = _trusted_node(u.alphabet, c, None, None)
+        word = (c,)
         while stack and word < stack[-1][0]:
             right_word, right = stack.pop()
             word, tree = word + right_word, _trusted_node(u.alphabet, None, tree, right)

@@ -114,7 +114,7 @@ def pair_formal_inverses(symbols) -> tuple[tuple[str, str], ...]:
     return tuple(pairs)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Word:
     """An element of the free monoid over an alphabet.
 
@@ -168,12 +168,17 @@ def _checked_letters(letters, size: int) -> tuple[int, ...]:
     return letters
 
 
+# a frozen dataclass: its fields are set through the slot descriptors, as
+# its __init__ does, bypassing the frozen __setattr__
+_set_word_alphabet = Word.alphabet.__set__
+_set_word_letters = Word.letters.__set__
+
+
 def _trusted_word(alphabet: Alphabet, letters: tuple[int, ...]) -> Word:
     """A ``Word`` from a letter tuple known to lie in range; skips the check."""
     word = object.__new__(Word)
-    fields = word.__dict__  # a frozen dataclass: fields set directly, as its __init__ does
-    fields["alphabet"] = alphabet
-    fields["letters"] = letters
+    _set_word_alphabet(word, alphabet)
+    _set_word_letters(word, letters)
     return word
 
 

@@ -798,8 +798,10 @@ def test_all_overlaps_equal_pairwise_scan():
 
 
 def test_engine_pairing_equals_pairwise_scan():
-    # relations enter unreduced, so leads repeat and include one another
+    # relations enter unreduced, with leads repeated and inside one another;
+    # pairing runs on the set interreduction leaves, as in a completion
     rng = random.Random(72)
+    removed = 0
     inclusions = 0
     for _ in range(300):
         letters, leads = _random_leads(rng)
@@ -812,22 +814,23 @@ def test_engine_pairing_equals_pairwise_scan():
             polys.append(Polynomial(A, terms))
         engine = _Engine(SPEC, A, max_deg=20)
         engine.start(polys)
+        log = []
+        engine.interreduce(log)
+        engine.sort()
+        removed += len(log)
         routed = Counter()
         engine._route = lambda f, g, kind, w, a, b: routed.update([(f, g, kind, w, a, b)])
         engine.update()
         expected = Counter()
-        paired = []
-        for rel in engine.rels:
-            for other in paired:
-                for f, g in ((rel, other), (other, rel)):
-                    for kind, w, a, b in _overlaps(f.lead, g.lead, len(g.lead) < len(f.lead)):
-                        expected[(f, g, kind, w, a, b)] += 1
-            for kind, w, a, b in _overlaps(rel.lead, rel.lead, False):
-                expected[(rel, rel, kind, w, a, b)] += 1
-            paired.append(rel)
+        for f in engine.rels:
+            for g in engine.rels:
+                for kind, w, a, b in _overlaps(f.lead, g.lead, f is not g):
+                    expected[(f, g, kind, w, a, b)] += 1
         assert routed == expected
         inclusions += sum(n for key, n in expected.items() if key[2] == INCLUSION)
-    assert inclusions > 100
+    # no lead is inside another, yet the nested leads were there to remove
+    assert inclusions == 0
+    assert removed > 100
 
 
 def _interreduce_by_scan(polys):
@@ -884,6 +887,56 @@ def test_engine_interreduction_equals_restarting_scan():
         assert ([str(r.poly) for r in engine.rels], log) == _interreduce_by_scan(polys)
         rewritten += len(log)
     assert rewritten > 200
+
+
+
+def _random_support(rng, A):
+    """A nonzero monic relation of two to four words, each ending or
+    starting in letter 0 half the time."""
+    while True:
+        terms = []
+        for _ in range(rng.randint(2, 4)):
+            u = [rng.randrange(A.size) for _ in range(rng.randint(0, 4))]
+            if u and rng.random() < 0.5:
+                u[rng.choice((0, -1))] = 0
+            terms.append((tuple(u), rng.choice((1, -1, 2, Fraction(1, 2)))))
+        s = Polynomial(A, terms)
+        if not s.is_zero():
+            return s.make_monic(SPEC)
+
+
+def _is_factor(f, u):
+    return any(u[i : i + len(f)] == f for i in range(len(u) - len(f) + 1))
+
+
+def test_new_lead_marks_exactly_the_relations_containing_it():
+    # the candidates are found on a string of each support; a lead that
+    # spans two of its words must not match, and none inside one may be missed
+    rng = random.Random(75)
+    hits = spans = 0
+    for k in range(400):
+        A = ABC if k % 2 else AB
+        engine = _Engine(SPEC, A, max_deg=8)
+        engine.start([_random_support(rng, A) for _ in range(rng.randint(2, 6))])
+        engine.interreduce([])
+        engine.sort()
+        assert not engine._dirty
+        rel = engine.compile(_random_support(rng, A))
+        engine.append(rel)
+        f = rel.lead
+        expected = {rel} | {
+            r for r in engine.rels if any(_is_factor(f, u) for u in r.poly.raw_terms())
+        }
+        assert engine._dirty == expected
+        hits += len(expected) - 1
+        for r in engine.rels:
+            words = list(r.poly.raw_terms())
+            if r not in expected and any(
+                _is_factor(f, u + v) for u in words for v in words if u != v
+            ):
+                spans += 1
+    assert hits > 100
+    assert spans > 50
 
 
 # -- no relation comes back once pairing has begun ---------------------------

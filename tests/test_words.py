@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -113,6 +116,17 @@ def test_concat_alphabet_mismatch():
     with pytest.raises(AlphabetMismatchError):
         w("a") * parse_word("c", Alphabet(("c",)))
 
+
+
+@pytest.mark.parametrize("word", [w("1"), w("a*b*b"), Word(AB, (1, 0))])
+def test_word_is_slotted_and_survives_pickle_and_deepcopy(word):
+    assert not hasattr(word, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        word.letters = ()
+    for copied in (pickle.loads(pickle.dumps(word)), copy.deepcopy(word)):
+        assert copied == word
+        assert hash(copied) == hash(word)
+        assert copied.alphabet == AB
 
 def test_occurrences_examples():
     out = occurrences(w("a*b"), w("a*a*b"))
