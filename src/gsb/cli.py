@@ -26,7 +26,7 @@ from .constructions import (
 from .errors import GsbError, LimitError, PresentationFormatError
 from .lyndon import alsw_up_to, nlsw_basis_count, std_bracketing
 from .modules import module_check_gsb, module_complete, module_irr
-from .poly import format_element, parse_module_element, parse_polynomial
+from .poly import _digits, format_element, parse_module_element, parse_polynomial
 from .presentation import (
     ModulePresentation,
     Presentation,
@@ -142,7 +142,8 @@ def _cmd_irr(args) -> int:
     if isinstance(p, ModulePresentation):
         words = module_irr(p.alphabet, p.basis, p.relations, p.ordering, args.max_deg)
     elif args.count_only:
-        print(sum(irr_counts(p.alphabet, p.relations, p.ordering, args.max_deg)))
+        # a count can pass Python's int/str digit limit, so it is written in chunks
+        print(_digits(sum(irr_counts(p.alphabet, p.relations, p.ordering, args.max_deg))))
         return 0
     else:
         words = irr_words(p.alphabet, p.relations, p.ordering, args.max_deg)

@@ -52,8 +52,10 @@ normal forms are wrapped by ``Polynomial._of`` and output words are made
 by ``_trusted_word``, with no re-check.  The randomized cross-check
 (``normal_form_random``) builds its own ``Fraction`` tails and scans
 every rule by brute force, and the dimension oracle (``quotient_dims``)
-uses no index, so both stay independent of the index and of the integer
-rows.
+is plain linear algebra on rows of its own, numbered words, with no index
+and no reduction step: a row whose greatest word has no pivot is stored
+as one as it is, and no translate of a row found dependent is built.  So
+both stay independent of the index and of the rules' integer rows.
 """
 
 from __future__ import annotations
@@ -624,29 +626,50 @@ def quotient_dims(
     are added in, so every entry is exact.
 
     Each relation is scaled once to integer coefficients by the lcm of its
-    denominators.  Words are numbered degree first and then
-    lexicographically by letter index, and elimination runs on integer rows
-    keyed by those numbers: a row is reduced by cross-multiplication with
-    the pivot of its greatest word, and a row that becomes a pivot is
-    divided by the gcd of its entries and given a positive leading
-    coefficient.  The pivot order changes no rank, so the ordering ``spec``
-    serves only to check monicity and find each leading word (through
-    ``_checked``); nothing else is shared with the rewriting engine.
+    denominators, which leaves it primitive.  Words are numbered degree
+    first and then lexicographically by letter index, and elimination runs
+    on integer rows keyed by those numbers.  The greatest-numbered word of
+    a scaled relation is its top, and since the numbering is kept by
+    translation, the top of a*s*b is a*top*b; the relation is negated once
+    if its top coefficient is negative.  A row whose top has no pivot yet
+    is stored as the pivot of its top as it is, already primitive with a
+    positive leading coefficient.  Any other row is reduced by
+    cross-multiplication with the pivot of its greatest word, and one that
+    becomes a pivot is divided by the gcd of its entries.
+
+    Rows are taken in the order (degree, relation, |a|, num(a), num(b)).
+    A row is dependent if it lies in the span of the rows before it, as
+    one that reduces to zero does, and no row a*s*b is built whose row
+    (a[1:], b) or (a, b[:-1]) of the same relation was dependent, since it
+    is dependent too:
+
+    1. the order is kept by translation: if row r comes before row r',
+       then x*r*y comes before x*r'*y for all words x, y;
+    2. so if r is a combination of the rows before it, x*r*y is one of
+       their translates, which come before it and are of no greater degree;
+    3. a*s*b is the translate of (a[1:], b) by the letter a[0] on the left
+       and of (a, b[:-1]) by the letter b[-1] on the right.
+
+    The pivot order changes no rank, so the ordering ``spec`` serves only
+    to check monicity and find each leading word (through ``_checked``);
+    nothing else is shared with the rewriting engine.
     """
     if max_deg < 0:
         raise LimitError(f"max_deg must be >= 0, got {max_deg}")
     k = alphabet.size
+    cap = capacity if capacity is not None else word_capacity()
     # offsets[n]: the number of words of degree < n, the first number of degree n
     offsets = [0]
     for n in range(max_deg + 1):
         offsets.append(offsets[-1] + k**n)
-    nwords = offsets[-1]
-    cap = capacity if capacity is not None else word_capacity()
-    if nwords > cap:
-        raise CapacityError(
-            f"{nwords} words of degree <= {max_deg} exceed the capacity {cap}"
-        )
-    # (lead degree, [(degree, number within its degree, integer coefficient)])
+        if offsets[-1] > cap:
+            # the count stops at the first degree past the capacity, so it stays small
+            bound = f"; max_deg is {max_deg}" if n < max_deg else ""
+            raise CapacityError(
+                f"{offsets[-1]} words of degree <= {n} exceed the capacity {cap}{bound}"
+            )
+    # (lead degree, number of the top word, top coefficient, [(degree, number, coefficient)]
+    # of the other words), the top coefficient positive
     scaled = []
     # the whole set is checked before any relation is scaled
     for terms, lead in list(_checked(relations, spec, alphabet)):
@@ -665,28 +688,58 @@ def quotient_dims(
             for letter in w:  # letter index 0 is the greatest digit
                 num = num * k + (k - 1 - letter)
             ints.append((len(w), num, c.numerator * (den // c.denominator)))
-        scaled.append((lead_len, ints))
+        # the top by word number: a tower lead can be another word of the top degree
+        ints.sort()
+        _n, top, top_c = ints.pop()
+        if top_c < 0:
+            top_c = -top_c
+            ints = [(n, num, -c) for n, num, c in ints]
+        scaled.append((lead_len, top, top_c, ints))
     pivots = {}
-    rank = 0
     dims = []
+    # dead[i]: {(|a|, num(a)): {num(b)}} of the dependent rows a*s*b of the
+    # i-th relation at the last degree reached
+    dead = [{} for _ in scaled]
     for deg in range(max_deg + 1):
-        for lead_len, terms in scaled:
+        for i, (lead_len, top, top_c, tail) in enumerate(scaled):
             extra = deg - lead_len
+            if extra < 0:
+                continue
+            prev = dead[i]
+            dead[i] = cur = {}
             for da in range(extra + 1):
                 db = extra - da
                 size_b = k**db
+                size_a1 = k ** (da - 1) if da else 1
                 # a*w*b is numbered offsets[|a*w*b|] + num(a)*k^(|w|+|b|) + num(w)*k^|b| + num(b)
+                step = k ** (lead_len + db)
+                top_head = offsets[deg] + top * size_b
                 shifted = [
                     (offsets[da + n + db] + num * size_b, k ** (n + db), c)
-                    for n, num, c in terms
+                    for n, num, c in tail
                 ]
                 for na in range(k**da):
-                    heads = [(base + na * step, c) for base, step, c in shifted]
+                    # the dependent rows (a[1:], b) and (a, b[:-1]) of the last degree;
+                    # there is none if a, or b, is empty
+                    left = prev.get((da - 1, na % size_a1))
+                    right = prev.get((da, na))
+                    dependent = set()
+                    head = top_head + na * step
+                    heads = [(b + na * s, c) for b, s, c in shifted]
                     for nb in range(size_b):
-                        row = {head + nb: c for head, c in heads}
-                        if _eliminate(row, pivots):
-                            rank += 1
-        dims.append(offsets[deg + 1] - rank)
+                        if (left and nb in left) or (right and nb // k in right):
+                            dependent.add(nb)
+                        elif head + nb not in pivots:
+                            pivots[head + nb] = (top_c, tuple([(h + nb, c) for h, c in heads]))
+                        else:
+                            row = {h + nb: c for h, c in heads}
+                            row[head + nb] = top_c
+                            if not _eliminate(row, pivots):
+                                dependent.add(nb)
+                    if dependent:
+                        cur[(da, na)] = dependent
+        # the rank is the number of pivots
+        dims.append(offsets[deg + 1] - len(pivots))
     return dims
 
 
@@ -697,10 +750,11 @@ def quotient_dim_oracle(
 
     Computed by exact elimination over integer rows a*s*b with
     deg(a*lead(s)*b) <= max_deg: each relation is scaled to integers once,
-    rows are reduced by cross-multiplication, and each new pivot row is
-    divided by the gcd of its entries (see ``quotient_dims``, whose last
-    entry this is).  Independent of the rewriting engine; used as the
-    oracle for irr_words counts on certified bases.
+    a row whose greatest word has no pivot becomes one as it is, other
+    rows are reduced by cross-multiplication, and no translate of a
+    dependent row is built (see ``quotient_dims``, whose last entry this
+    is).  Independent of the rewriting engine; used as the oracle for
+    irr_words counts on certified bases.
     """
     return quotient_dims(alphabet, relations, spec, max_deg, capacity)[-1]
 

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import gsb
 from gsb.cli import run
+from gsb.poly import _digits
 
 AAB = "alphabet: a > b\nordering: deglex\nrelations:\na*a - b\n"
 # the cyclic group of order 3 as a group-table file: elements 1, 2 and the identity 0
@@ -101,6 +103,19 @@ def test_irr_count_only_counts_the_listing(tmp_path, capsys):
             listed = capsys.readouterr().out.splitlines()
             assert run(["irr", path, "--max-deg", max_deg, "--count-only"]) == 0
             assert capsys.readouterr().out == f"{len(listed)}\n"
+
+
+def test_irr_count_only_prints_counts_past_the_int_str_digit_limit(tmp_path, capsys):
+    path = tmp_path / "bba.pres"
+    path.write_text("alphabet: a > b\nordering: deglex\nrelations:\nb*b - a\n")
+    assert run(["irr", str(path), "--max-deg", "25000", "--count-only"]) == 0
+    # the irreducible words avoid b*b: F(n + 2) of them at degree n, F(25004) - 2 in all
+    fib = [0, 1]
+    for _ in range(25003):
+        fib = [fib[1], fib[0] + fib[1]]
+    out = capsys.readouterr().out
+    assert out == _digits(fib[1] - 2) + "\n"
+    assert len(out) == 5226 + 1
 
 
 def test_lyndon_commands(capsys):
@@ -285,6 +300,9 @@ def test_selftest_exit_codes(monkeypatch, capsys):
         (["irr", "F", "--max-deg", "-1"], {}),
         (["lyndon", "--alphabet", "a>b", "--max-len", "0"], {}),
         (["dim", "F", "--max-deg", "3"], {"GSB_MAX_WORDS": "abc"}),
+        # 2**20001 - 1 words: a count past Python's int/str digit limit
+        (["dim", "F", "--max-deg", "20000"], {}),
+        (["dim", "F", "--max-deg", "200000"], {}),
         (["check", "F", "--max-deg", "-3"], {}),
         (["check", "M", "--max-deg", "0"], {}),
         (["nf", "F", "--poly", "1/0*a"], {}),
@@ -348,6 +366,15 @@ def test_limit_errors_exit_1_without_traceback(aab_file, tmp_path, argv, env):
     assert "Traceback" not in done.stderr
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_dim_capacity_error_stops_at_the_first_degree_past_the_capacity(aab_file, capsys):
+    start = time.perf_counter()
+    assert run(["dim", aab_file, "--max-deg", "200000"]) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "error: 32767 words of degree <= 14 exceed the capacity 20000; max_deg is 200000\n"
+    )
 
 
 def test_lyndon_count_only_three_letters(capsys):

@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from gsb import rewrite
 from gsb.completion import shirshov_complete
 from gsb.errors import (
     CapacityError,
@@ -239,6 +240,55 @@ def test_quotient_dims_match_dense_fraction_rank_under_tower():
     # the tower order picks other leading words than deg-lex, each of maximal degree
     assert [str(f.leading_word(spec)) for f in rels] == ["a*t", "t*t^-1", "a*t^-1*a"]
     _assert_dims_match_references(TOWER_AB, rels, spec, 3)
+
+
+ABC = Alphabet(("a", "b", "c"))
+BRAID = ("a*b*a - b*a*b", "b*c*b - c*b*c", "a*c - c*a")
+
+
+def _dependent_translate_cases():
+    """Sets in which many rows a*s*b depend on earlier rows, so their translates do too."""
+    f, g = p("a*b - 2/3*b*a + 5"), p("b*b*a - a - 1/2")
+    tower = Tower("t", "t^-1")
+    h, u = (
+        Polynomial.parse(text, TOWER_AB).make_monic(tower)
+        for text in ("t*a - 2/3*a*t + 3*b", "t*t^-1 - 1")
+    )
+    x = Polynomial.parse("a", TOWER_AB)
+    return {
+        "repeated input": (AB, [f, g, f], SPEC, 5),
+        "rescaled copy": (AB, [f, (f * Fraction(-7, 3)).make_monic(SPEC), g], SPEC, 5),
+        "inside the ideal": (AB, [f, g, (p("b") * f * p("a") + f * g * 7).make_monic(SPEC)], SPEC, 5),
+        "braid B4+": (ABC, [parse_polynomial(t, ABC) for t in BRAID], SPEC, 5),
+        # the tops by word number, t*a of h and t*a*a of h*a + a*h, have negative
+        # coefficients in the monic relations, whose tower leads are a*t and a*a*t
+        "tower, negative top": (TOWER_AB, [h, u, (h * x + x * h).make_monic(tower), h], tower, 4),
+    }
+
+
+@pytest.mark.parametrize("name", list(_dependent_translate_cases()))
+def test_quotient_dims_match_dense_rank_with_dependent_translates(name):
+    alphabet, rels, spec, max_deg = _dependent_translate_cases()[name]
+    _assert_dims_match_references(alphabet, rels, spec, max_deg)
+
+
+def test_quotient_dims_build_no_translate_of_a_dependent_row(monkeypatch):
+    # of the 3099 rows a*s*b of B4+ up to degree 7, 520 are translates of a
+    # dependent row and are never built, 2245 are stored as pivots as they
+    # are, and only the 334 whose top word already has a pivot are
+    # eliminated, 98 of them to zero
+    calls = []
+    eliminate = rewrite._eliminate
+
+    def counting(row, pivots):
+        calls.append(eliminate(row, pivots))
+        return calls[-1]
+
+    monkeypatch.setattr(rewrite, "_eliminate", counting)
+    braid = [parse_polynomial(t, ABC) for t in BRAID]
+    # 1, 3, 8, 19, 43, 94, 202, 429 words of B4+ per degree
+    assert quotient_dims(ABC, braid, SPEC, 7) == [1, 4, 12, 31, 74, 168, 370, 799]
+    assert (len(calls), calls.count(False)) == (334, 98)
 
 
 def test_quotient_dims_raise_where_the_oracle_does():
