@@ -172,7 +172,7 @@ def _cmd_lyndon(args) -> int:
         if args.max_len < 1:
             raise LimitError(f"max_len must be >= 1, got {args.max_len}")
         for n in range(1, args.max_len + 1):
-            print(f"{n} {nlsw_basis_count(alphabet, n)}")
+            print(n, _digits(nlsw_basis_count(alphabet, n)))
         return 0
     for w in alsw_up_to(alphabet, args.max_len):
         if args.bracket:

@@ -73,6 +73,7 @@ from .rewrite import (
     _rank,
     _reduce,
     _replay,
+    _normal_form,
     _Rule,
     _RuleIndex,
     compile_rules,
@@ -115,26 +116,6 @@ class Ambiguity:
         )
 
 
-def _overlaps(f, g, inclusion: bool) -> list:
-    """Ambiguities of the leading words ``f`` and ``g`` (letter tuples).
-
-    Returns raw ``(kind, w, a, b)`` tuples: every proper suffix of f that
-    is a prefix of g (intersections), then, when ``inclusion`` is set,
-    every occurrence of g inside f.  This is the definition the indexed
-    searches below reproduce, and the tests' reference for them.
-    """
-    out = []
-    nf, ng = len(f), len(g)
-    for o in range(1, min(nf, ng)):
-        if f[nf - o :] == g[:o]:
-            out.append((INTERSECTION, f + g[o:], f[: nf - o], g[o:]))
-    if inclusion:
-        for start in range(nf - ng + 1):
-            if f[start : start + ng] == g:
-                out.append((INCLUSION, f, f[:start], f[start + ng :]))
-    return out
-
-
 def _all_overlaps(index: _RuleIndex, keyf) -> list:
     """Every ambiguity among the rules of ``index`` (ranked by relation
     index) as raw ``(kind, i, j, w, a, b)``, sorted by (w, i, j, kind, len(a)).
@@ -161,6 +142,42 @@ def _all_overlaps(index: _RuleIndex, keyf) -> list:
     return [(kind, i, j, w, a, b) for _, i, j, kind, _, w, a, b in found]
 
 
+class _Scan:
+    """One compile of a relation set, its rule index and its ambiguities,
+    from which ``find_ambiguities``, ``check_gsb`` and normal forms by the
+    set are all read."""
+
+    def __init__(self, relations, spec):
+        self.relations = tuple(relations)
+        self.spec = spec
+        self.alphabet = A = self.relations[0].alphabet if self.relations else None
+        self.rules = compile_rules(self.relations, spec, A)
+        self.index = _RuleIndex(self.rules)
+        self.keyf = spec.letter_key(A) if self.rules else None
+        self.overlaps = _all_overlaps(self.index, self.keyf)
+
+    def ambiguities(self) -> list[Ambiguity]:
+        return [Ambiguity._of(self.alphabet, *e) for e in self.overlaps]
+
+    def check(self, max_deg: int | None = None) -> CheckReport:
+        A, rules, index, keyf = self.alphabet, self.rules, self.index, self.keyf
+        nontrivial = []
+        evaluated = skipped = 0
+        for kind, i, j, w, a, b in self.overlaps:
+            if max_deg is not None and len(w) > max_deg:
+                skipped += 1
+                continue
+            evaluated += 1
+            nf = _reduce(*_compose(kind, rules[i], rules[j], a, b), index, keyf)
+            if nf:
+                nontrivial.append((Ambiguity._of(A, kind, i, j, w, a, b), Polynomial._of(A, nf)))
+        return CheckReport(self.relations, self.spec, max_deg, tuple(nontrivial), evaluated, skipped)
+
+    def normal_form(self, p: Polynomial) -> Polynomial:
+        """``p``, over the alphabet of the set, reduced by the set."""
+        return _normal_form(p, self.index, self.keyf)
+
+
 def find_ambiguities(relations, spec) -> list[Ambiguity]:
     """Every intersection and inclusion ambiguity, each reported once.
 
@@ -168,11 +185,7 @@ def find_ambiguities(relations, spec) -> list[Ambiguity]:
     count as an inclusion with empty context, reported for the lower index
     pair only.  Sorted by (w, f_index, g_index).
     """
-    A = relations[0].alphabet if relations else None
-    rules = compile_rules(relations, spec, A)
-    if not rules:
-        return []
-    return [Ambiguity._of(A, *e) for e in _all_overlaps(_RuleIndex(rules), spec.letter_key(A))]
+    return _Scan(relations, spec).ambiguities()
 
 
 def composition(f: Polynomial, g: Polynomial, amb: Ambiguity, spec) -> Polynomial:
@@ -711,28 +724,4 @@ def check_gsb(relations, spec, max_deg: int | None = None) -> CheckReport:
     """
     if max_deg is not None and max_deg < 1:
         raise LimitError(f"max_deg must be positive, got {max_deg}")
-    rels = list(relations)
-    A = rels[0].alphabet if rels else None
-    rules = compile_rules(rels, spec, A)
-    nontrivial = []
-    evaluated = 0
-    skipped = 0
-    if rules:
-        keyf = spec.letter_key(A)
-        index = _RuleIndex(rules)
-        for kind, i, j, w, a, b in _all_overlaps(index, keyf):
-            if max_deg is not None and len(w) > max_deg:
-                skipped += 1
-                continue
-            evaluated += 1
-            nf = _reduce(*_compose(kind, rules[i], rules[j], a, b), index, keyf)
-            if nf:
-                nontrivial.append((Ambiguity._of(A, kind, i, j, w, a, b), Polynomial._of(A, nf)))
-    return CheckReport(
-        relations=tuple(rels),
-        ordering=spec,
-        max_deg=max_deg,
-        nontrivial=tuple(nontrivial),
-        evaluated=evaluated,
-        skipped=skipped,
-    )
+    return _Scan(relations, spec).check(max_deg)

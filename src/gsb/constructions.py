@@ -4,7 +4,9 @@ Each builder emits the relation families for user-chosen index bounds,
 computes (never transcribes) the orientation of every relation, and then
 runs the full composition check.  A builder fails loudly when the
 predicted zero-nontrivial-compositions certification does not hold on the
-instance.
+instance.  Each certification compiles its relation set once: one scan
+(``completion._Scan``, ``modules._ModuleScan``) serves the ambiguity shape
+check, then the composition check, then the witness normal forms.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .completion import CheckReport, check_gsb, find_ambiguities
+from .completion import CheckReport, _Scan, check_gsb
 from .errors import (
     CertificationError,
     IndexOutOfRangeError,
@@ -26,11 +28,10 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .lyndon import BracketedWord, is_alsw, std_bracketing
-from .modules import module_ambiguities, module_check_gsb, module_nf
+from .modules import _ModuleScan, module_check_gsb
 from .orderings import DegLex, Tower
 from .poly import ModuleElement, Polynomial
 from .presentation import ModulePresentation, Presentation
-from .rewrite import normal_form
 from .words import Alphabet, ModuleBasis, Word, module_code
 
 
@@ -251,23 +252,21 @@ def build_malcev(base: Presentation, count: int, a: str = "a", b: str = "b") -> 
         if p.leading_word(spec).letters != lhs:
             raise OrientationError("defining word does not lead its generator")
         relations.append(p)
-    ambiguities = find_ambiguities(relations, spec)
+    scan = _Scan(relations, spec)
     new = [
         amb
-        for amb in ambiguities
+        for amb in scan.ambiguities()
         if amb.f_index >= base_len or amb.g_index >= base_len
     ]
     if new:
         raise CertificationError(f"{len(new)} unexpected new compositions")
-    report = check_gsb(relations, spec)
+    report = scan.check()
     if not report.is_certificate:
         raise CertificationError("extended set failed certification")
-    witness = {}
-    for i in range(count):
-        gen = Word(alphabet, (shift + i,))
-        witness[alphabet.name(shift + i)] = normal_form(
-            Polynomial.from_word(gen), relations, spec
-        )
+    witness = {
+        alphabet.name(c): scan.normal_form(Polynomial.from_word(Word(alphabet, (c,))))
+        for c in range(shift, shift + count)
+    }
     return MalcevResult(
         Presentation(alphabet, spec, tuple(relations)), report, len(new), witness
     )
@@ -457,7 +456,8 @@ def build_simple_step(
             raise OrientationError("pair relation does not lead with its x-f-y word")
         relations.append(p)
 
-    ambiguities = find_ambiguities(relations, spec)
+    scan = _Scan(relations, spec)
+    ambiguities = scan.ambiguities()
     base_range = range(base_offset, base_offset + nb)
     for amb in ambiguities:
         shape_ok = (
@@ -469,7 +469,7 @@ def build_simple_step(
         )
         if not shape_ok:
             raise CertificationError(f"unexpected ambiguity {amb.describe()}")
-    report = check_gsb(relations, spec)
+    report = scan.check()
     if not report.is_certificate:
         raise CertificationError(
             "a table overlap was nontrivial; the table is not associative"
@@ -526,21 +526,21 @@ def build_module_cyclic(
         if m.leading_word(spec).prefix.letters != prefix:
             raise OrientationError("defining prefix does not lead")
         relations.append(m)
-    ambiguities = module_ambiguities(relations, spec)
+    scan = _ModuleScan(relations, spec)
     new = [
         amb
-        for amb in ambiguities
+        for amb in scan.ambiguities()
         if amb.f_index >= base_len or amb.g_index >= base_len
     ]
     if new:
         raise CertificationError(f"{len(new)} unexpected new module compositions")
-    report = module_check_gsb(relations, spec)
+    report = scan.check()
     if not report.is_certificate:
         raise CertificationError("extended module set failed certification")
-    witness = {}
-    for i in range(base.basis.size):
-        gen = ModuleElement(alphabet, basis, {((), i): 1})
-        witness[basis.name(i)] = module_nf(gen, relations, spec)
+    witness = {
+        basis.name(i): scan.normal_form(ModuleElement(alphabet, basis, {((), i): 1}))
+        for i in range(base.basis.size)
+    }
     return ModuleCyclicResult(
         ModulePresentation(alphabet, basis, spec, tuple(relations)), report, witness
     )

@@ -21,7 +21,7 @@ caller's ordering is the engine's.
 
 A module element is stored as its code (``words.module_code``), so the
 functions below hand ``m.code`` and the caller's ``ModuleTop`` to
-``shirshov_complete``, ``check_gsb``, ``find_ambiguities``,
+``shirshov_complete``, ``completion._Scan``, ``normal_form``,
 ``normal_form_with_trace`` or ``rewrite._checked`` as they are, wrap the
 resulting polynomials as module elements without re-keying a term, and
 decode only traces, ambiguities, removals and irreducible words into
@@ -33,18 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .completion import (
-    CheckReport,
-    CompletionReport,
-    RemovedRelation,
-    check_gsb,
-    find_ambiguities,
-    shirshov_complete,
-)
+from .completion import CheckReport, CompletionReport, RemovedRelation, _Scan, shirshov_complete
 from .errors import AlphabetMismatchError, BasisMismatchError, LimitError
 from .orderings import ModuleTop
 from .poly import ModuleElement, Polynomial, act
-from .rewrite import _checked, _replay, normal_form_with_trace
+from .rewrite import _checked, _replay, normal_form, normal_form_with_trace
 from .words import Alphabet, ModuleBasis, ModuleWord, Word, _trusted_word, module_code
 
 
@@ -122,7 +115,8 @@ class ModuleReductionTrace:
 
 
 def module_nf(m: ModuleElement, relations, spec: ModuleTop) -> ModuleElement:
-    return module_nf_with_trace(m, relations, spec)[0]
+    codec = _Codec(m.alphabet, m.basis)
+    return codec.element(normal_form(m.code, codec.encode(relations), spec))
 
 
 def module_nf_with_trace(m: ModuleElement, relations, spec: ModuleTop):
@@ -155,10 +149,33 @@ class ModuleAmbiguity:
         return f"module overlap of #{self.f_index} and #{self.g_index} at {self.w}"
 
 
+class _ModuleScan(_Scan):
+    """A ``_Scan`` of the codes of a module relation set, its results decoded."""
+
+    def __init__(self, relations, spec: ModuleTop):
+        self.module_relations = tuple(relations)
+        self.codec, codes = _encode_set(self.module_relations)
+        super().__init__(codes, spec)
+
+    def ambiguities(self) -> list[ModuleAmbiguity]:
+        return [self.codec.ambiguity(amb) for amb in super().ambiguities()]
+
+    def check(self, max_deg: int | None = None) -> CheckReport:
+        # a code is one letter longer than its module word
+        report = super().check(None if max_deg is None else max_deg + 1)
+        codec = self.codec
+        nontrivial = tuple((codec.ambiguity(a), codec.element(h)) for a, h in report.nontrivial)
+        return replace(
+            report, relations=self.module_relations, max_deg=max_deg, nontrivial=nontrivial
+        )
+
+    def normal_form(self, m: ModuleElement) -> ModuleElement:
+        return self.codec.element(super().normal_form(m.code))
+
+
 def module_ambiguities(relations, spec: ModuleTop) -> list[ModuleAmbiguity]:
     """Every pair with lead(f) = a*lead(g); equal leading words count once."""
-    codec, rels = _encode_set(relations)
-    return [codec.ambiguity(amb) for amb in find_ambiguities(rels, spec)]
+    return _ModuleScan(relations, spec).ambiguities()
 
 
 def module_composition(f: ModuleElement, g: ModuleElement, a: Word) -> ModuleElement:
@@ -188,15 +205,7 @@ def module_check_gsb(relations, spec: ModuleTop, max_deg: int | None = None) -> 
     """Evaluate every module composition; empty and unskipped = certificate."""
     if max_deg is not None and max_deg < 1:
         raise LimitError(f"max_deg must be positive, got {max_deg}")
-    codec, rels = _encode_set(relations)
-    # a code is one letter longer than its module word
-    report = check_gsb(rels, spec, None if max_deg is None else max_deg + 1)
-    return replace(
-        report,
-        relations=tuple(relations),
-        max_deg=max_deg,
-        nontrivial=tuple((codec.ambiguity(a), codec.element(h)) for a, h in report.nontrivial),
-    )
+    return _ModuleScan(relations, spec).check(max_deg)
 
 
 def module_irr(

@@ -413,22 +413,22 @@ class ReductionTrace:
         return _replay(self.residual, steps)
 
 
-def _reduce_public(p: Polynomial, relations, spec, steps=None) -> Polynomial:
-    """``p`` reduced by the rules of ``relations``, scaled to integers on the way in."""
-    index = _RuleIndex(compile_rules(relations, spec, p.alphabet))
+def _normal_form(p: Polynomial, index, keyf, steps=None) -> Polynomial:
+    """``p`` reduced by the rules of ``index``, scaled to integers on the way in."""
     scale, terms = _integer_row(p.raw_terms().items())
-    nf = _reduce(dict(terms), scale, index, spec.letter_key(p.alphabet), steps)
-    return Polynomial._of(p.alphabet, nf)
+    return Polynomial._of(p.alphabet, _reduce(dict(terms), scale, index, keyf, steps))
 
 
 def normal_form(p: Polynomial, relations, spec) -> Polynomial:
     """Reduce ``p`` modulo monic relations; the result avoids every leading word."""
-    return _reduce_public(p, relations, spec)
+    index = _RuleIndex(compile_rules(relations, spec, p.alphabet))
+    return _normal_form(p, index, spec.letter_key(p.alphabet))
 
 
 def normal_form_with_trace(p: Polynomial, relations, spec) -> tuple[Polynomial, ReductionTrace]:
     raw_steps = []
-    nf = _reduce_public(p, relations, spec, raw_steps)
+    index = _RuleIndex(compile_rules(relations, spec, p.alphabet))
+    nf = _normal_form(p, index, spec.letter_key(p.alphabet), raw_steps)
     A = p.alphabet
     word = _trusted_word
     steps = tuple(

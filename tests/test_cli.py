@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -125,6 +127,36 @@ def test_lyndon_commands(capsys):
     assert run(["lyndon", "--alphabet", "x2>x1", "--max-len", "2", "--bracket"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert out == ["x2\tx2", "x1\tx1", "x2*x1\t[x2 x1]"]
+
+
+@pytest.fixture
+def lowest_int_digit_limit():
+    """Python's lowest int/str digit limit, 640, where the interpreter has one."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_lyndon_count_only_prints_counts_past_the_int_str_digit_limit(
+    lowest_int_digit_limit, capsys
+):
+    assert run(["lyndon", "--alphabet", "b>a", "--max-len", "2200", "--count-only"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == [str(n) for n in range(1, 2201)]
+    # Witt's formula: (1/n) * sum of mu(d) * 2^(n/d) over d | n; 2200 = 2^3 * 5^2 * 11
+    total = 0
+    for k in range(3):
+        for primes in itertools.combinations((2, 5, 11), k + 1):
+            total += (-1) ** len(primes) * 2 ** (2200 // math.prod(primes))
+    expected = (2**2200 + total) // 2200
+    assert lines[-1] == "2200 " + _digits(expected)
+    assert len(_digits(expected)) > 640
 
 
 def test_construct_module_cyclic_roundtrip(tmp_path, capsys):

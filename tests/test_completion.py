@@ -7,11 +7,11 @@ import pytest
 
 from gsb.completion import (
     INCLUSION,
+    INTERSECTION,
     Ambiguity,
     CompletionStatus,
     _all_overlaps,
     _Engine,
-    _overlaps,
     check_gsb,
     composition,
     find_ambiguities,
@@ -38,6 +38,26 @@ SPEC = DegLex()
 
 def p(text, alphabet=AB):
     return parse_polynomial(text, alphabet)
+
+
+def _overlaps(f, g, inclusion: bool) -> list:
+    """Ambiguities of the leading words ``f`` and ``g`` (letter tuples).
+
+    Returns raw ``(kind, w, a, b)`` tuples: every proper suffix of f that
+    is a prefix of g (intersections), then, when ``inclusion`` is set,
+    every occurrence of g inside f.  This is the definition the indexed
+    searches of ``gsb.completion`` reproduce, and the reference for them.
+    """
+    out = []
+    nf, ng = len(f), len(g)
+    for o in range(1, min(nf, ng)):
+        if f[nf - o :] == g[:o]:
+            out.append((INTERSECTION, f + g[o:], f[: nf - o], g[o:]))
+    if inclusion:
+        for start in range(nf - ng + 1):
+            if f[start : start + ng] == g:
+                out.append((INCLUSION, f, f[:start], f[start + ng :]))
+    return out
 
 
 def test_find_ambiguities_intersection_example():
@@ -692,6 +712,52 @@ CHECK_DIGEST = "f37df37b4c24f42b95214fd5db6ce59167309803caa95b3eb56eb1a7210f06ea
 
 def test_construction_check_reports_pinned():
     assert _digest(_construction_checks()) == CHECK_DIGEST
+
+
+def _scan_sets():
+    """Seeded monic sets over two and three letters, among them the empty
+    set, sets with a repeated relation and sets with two relations of one
+    lead."""
+    rng = random.Random(1919)
+    sets = [[]]
+    while len(sets) < 120:
+        A = (AB, ABC)[len(sets) % 2]
+        rels = []
+        for _ in range(rng.randint(1, 4)):
+            words = {
+                tuple(rng.randrange(A.size) for _ in range(rng.randint(0, 4)))
+                for _ in range(rng.randint(1, 3))
+            }
+            q = Polynomial(A, [(u, rng.choice((1, -1, 2, Fraction(1, 2), 3))) for u in words])
+            if not q.is_zero():
+                rels.append(q.make_monic(SPEC))
+        if not rels:
+            continue
+        if len(sets) % 3 == 0:
+            rels.append(rels[0])
+        if len(sets) % 4 == 0:
+            rels.append((rels[-1] + Polynomial.unit(A, 1)).make_monic(SPEC))
+        sets.append(rels)
+    return sets
+
+
+def _scan_dump(rels):
+    lines = [repr([_amb_text(amb) for amb in find_ambiguities(rels, SPEC)])]
+    for max_deg in (None, 2, 3, 5):
+        report = check_gsb(rels, SPEC, max_deg)
+        lines.append(_check_dump(report))
+        lines.append(repr((report.max_deg, [format_element(r, SPEC) for r in report.relations])))
+    return "\n".join(lines)
+
+
+# taken before find_ambiguities and check_gsb became wrappers over one scan
+SCAN_DIGEST = "775fddeec23897944ec73015b782f6af2df4e318f22547bc1a6336e8a7b43188"
+
+
+def test_find_ambiguities_and_check_reports_pinned():
+    sets = _scan_sets()
+    assert sum(len({r.leading_word(SPEC) for r in rels}) < len(rels) for rels in sets) >= 40
+    assert _digest(_scan_dump(rels) for rels in sets) == SCAN_DIGEST
 
 
 def test_braid_degree_10_counters_pinned():

@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 import random
 import time
 
 import pytest
 
+from gsb import completion, rewrite
 from gsb.completion import shirshov_complete
 from gsb.constructions import (
     GroupTable,
@@ -28,7 +30,7 @@ from gsb.errors import (
 )
 from gsb.lyndon import is_alsw
 from gsb.orderings import DegLex, ModuleTop, Tower
-from gsb.poly import parse_polynomial
+from gsb.poly import parse_module_element, parse_polynomial
 from gsb.presentation import (
     ModulePresentation,
     Presentation,
@@ -363,3 +365,68 @@ def test_bracket_embedding_words():
     assert str(out[1][0]) == "a*a*b*b*a*b"
     with pytest.raises(IndexOutOfRangeError):
         bracket_embedding_words(0)
+
+
+# ------------------------------------------------------ one compile per build
+
+
+def _fixed_builds():
+    """Each builder on fixed inputs, as a thunk; the inputs are built here, so
+    calling a thunk runs only its builder."""
+    X5 = x_alphabet(5)
+    x5 = shirshov_complete(
+        [parse_polynomial(t, X5) for t in ("x1*x2 - x3", "x2*x1 - x3", "x5*x4 - 2*x4 + 1/2")],
+        DegLex(),
+        max_deg=6,
+    )
+    malcev_base = Presentation(X5, DegLex(), x5.relations)
+    AB = Alphabet(("a", "b"))
+    basis = ModuleBasis(("y1", "y2", "y3"))
+    module_base = ModulePresentation(
+        AB, basis, ModuleTop(), (parse_module_element("b*y1 - 1/2*y2", AB, basis),)
+    )
+    pairs = _toy_pairs()
+    return {
+        "build_hnn": lambda: build_hnn(GroupTable.cyclic(4), 3),
+        "build_malcev": lambda: build_malcev(malcev_base, 5),
+        "build_simple_step": lambda: build_simple_step(LEFT_TABLE, pairs, m_bound=2, n_bound=2),
+        "build_module_cyclic": lambda: build_module_cyclic(module_base, 3),
+    }
+
+
+# sha256 of repr(result) followed by format_presentation(result.presentation),
+# taken before the builders read their checks and witnesses off one scan
+BUILD_DIGESTS = {
+    "build_hnn": "18e343a3cf9ccd0f3b30e577ff15a2513d430fa0d9c39cafdbb46d24b1724fa1",
+    "build_malcev": "d4c2bc00d98a0c331a5c8aaa280733791d5f0ec7ec90cdc511bf9f2b0843e494",
+    "build_simple_step": "97ea9243ddbc064cfe5f1f7c3c81060a7e703f3fba627a8cfc23edc866bdfdca",
+    "build_module_cyclic": "98c7d28bdea80f12a0dd4f40b31197593ad53755587dc6c582bcde966a48211d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILD_DIGESTS))
+def test_build_results_pinned(name):
+    result = _fixed_builds()[name]()
+    text = repr(result) + format_presentation(result.presentation)
+    assert hashlib.sha256(text.encode()).hexdigest() == BUILD_DIGESTS[name]
+
+
+# a Malcev build checks its base (one compile) and scans its extended set
+# (one more); the other builders scan one set
+@pytest.mark.parametrize(
+    "name, compiles",
+    [("build_hnn", 1), ("build_malcev", 2), ("build_simple_step", 1), ("build_module_cyclic", 2)],
+)
+def test_each_build_compiles_each_relation_set_once(name, compiles, monkeypatch):
+    build = _fixed_builds()[name]
+    calls = []
+    original = rewrite.compile_rules
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(rewrite, "compile_rules", counted)
+    monkeypatch.setattr(completion, "compile_rules", counted)
+    build()
+    assert len(calls) == compiles
