@@ -11,10 +11,10 @@ decomposition coefficients, and the monic form of each relation that
 enters.  The engine keeps maps over the working set and updates them as
 relations enter and leave:
 
-- the rule index (``rewrite._RuleIndex``) maps each lead to its
-  lowest-ranked holder, ranked by place in the set, and keeps the trie of
-  the leads, whose node for each proper prefix of a lead holds the
-  relations with a lead extending it; it finds every redex, and
+- the rule index (``rewrite._RuleIndex``) is the trie of the leads: the
+  node of a lead lists its relations, ranked by place in the set, and the
+  node of each proper prefix of a lead holds the relations with a lead
+  extending it; it finds every redex and every lead inside a support, and
   interreduction takes a relation out of it before reducing it by the rest;
 - the trie and a suffix map, probed with the proper suffixes and prefixes
   of a new lead, give its intersection overlaps.
@@ -24,8 +24,8 @@ candidates) by one substring test per relation, on the string of its
 support; relations enter far less often than they are reduced or paired.
 
 Pairing runs only on an interreduced set: no lead is a factor of another
-relation's support, so no lead contains another and ``_pair`` routes only
-intersections.  The overlaps of a relation are enumerated once, against
+relation's support, so no lead contains another and ``_pair`` enumerates
+only intersections.  The overlaps of a relation are enumerated once, against
 the relations paired when it enters.  Those on words above the degree
 bound are counted without being built; the rest are pushed on a heap
 ordered by (w, lead f, lead g, kind, len(a)); since the leading words of
@@ -116,24 +116,25 @@ class Ambiguity:
         )
 
 
-def _all_overlaps(index: _RuleIndex, keyf) -> list:
-    """Every ambiguity among the rules of ``index`` (ranked by relation
-    index) as raw ``(kind, i, j, w, a, b)``, sorted by (w, i, j, kind, len(a)).
+def _all_overlaps(rules, index: _RuleIndex, keyf) -> list:
+    """Every ambiguity among ``rules`` (ranked by relation index), which
+    ``index`` holds, as raw ``(kind, i, j, w, a, b)``, sorted by
+    (w, i, j, kind, len(a)).
 
     Intersections probe the index's trie with the proper suffixes of every
     lead; inclusions walk it from each position of every lead.  Equal leads
     count once, as an inclusion of the lower index pair.
     """
     found = []
-    for rule in [r for lead in index.first for r in index.holders(lead)]:
+    for rule in rules:
         i, f = rule.rank, rule.lead
         nf = len(f)
         for o in range(1, nf):
             for other in index.extending(f[nf - o :]):
                 w, a, b = f + other.lead[o:], f[: nf - o], other.lead[o:]
                 found.append((keyf(w), i, other.rank, INTERSECTION, nf - o, w, a, b))
-        for start, end in index.factors(f):
-            for other in index.holders(f[start:end]):
+        for start, end, held in index.factors(f):
+            for other in held:
                 j = other.rank
                 if i != j and (end - start < nf or i < j):
                     a, b = f[:start], f[end:]
@@ -154,7 +155,7 @@ class _Scan:
         self.rules = compile_rules(self.relations, spec, A)
         self.index = _RuleIndex(self.rules)
         self.keyf = spec.letter_key(A) if self.rules else None
-        self.overlaps = _all_overlaps(self.index, self.keyf)
+        self.overlaps = _all_overlaps(self.rules, self.index, self.keyf)
 
     def ambiguities(self) -> list[Ambiguity]:
         return [Ambiguity._of(self.alphabet, *e) for e in self.overlaps]
@@ -357,8 +358,9 @@ class _Relation(_Rule):
     compiled once when it enters.
 
     ``rank`` is its place in the working set while it is there.
-    ``paired`` is set once its pairs are routed and cleared when it leaves,
-    which is for good, so queued pairs of a departed relation are dropped.
+    ``paired`` is set once its pairs are enumerated and cleared when it
+    leaves, which is for good, so queued pairs of a departed relation are
+    dropped.
     ``text`` is its support as one string: the words, each spelled by
     ``_text``, joined by a character that is no letter, so a lead is a
     factor of a support word exactly when its spelling is a substring of
@@ -477,15 +479,11 @@ class _Engine:
         """
         rels = self.rels
         factors = self.index.factors
-        held = self.index.holders
         while self._dirty:
             r = min(self._dirty, key=_rank)
             self._dirty.remove(r)
             if all(
-                h is r
-                for u in r.poly.raw_terms()
-                for start, end in factors(u)
-                for h in held(u[start:end])
+                h is r for u in r.poly.raw_terms() for _, _, held in factors(u) for h in held
             ):
                 continue
             self._leave(r)
@@ -512,15 +510,12 @@ class _Engine:
             rel.paired = True
         # find_ambiguities rather than _pair: the traced benchmark counts the
         # ambiguities a completion enumerates through this call
-        for amb in find_ambiguities([r.poly for r in rels], self.spec):
-            self._route(
-                rels[amb.f_index],
-                rels[amb.g_index],
-                amb.kind,
-                amb.w.letters,
-                amb.a.letters,
-                amb.b.letters,
-            )
+        ambiguities = find_ambiguities([r.poly for r in rels], self.spec)
+        self.stats["pairs_enumerated"] += len(ambiguities)
+        for amb in ambiguities:
+            if amb.degree <= self.max_deg:
+                f, g = rels[amb.f_index], rels[amb.g_index]
+                self.queue((f, g, amb.kind, amb.w.letters, amb.a.letters, amb.b.letters))
 
     def update(self) -> None:
         """Pair every relation that entered the working set."""
@@ -530,44 +525,36 @@ class _Engine:
                 self._pair(rel)
 
     def _pair(self, rel) -> None:
-        """Route the overlaps of ``rel`` with itself, and in both orders with
-        every paired relation.
+        """Count the overlaps of ``rel`` with itself, and in both orders with
+        every paired relation, and queue those within the bound.
 
         The set is interreduced, so no lead is inside another and every
         overlap is an intersection.  One on more than ``max_deg`` letters is
-        only counted: its word, context and route are never built.
+        only counted: its word and context are never built.
         """
         f = rel.lead
         n = len(f)
-        route = self._route
+        queue = self.queue
         index = self.index
         # an intersection of f and g at overlap o has |f| + |g| - o letters
         room = self.max_deg - n
-        above = 0
+        count = 0
         for o in range(1, n):
             # a proper suffix of f is a proper prefix of g, and the reverse;
             # rel is indexed, so only the first probe finds its self-overlaps
             for other in index.extending(f[n - o :]):
                 if other.paired:
+                    count += 1
                     g = other.lead
-                    if len(g) - o > room:
-                        above += 1
-                    else:
-                        route(rel, other, INTERSECTION, f + g[o:], f[: n - o], g[o:])
+                    if len(g) - o <= room:
+                        queue((rel, other, INTERSECTION, f + g[o:], f[: n - o], g[o:]))
             for other in self._suffixes.get(f[:o], ()):
                 if other.paired and other is not rel:
+                    count += 1
                     g = other.lead
-                    if len(g) - o > room:
-                        above += 1
-                    else:
-                        route(other, rel, INTERSECTION, g + f[o:], g[: len(g) - o], f[o:])
-        self.stats["pairs_enumerated"] += above
-
-    def _route(self, f, g, kind, w, a, b) -> None:
-        """Count a pair, and queue it unless its word is above the bound."""
-        self.stats["pairs_enumerated"] += 1
-        if len(w) <= self.max_deg:
-            self.queue((f, g, kind, w, a, b))
+                    if len(g) - o <= room:
+                        queue((other, rel, INTERSECTION, g + f[o:], g[: len(g) - o], f[o:]))
+        self.stats["pairs_enumerated"] += count
 
     def queue(self, entry) -> None:
         """Queue a pair if both relations are still paired.
@@ -619,6 +606,7 @@ def shirshov_complete(
         raise LimitError(
             f"max_deg and max_steps must be positive, got {max_deg} and {max_steps}"
         )
+    relations = tuple(relations)
     for idx, s in enumerate(relations):
         if s.is_zero():
             raise ZeroPolynomialError(f"relation #{idx} is zero")

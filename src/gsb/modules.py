@@ -55,12 +55,14 @@ class _Codec:
         self.decode = module_code(alphabet, basis)[2]
 
     def encode(self, relations) -> list[Polynomial]:
+        codes = []
         for idx, m in enumerate(relations):
             if m.alphabet != self.alphabet:
                 raise AlphabetMismatchError(f"relation #{idx} lives over a different alphabet")
             if m.basis != self.basis:
                 raise BasisMismatchError(f"relation #{idx} lives over a different basis")
-        return [m.code for m in relations]
+            codes.append(m.code)
+        return codes
 
     def element(self, p: Polynomial) -> ModuleElement:
         return ModuleElement._of_code(self.alphabet, self.basis, p)
@@ -89,6 +91,7 @@ class _Codec:
 
 def _encode_set(relations):
     """The codec of a relation set and its codes; an empty set needs no codec."""
+    relations = tuple(relations)
     if not relations:
         return None, []
     codec = _Codec(relations[0].alphabet, relations[0].basis)

@@ -103,11 +103,8 @@ class ModuleTop:
         return self.letter_key(alphabet)(encode(mw.prefix.letters, mw.generator))
 
 
-def compare(spec, u: Word, v: Word) -> int:
-    """Total comparison; LESS/EQUAL/GREATER."""
-    if u.alphabet != v.alphabet:
-        raise AlphabetMismatchError("cannot compare words over different alphabets")
-    ku, kv = spec.key(u), spec.key(v)
+def _compare_keys(ku, kv) -> int:
+    """LESS, EQUAL or GREATER as the key ``ku`` is below, equal to or above ``kv``."""
     if ku < kv:
         return LESS
     if ku > kv:
@@ -115,17 +112,19 @@ def compare(spec, u: Word, v: Word) -> int:
     return EQUAL
 
 
+def compare(spec, u: Word, v: Word) -> int:
+    """Total comparison; LESS/EQUAL/GREATER."""
+    if u.alphabet != v.alphabet:
+        raise AlphabetMismatchError("cannot compare words over different alphabets")
+    return _compare_keys(spec.key(u), spec.key(v))
+
+
 def compare_module(spec: ModuleTop, w1: ModuleWord, w2: ModuleWord) -> int:
     if w1.basis != w2.basis:
         raise BasisMismatchError("cannot compare module words over different bases")
     if w1.prefix.alphabet != w2.prefix.alphabet:
         raise AlphabetMismatchError("cannot compare module words over different alphabets")
-    k1, k2 = spec.key(w1), spec.key(w2)
-    if k1 < k2:
-        return LESS
-    if k1 > k2:
-        return GREATER
-    return EQUAL
+    return _compare_keys(spec.key(w1), spec.key(w2))
 
 
 @dataclass

@@ -51,12 +51,13 @@ class Presentation:
 
     def __post_init__(self):
         keyf = self.ordering.letter_key(self.alphabet)
-        for idx, r in enumerate(self.relations):
+        relations = tuple(self.relations)
+        for idx, r in enumerate(relations):
             if r.alphabet != self.alphabet:
                 raise AlphabetMismatchError(f"relation #{idx} lives over a different alphabet")
             if r.is_zero():
                 raise ZeroPolynomialError(f"relation #{idx} is zero")
-        monic = [r.make_monic(self.ordering) for r in self.relations]
+        monic = [r.make_monic(self.ordering) for r in relations]
         ordered = sorted(monic, key=lambda p: max(map(keyf, p.raw_terms())))
         object.__setattr__(self, "relations", tuple(ordered))
 
@@ -73,14 +74,15 @@ class ModulePresentation:
     def __post_init__(self):
         # orders codes too, and rejects a word order whose letters the alphabet lacks
         keyf = self.ordering.letter_key(self.alphabet)
-        for idx, r in enumerate(self.relations):
+        relations = tuple(self.relations)
+        for idx, r in enumerate(relations):
             if r.alphabet != self.alphabet:
                 raise AlphabetMismatchError(f"relation #{idx} lives over a different alphabet")
             if r.basis != self.basis:
                 raise BasisMismatchError(f"relation #{idx} lives over a different basis")
             if r.is_zero():
                 raise ZeroPolynomialError(f"relation #{idx} is zero")
-        monic = [r.make_monic(self.ordering) for r in self.relations]
+        monic = [r.make_monic(self.ordering) for r in relations]
         ordered = sorted(monic, key=lambda m: max(map(keyf, m.code.raw_terms())))
         object.__setattr__(self, "relations", tuple(ordered))
 

@@ -17,14 +17,15 @@ the rationals.  Values become ``Fraction`` only where they leave the
 loop: normal-form terms and step coefficients, each an exact quotient by
 the scale of its moment.
 
-Redexes are found through one ``_RuleIndex``: a hash map from each
-leading word to its lowest-ranked rule, and the letter trie of the leading
-words, whose node for a prefix holds the lowest-ranked rule whose lead
-ends there and the rules whose lead extends it.  The leftmost redex of a
-word is found by walking the trie from each position in order, one letter
-at a time while the letters read are a proper prefix of some lead, so a
-lookup costs a few letter-keyed probes per position however many rules
-there are, and no window of the word is sliced or hashed.  A rule's
+Redexes are found through one ``_RuleIndex``, which is the letter trie
+of the leading words and nothing beside it: its node for a prefix lists
+the rules whose lead ends there, lowest rank first, and the rules whose
+lead extends it.  The leftmost redex of a word is found by walking the
+trie from each position in order, one letter at a time while the letters
+read are a proper prefix of some lead, so a lookup costs a few
+letter-keyed probes per position however many rules there are, and no
+window of the word is sliced or hashed.  ``factors`` walks the same way
+and yields the rules of each lead it finds with its place.  A rule's
 rank is its index at the public entry points; the completion engine keeps
 one index over its working set, ranked by place in the set, and updates it
 as relations enter and leave.
@@ -62,6 +63,7 @@ from __future__ import annotations
 
 import os
 import random
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -134,78 +136,56 @@ def compile_rules(relations, spec, alphabet=None) -> list:
 
 
 class _RuleIndex:
-    """The leading words of a rule set, in a hash map and a letter trie.
+    """The leading words of a rule set, in their letter trie.
 
-    ``first`` maps each lead to its lowest-ranked rule and ``_others`` holds
-    the further rules of a lead that several rules share.  ``trie`` is the
-    trie of the leads, one node per prefix of a lead, its root the empty
-    prefix.  A node is a list ``[children, held, below]``: ``children``
-    maps a letter to the node one letter longer, ``held`` is the rule that
-    ``first`` holds for the lead ending at the node (None if none does), and
-    ``below`` lists, in no particular order, the rules whose lead has the
-    node's prefix as a proper prefix.  A node with no child and no rule is
-    pruned.  Each rule is a ``_Rule``; ranks are distinct, lower first, and
-    may change only while no lead has two rules.
+    ``trie`` has one node per prefix of a lead, its root the empty prefix.
+    A node is a list ``[children, held, below]``: ``children`` maps a letter
+    to the node one letter longer, ``held`` is None where no lead ends and
+    otherwise lists the rules whose lead ends at the node, lowest rank
+    first, and ``below`` lists, in no particular order, the rules whose lead
+    has the node's prefix as a proper prefix.  A node with no child and no
+    rule is pruned.  Each rule is a ``_Rule``; ranks are distinct, lower
+    first, and may change only while no lead has two rules.
     """
 
-    __slots__ = ("first", "trie", "_others")
+    __slots__ = ("trie",)
 
     def __init__(self, rules=()):
-        self.first = {}
         self.trie = [{}, None, []]
-        self._others = {}
         for rule in rules:
             self.add(rule)
 
     def add(self, rule) -> None:
-        lead = rule.lead
-        held = self.first.get(lead)
-        if held is None or rule.rank < held.rank:
-            self.first[lead] = rule
-        if held is not None:
-            self._others.setdefault(lead, []).append(max(held, rule, key=_rank))
         node = self.trie
-        for c in lead:
+        for c in rule.lead:
             children, _, below = node
             below.append(rule)
             node = children.get(c)
             if node is None:
                 children[c] = node = [{}, None, []]
-        node[1] = self.first[lead]
+        if node[1] is None:
+            node[1] = [rule]
+        else:
+            insort(node[1], rule, key=_rank)
 
     def discard(self, rule) -> None:
         lead = rule.lead
-        others = self._others.get(lead)
-        if self.first[lead] is rule:
-            if others:
-                best = min(others, key=_rank)
-                others.remove(best)
-                self.first[lead] = best
-            else:
-                del self.first[lead]
-        else:
-            others.remove(rule)
-        if others is not None and not others:
-            del self._others[lead]
         path = [self.trie]
         for c in lead:
             children, _, below = path[-1]
             below.remove(rule)
             path.append(children[c])
-        path[-1][1] = self.first.get(lead)
+        held = path[-1][1]
+        held.remove(rule)
+        if held:
+            return
+        path[-1][1] = None
         # prune the nodes left with no child and no rule, deepest first
         for depth in range(len(lead), 0, -1):
             children, held, _ = path[depth]
             if children or held is not None:
                 break
             del path[depth - 1][0][lead[depth - 1]]
-
-    def holders(self, lead) -> list:
-        """Every rule with this lead, in no particular order."""
-        held = self.first.get(lead)
-        if held is None:
-            return []
-        return [held, *self._others.get(lead, ())]
 
     def extending(self, prefix):
         """The rules whose lead has ``prefix`` as a proper prefix."""
@@ -217,8 +197,9 @@ class _RuleIndex:
         return node[2]
 
     def factors(self, u):
-        """``(start, end)`` of each factor ``u[start:end]`` that is a lead,
-        the empty factor included, by start and then end."""
+        """``(start, end, rules)`` of each factor ``u[start:end]`` that is a
+        lead, the empty factor included, by start and then end; ``rules``
+        are the rules with that lead, lowest rank first."""
         n = len(u)
         for start in range(n + 1):
             node = self.trie
@@ -226,7 +207,7 @@ class _RuleIndex:
             while True:
                 children, held, _ = node
                 if held is not None:
-                    yield start, end
+                    yield start, end, held
                 if end == n:
                     break
                 node = children.get(u[end])
@@ -243,19 +224,21 @@ class _RuleIndex:
         cost one lookup.
         """
         root, empty, _ = self.trie
+        # the empty lead matches at position 0 of every word
+        best = None if empty is None else empty[0]
         n = len(u)
         for i in range(n + 1):
-            # the empty lead matches at position 0 of every word
-            best = empty
             children = root
             j = i
             while j < n:
                 node = children.get(u[j])
                 if node is None:
                     break
-                children, rule, _ = node
-                if rule is not None and (best is None or rule.rank < best.rank):
-                    best = rule
+                children, held, _ = node
+                if held is not None:
+                    rule = held[0]
+                    if best is None or rule.rank < best.rank:
+                        best = rule
                 j += 1
             if best is not None:
                 return i, best

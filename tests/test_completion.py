@@ -648,6 +648,29 @@ def test_coefficient_growth_dumps_pinned():
     assert _digest(_completion_dump(r) for r in reports) == GROWTH_DIGEST
 
 
+# each set holds three relations with one lead, so three rules share one
+# node of the rule index until interreduction leaves one of them
+SHARED_LEAD = (
+    ("a*b - c", "a*b - b*c", "a*b - 2*c*c + a", "b*a - c"),
+    ("a*b - 2*c*c + a", "b*a - c", "a*b - c", "a*b - b*c"),
+    ("b*c*b - c*b*c", "a*b*a - b*a*b", "a*b*a - c*c", "a*b*a + a*c - b", "a*c - c*a"),
+    ("c*a*c - b*b", "c*a*c - b*c", "c*a*c - 1/2*c*c", "a*a - c"),
+)
+SHARED_LEAD_DIGEST = "157f51b38b90d7586d4bec4fcba2df65ac3f0c18526da8617b5e960690f4fe87"
+
+
+def test_completion_with_three_relations_on_one_lead_pinned():
+    sets = [[p(t, ABC) for t in texts] for texts in SHARED_LEAD]
+    for rels in sets:
+        engine = _Engine(SPEC, ABC, max_deg=7)
+        engine.start([s.make_monic(SPEC) for s in rels])
+        held = [h for r in engine.rels for _, _, h in engine.index.factors(r.lead)]
+        assert max(map(len, held)) == 3
+    reports = [shirshov_complete(rels, SPEC, max_deg=7) for rels in sets]
+    assert all(r.verify_ideal_preservation() for r in reports)
+    assert _digest(_completion_dump(r) for r in reports) == SHARED_LEAD_DIGEST
+
+
 def _construction_checks():
     """check_gsb on each construction output, on it without one relation,
     and under a degree bound."""
@@ -854,8 +877,8 @@ def test_all_overlaps_equal_pairwise_scan():
                 inclusion = i != j and (len(g) < len(f) or (len(g) == len(f) and i < j))
                 for kind, w, a, b in _overlaps(f, g, inclusion):
                     expected[(kind, i, j, w, a, b)] += 1
-        index = _RuleIndex([_Rule({lead: 1}, lead, i) for i, lead in enumerate(leads)])
-        found = _all_overlaps(index, keyf)
+        rules = [_Rule({lead: 1}, lead, i) for i, lead in enumerate(leads)]
+        found = _all_overlaps(rules, _RuleIndex(rules), keyf)
         assert Counter(found) == expected
         order = [(keyf(w), i, j, kind, len(a)) for kind, i, j, w, a, b in found]
         assert order == sorted(order)
@@ -885,7 +908,7 @@ def test_engine_pairing_equals_pairwise_scan():
         engine.sort()
         removed += len(log)
         routed = Counter()
-        engine._route = lambda f, g, kind, w, a, b: routed.update([(f, g, kind, w, a, b)])
+        engine.queue = lambda entry: routed.update([entry])
         engine.update()
         expected = Counter()
         for f in engine.rels:
@@ -893,6 +916,8 @@ def test_engine_pairing_equals_pairwise_scan():
                 for kind, w, a, b in _overlaps(f.lead, g.lead, f is not g):
                     expected[(f, g, kind, w, a, b)] += 1
         assert routed == expected
+        # every word is within the bound, so each counted pair is queued
+        assert engine.stats["pairs_enumerated"] == sum(expected.values())
         inclusions += sum(n for key, n in expected.items() if key[2] == INCLUSION)
     # no lead is inside another, yet the nested leads were there to remove
     assert inclusions == 0

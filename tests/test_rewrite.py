@@ -461,6 +461,23 @@ def _trie(node):
     return {c: _trie(child) for c, child in children.items()}, held, Counter(below)
 
 
+def _holding(node, prefix=()):
+    """Each lead whose node holds rules, with the rules it holds."""
+    children, held, _ = node
+    found = {} if held is None else {prefix: held}
+    for c, child in children.items():
+        found.update(_holding(child, prefix + (c,)))
+    return found
+
+
+def _by_lead(rules):
+    """Each lead of ``rules`` with its rules, lowest rank first."""
+    found = {}
+    for rule in sorted(rules, key=lambda r: r.rank):
+        found.setdefault(rule.lead, []).append(rule)
+    return found
+
+
 def test_indexed_leftmost_match_equals_scan():
     rng = random.Random(61)
     empty_leads = repeated_leads = long_leads = 0
@@ -481,7 +498,7 @@ def test_indexed_leftmost_match_equals_scan():
                 continue
             # with one rule discarded, the index is a scan of the others
             drop = rng.randrange(len(rules))
-            (rule,) = [r for r in index.holders(leads[drop]) if r.rank == drop]
+            (rule,) = [r for r in _holding(index.trie)[leads[drop]] if r.rank == drop]
             expected = _leftmost_match(u, rules[:drop] + rules[drop + 1 :])
             if expected is not None and expected[1] >= drop:
                 expected = (expected[0], expected[1] + 1)
@@ -510,7 +527,8 @@ def test_rule_index_updates_match_a_fresh_scan():
             by_rank = sorted(live, key=lambda r: r.rank)
             rules = [(r.lead, r.tail) for r in by_rank]
             fresh = _RuleIndex(live)
-            assert (index.first, _trie(index.trie)) == (fresh.first, _trie(fresh.trie))
+            assert _trie(index.trie) == _trie(fresh.trie)
+            assert _holding(index.trie) == _by_lead(live)
             for _ in range(3):
                 u = tuple(rng.randrange(letters) for _ in range(rng.randint(0, 7)))
                 found = index.leftmost(u)
@@ -524,13 +542,17 @@ def _assert_index_equals_scan(index, rules, words):
     and lead factors are those a scan of every rule finds."""
     by_rank = sorted(rules, key=lambda r: r.rank)
     scan = [(r.lead, r.tail) for r in by_rank]
-    leads = {r.lead for r in rules}
+    by_lead = _by_lead(rules)
+    assert _holding(index.trie) == by_lead
     for u in words:
         found = index.leftmost(u)
         got = None if found is None else (found[0], by_rank.index(found[1]))
         assert got == _leftmost_match(u, scan)
         assert list(index.factors(u)) == [
-            (i, j) for i in range(len(u) + 1) for j in range(i, len(u) + 1) if u[i:j] in leads
+            (i, j, by_lead[u[i:j]])
+            for i in range(len(u) + 1)
+            for j in range(i, len(u) + 1)
+            if u[i:j] in by_lead
         ]
     for prefix in {r.lead[:o] for r in rules for o in range(1, len(r.lead) + 1)}:
         assert set(index.extending(prefix)) == {
@@ -557,6 +579,8 @@ def test_rule_index_with_leads_that_prefix_other_leads():
 
 
 def test_rule_index_emptied_by_discards_holds_nothing():
+    # the trie is all an index holds
+    assert _RuleIndex.__slots__ == ("trie",)
     rng = random.Random(64)
     for _ in range(200):
         letters = rng.randint(1, 3)
@@ -567,7 +591,7 @@ def test_rule_index_emptied_by_discards_holds_nothing():
         rng.shuffle(rules)
         for rule in rules:
             index.discard(rule)
-        assert (index.first, index.trie, index._others) == ({}, [{}, None, []], {})
+        assert index.trie == [{}, None, []]
         assert index.leftmost((0,) * 5) is None
 
 
@@ -594,7 +618,7 @@ def test_rule_index_after_ranks_are_reassigned():
             index.add(rules[-1])
         _assert_index_equals_scan(index, rules, words)
         fresh = _RuleIndex(rules)
-        assert (index.first, _trie(index.trie)) == (fresh.first, _trie(fresh.trie))
+        assert _trie(index.trie) == _trie(fresh.trie)
 
 
 def _irr_oracle(alphabet, relations, spec, max_deg):
