@@ -217,7 +217,7 @@ def build_malcev(base: Presentation, count: int, a: str = "a", b: str = "b") -> 
 
     The base must be a certified basis under deg-lex; the extended set is
     re-certified and the irreducibility of the original generators is
-    returned as the embedding witness.
+    returned as the embedding witness.  The base's inverse pairs carry over.
     """
     if not isinstance(base.ordering, DegLex):
         raise PresentationFormatError("this construction works over deg-lex bases")
@@ -231,7 +231,7 @@ def build_malcev(base: Presentation, count: int, a: str = "a", b: str = "b") -> 
     if not base_report.is_certificate:
         raise UncertifiedBasisError("the base presentation is not a certified basis")
     spec = DegLex()
-    alphabet = Alphabet((a, b) + base.alphabet.symbols)
+    alphabet = Alphabet((a, b) + base.alphabet.symbols, base.alphabet.inverse_pairs)
     shift = 2
 
     def embed(p: Polynomial) -> Polynomial:

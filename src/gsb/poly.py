@@ -6,8 +6,9 @@ orderings.  Arithmetic is exact; canceling terms vanish from storage.
 Instances are immutable and safe to share.  Letters are checked once, where
 values enter: the constructors ``Polynomial`` and ``ModuleElement``
 range-check raw letters and generators.  Values derived from checked ones
-(arithmetic, action, normal forms, completion residuals) are built by
-``Polynomial._of``, and words read from them by ``_trusted_word``.
+(arithmetic, action, normal forms, completion residuals) and values read
+from text, whose letters come from the alphabet's own symbol map, are built
+by ``Polynomial._of``, and words read from them by ``_trusted_word``.
 
 A module element is stored encoded, as a polynomial over a code alphabet:
 the module word u*y_g is the algebra word Y_g*rev(u) (``words.module_code``).
@@ -32,7 +33,6 @@ from .orderings import DegLex, ModuleTop
 from .words import Alphabet, ModuleBasis, ModuleWord, Word, module_code
 from .words import _checked_index, _checked_letters, _trusted_word
 
-_COEFF_RE = re.compile(r"\d+(?:/\d+)?")
 # Python refuses int/str conversions of more digits than a settable limit
 # (sys.set_int_max_str_digits), 640 at the lowest, so coefficients are
 # converted at most 640 digits at a time
@@ -350,97 +350,109 @@ def act(p: Polynomial, m: ModuleElement) -> ModuleElement:
 
 
 # -- text form ---------------------------------------------------------------
+#
+# Terms joined by '+'/'-' (one sign may open the text), each an optional
+# integer or p/q coefficient and '*'-joined symbols, blanks free around each;
+# a module term ends in a generator.  A reading error gives the offset in
+# the text of the sign, factor or end at fault.
+
+# a sign splits terms, except one after '^' (blanks between allowed): that
+# one belongs to a name such as 't^-1'
+_SIGN_RE = re.compile(r"\^\s*[+-]|[+-]")
+# ASCII digits only: int() would also read other scripts' digits
+_COEFF_RE = re.compile(r"[0-9]+(?:/[0-9]+)?")
+_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
 
 
-def _split_signed_terms(text: str):
-    """Split on top-level +/-, keeping '^-1' tokens intact."""
-    chunks = []
-    sign = 1
-    pending_sign = False
-    buf = []
-    prev = ""
-    for i, ch in enumerate(text):
-        if ch in "+-" and prev != "^":
-            if "".join(buf).strip():
-                chunks.append((sign, "".join(buf), i))
-            elif chunks or pending_sign:
-                raise WordSyntaxError("empty term", i)
-            buf = []
-            sign = 1 if ch == "+" else -1
-            pending_sign = True
-        else:
-            buf.append(ch)
-        if not ch.isspace():
-            prev = ch
-    tail = "".join(buf)
-    if tail.strip():
-        chunks.append((sign, tail, len(text)))
-    else:
+def _split_terms(text: str) -> list[tuple[int, str, int]]:
+    """(sign, term text, offset of the term in ``text``) for each term; a
+    blank term is an error at the sign or end that closes it."""
+    terms = []
+    sign, start = 1, 0
+    for m in _SIGN_RE.finditer(text):
+        i = m.start()
+        if text[i] == "^":
+            continue
+        term = text[start:i]
+        if term.strip():
+            terms.append((sign, term, start))
+        elif start:  # only a leading sign may open the text
+            raise WordSyntaxError("empty term", i)
+        sign, start = (1 if text[i] == "+" else -1), i + 1
+    term = text[start:]
+    if not term.strip():
         raise WordSyntaxError("empty term", len(text))
-    return chunks
+    terms.append((sign, term, start))
+    return terms
 
 
-def _parse_term_factors(chunk: str, position: int):
-    """Split one term (the text ending at ``position``) into its coefficient
-    and its factors, each as (name, position of its first character)."""
-    pieces = chunk.split("*")
-    factors = []
-    start = position - len(chunk)  # each piece is followed by '*'
-    for piece in pieces:
-        name = piece.strip()
-        if not name:
-            raise WordSyntaxError("empty factor", start)
-        factors.append((name, start + len(piece) - len(piece.lstrip())))
-        start += len(piece) + 1
-    coeff = Fraction(1)
-    if _COEFF_RE.fullmatch(factors[0][0]):
-        num, _, den = factors[0][0].partition("/")
-        den = _int_of_digits(den) if den else 1
-        if not den:
-            raise WordSyntaxError("zero denominator", factors[0][1])
-        coeff = Fraction(_int_of_digits(num), den)
-        factors = factors[1:]
-    elif factors[0][0] == "1" and len(factors) == 1:
-        factors = []
-    return coeff, factors
+def _factor_position(term: str, start: int, k: int, blank: bool = False) -> int:
+    """Offset in the text of the k-th '*'-separated factor of ``term`` (a term
+    at offset ``start``): of its first non-blank character, or with ``blank``
+    of its first character."""
+    pieces = term.split("*")
+    at = start + sum(len(piece) + 1 for piece in pieces[:k])
+    return at if blank else at + len(pieces[k]) - len(pieces[k].lstrip())
 
 
-def _letters(factors, alphabet: Alphabet) -> tuple[int, ...]:
-    """Letter indices of (name, position) factors; an unknown one names its position."""
-    letters = []
-    for name, position in factors:
+def _read(text: str, alphabet: Alphabet, basis: ModuleBasis | None = None) -> dict:
+    """The term map of ``text``: letters tuple -> nonzero ``Fraction``.
+
+    With a ``basis`` every term ends in one of its generators, and the term
+    u*y_g is keyed by its code (n + g, *reversed u), n = ``alphabet.size``,
+    as ``module_code`` encodes it.  Letters come from the symbol maps, so
+    they need no range check.
+    """
+    symbols = alphabet._index
+    acc = {}
+    for sign, term, start in _split_terms(text):
+        names = list(map(str.strip, term.split("*")))
+        if "" in names:
+            at = _factor_position(term, start, names.index(""), blank=True)
+            raise WordSyntaxError("empty factor", at)
+        first = 0
+        coeff = _ONE if sign > 0 else _MINUS_ONE
+        if _COEFF_RE.fullmatch(names[0]):
+            num, _, den = names[0].partition("/")
+            den = _int_of_digits(den) if den else 1
+            if not den:
+                raise WordSyntaxError("zero denominator", _factor_position(term, start, 0))
+            coeff = Fraction(sign * _int_of_digits(num), den)
+            first = 1
+        stop = len(names)
         try:
-            letters.append(alphabet.index(name))
-        except UnknownSymbolError:
-            raise UnknownSymbolError(name, position) from None
-    return tuple(letters)
+            if basis is None:
+                key = tuple(map(symbols.__getitem__, names[first:]))
+            else:
+                if stop == first:
+                    raise WordSyntaxError("a module term needs a generator", start + len(term))
+                stop -= 1
+                g = basis._index.get(names[stop])
+                if g is None:
+                    raise WordSyntaxError(
+                        f"module term must end in a basis generator, got {names[stop]!r}",
+                        _factor_position(term, start, stop),
+                    )
+                key = (alphabet.size + g, *map(symbols.__getitem__, reversed(names[first:stop])))
+        except KeyError:
+            k = next(k for k in range(first, stop) if names[k] not in symbols)
+            raise UnknownSymbolError(names[k], _factor_position(term, start, k)) from None
+        if key in acc:
+            acc[key] += coeff
+        else:
+            acc[key] = coeff
+    return acc if all(acc.values()) else {w: c for w, c in acc.items() if c}
 
 
 def parse_polynomial(text: str, alphabet: Alphabet) -> Polynomial:
     """Parse terms joined by +/- with integer or p/q coefficients."""
-    terms = []
-    for sign, chunk, pos in _split_signed_terms(text):
-        coeff, factors = _parse_term_factors(chunk, pos)
-        terms.append((_letters(factors, alphabet), sign * coeff))
-    return Polynomial(alphabet, terms)
+    return Polynomial._of(alphabet, _read(text, alphabet))
 
 
 def parse_module_element(text: str, alphabet: Alphabet, basis: ModuleBasis) -> ModuleElement:
     """Parse a module element; each term ends in a basis generator."""
-    terms = []
-    for sign, chunk, pos in _split_signed_terms(text):
-        coeff, factors = _parse_term_factors(chunk, pos)
-        if not factors:
-            raise WordSyntaxError("a module term needs a generator", pos)
-        gen, gen_pos = factors[-1]
-        try:
-            g = basis.index(gen)
-        except UnknownSymbolError:
-            raise WordSyntaxError(
-                f"module term must end in a basis generator, got {gen!r}", gen_pos
-            ) from None
-        terms.append(((_letters(factors[:-1], alphabet), g), sign * coeff))
-    return ModuleElement(alphabet, basis, terms)
+    code = Polynomial._of(module_code(alphabet, basis)[0], _read(text, alphabet, basis))
+    return ModuleElement._of_code(alphabet, basis, code)
 
 
 def _int_of_digits(digits: str) -> int:
@@ -462,17 +474,16 @@ def _digits(n: int) -> str:
     return "".join(reversed(chunks))
 
 
-def _magnitude_text(c: Fraction) -> str:
-    """``str(abs(c))``, whatever the number of digits."""
-    num = _digits(abs(c.numerator))
-    return num if c.denominator == 1 else f"{num}/{_digits(c.denominator)}"
-
-
 def _join_signed(terms) -> str:
     """Join (word text, coefficient) pairs as signed terms; the unit word's text is empty."""
     pieces = []
     for word, c in terms:
-        mag = _magnitude_text(c)
+        num, den = c.numerator, c.denominator
+        positive = num > 0
+        if not positive:
+            num = -num
+        digits = str if num < _CHUNK and den < _CHUNK else _digits
+        mag = digits(num) if den == 1 else f"{digits(num)}/{digits(den)}"
         if not word:
             body = mag
         elif mag == "1":
@@ -480,9 +491,9 @@ def _join_signed(terms) -> str:
         else:
             body = f"{mag}*{word}"
         if not pieces:
-            pieces.append(body if c > 0 else f"-{body}")
+            pieces.append(body if positive else f"-{body}")
         else:
-            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+            pieces.append(f"+ {body}" if positive else f"- {body}")
     return " ".join(pieces)
 
 
@@ -497,7 +508,7 @@ def _format_terms(p: Polynomial, spec, read) -> str:
 
 def format_polynomial(p: Polynomial, spec=None) -> str:
     names = p.alphabet.symbols
-    return _format_terms(p, spec or DegLex(), lambda w: "*".join([names[i] for i in w]))
+    return _format_terms(p, spec or DegLex(), lambda w: "*".join(map(names.__getitem__, w)))
 
 
 def format_module_element(m: ModuleElement, spec: ModuleTop | None = None) -> str:

@@ -8,15 +8,18 @@ File layout (UTF-8, ``#`` starts a comment):
     relations:
     a*a - b
 
-Presentations make their relations monic (scaling does not change the
-ideal) and keep them sorted by leading word, so the loader and writer are
-mutually inverse.
+Relation lines are read by ``parse_polynomial``/``parse_module_element``.
+The loaded alphabet pairs each ``s`` with ``s^-1`` and the writer refuses
+any other pairing.  Presentations make their relations monic (scaling does
+not change the ideal) and keep them sorted by leading word, so the loader
+and writer are mutually inverse.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import (
     AlphabetMismatchError,
@@ -50,16 +53,7 @@ class Presentation:
     relations: tuple[Polynomial, ...]
 
     def __post_init__(self):
-        keyf = self.ordering.letter_key(self.alphabet)
-        relations = tuple(self.relations)
-        for idx, r in enumerate(relations):
-            if r.alphabet != self.alphabet:
-                raise AlphabetMismatchError(f"relation #{idx} lives over a different alphabet")
-            if r.is_zero():
-                raise ZeroPolynomialError(f"relation #{idx} is zero")
-        monic = [r.make_monic(self.ordering) for r in relations]
-        ordered = sorted(monic, key=lambda p: max(map(keyf, p.raw_terms())))
-        object.__setattr__(self, "relations", tuple(ordered))
+        object.__setattr__(self, "relations", _monic_by_lead(self, Polynomial.raw_terms))
 
 
 @dataclass(frozen=True)
@@ -72,19 +66,33 @@ class ModulePresentation:
     relations: tuple[ModuleElement, ...]
 
     def __post_init__(self):
-        # orders codes too, and rejects a word order whose letters the alphabet lacks
-        keyf = self.ordering.letter_key(self.alphabet)
-        relations = tuple(self.relations)
-        for idx, r in enumerate(relations):
-            if r.alphabet != self.alphabet:
-                raise AlphabetMismatchError(f"relation #{idx} lives over a different alphabet")
-            if r.basis != self.basis:
-                raise BasisMismatchError(f"relation #{idx} lives over a different basis")
-            if r.is_zero():
-                raise ZeroPolynomialError(f"relation #{idx} is zero")
-        monic = [r.make_monic(self.ordering) for r in relations]
-        ordered = sorted(monic, key=lambda m: max(map(keyf, m.code.raw_terms())))
-        object.__setattr__(self, "relations", tuple(ordered))
+        relations = _monic_by_lead(self, lambda m: m.code.raw_terms(), self.basis)
+        object.__setattr__(self, "relations", relations)
+
+
+def _monic_by_lead(p, terms_of, basis=None) -> tuple:
+    """The relations of ``p``, checked to lie over its alphabet (and ``basis``)
+    and to be nonzero, made monic and sorted by the key of their leads.
+
+    ``terms_of`` gives a relation's map of letter tuples or codes to
+    coefficients.  Each lead key is computed once, and the stable sort keeps
+    relations with equal leads in their given order."""
+    # orders codes too, and rejects a word order whose letters the alphabet lacks
+    keyf = p.ordering.letter_key(p.alphabet)
+    keyed = []
+    for idx, r in enumerate(p.relations):
+        if r.alphabet != p.alphabet:
+            raise AlphabetMismatchError(f"relation #{idx} lives over a different alphabet")
+        if basis is not None and r.basis != basis:
+            raise BasisMismatchError(f"relation #{idx} lives over a different basis")
+        if r.is_zero():
+            raise ZeroPolynomialError(f"relation #{idx} is zero")
+        terms = terms_of(r)
+        key, lead = max(zip(map(keyf, terms), terms))
+        c = terms[lead]
+        keyed.append((key, r if c == 1 else r / c))
+    keyed.sort(key=itemgetter(0))
+    return tuple(r for _, r in keyed)
 
 
 def _parse_symbol_chain(body: str, where: str) -> tuple[str, ...]:
@@ -185,6 +193,19 @@ def _format_ordering(ordering) -> str:
 
 
 def format_presentation(p) -> str:
+    """The file text of ``p``, which ``load_presentation`` reads back equal.
+
+    A file pairs exactly each ``s`` with ``s^-1``, so an alphabet paired
+    otherwise is refused, naming a pair the round trip would change."""
+    declared = p.alphabet.inverse_pairs
+    implied = pair_formal_inverses(p.alphabet.symbols)
+    if declared != implied:
+        s, t = next(q for q in (*declared, *implied) if declared.count(q) != implied.count(q))
+        state = "paired" if (s, t) in declared else "unpaired"
+        raise PresentationFormatError(
+            f"cannot write the alphabet with ({s}, {t}) {state}: "
+            "a loaded alphabet pairs exactly each s with s^-1"
+        )
     lines = [f"alphabet: {' > '.join(p.alphabet.symbols)}"]
     lines.append(f"ordering: {_format_ordering(p.ordering)}")
     if isinstance(p, ModulePresentation):
@@ -204,5 +225,6 @@ def load_presentation_file(path):
 
 
 def save_presentation_file(p, path) -> None:
+    text = format_presentation(p)  # first, so a refused presentation writes no file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_presentation(p))
+        fh.write(text)

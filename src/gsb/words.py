@@ -35,8 +35,33 @@ def _validate_symbols(symbols):
         seen.add(name)
 
 
+class _Symbols:
+    """What ``Alphabet`` and ``ModuleBasis`` share: distinct symbols, listed
+    in order, each found through the map ``_index`` built once.  The map is
+    not a dataclass field, so equality, hashing and repr ignore it."""
+
+    def __post_init__(self):
+        symbols = tuple(self.symbols)
+        _validate_symbols(symbols)
+        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "_index", {name: i for i, name in enumerate(symbols)})
+
+    @property
+    def size(self) -> int:
+        return len(self.symbols)
+
+    def index(self, name: str) -> int:
+        try:
+            return self._index[name]
+        except (KeyError, TypeError):
+            raise UnknownSymbolError(name) from None
+
+    def name(self, index: int) -> str:
+        return self.symbols[index]
+
+
 @dataclass(frozen=True)
-class Alphabet:
+class Alphabet(_Symbols):
     """A finite ordered symbol set; listing order is descending precedence.
 
     ``inverse_pairs`` optionally pairs a symbol with its formal inverse
@@ -49,8 +74,8 @@ class Alphabet:
     inverse_pairs: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        _validate_symbols(self.symbols)
+        super().__post_init__()
+        at = self._index
         for s, t in self.inverse_pairs:
             if s not in self.symbols or t not in self.symbols:
                 raise AlphabetError(f"inverse pair ({s}, {t}) is outside the alphabet")
@@ -63,26 +88,10 @@ class Alphabet:
                 return (t, s)
             if t.endswith("^-1") and not s.endswith("^-1"):
                 return (s, t)
-            return (s, t) if self.symbols.index(s) < self.symbols.index(t) else (t, s)
+            return (s, t) if at[s] < at[t] else (t, s)
 
-        canonical = sorted(
-            (orient(p) for p in self.inverse_pairs),
-            key=lambda pair: self.symbols.index(pair[0]),
-        )
+        canonical = sorted((orient(p) for p in self.inverse_pairs), key=lambda pair: at[pair[0]])
         object.__setattr__(self, "inverse_pairs", tuple(canonical))
-
-    @property
-    def size(self) -> int:
-        return len(self.symbols)
-
-    def index(self, name: str) -> int:
-        try:
-            return self.symbols.index(name)
-        except ValueError:
-            raise UnknownSymbolError(name) from None
-
-    def name(self, index: int) -> str:
-        return self.symbols[index]
 
     def inverse_index(self, index: int) -> int | None:
         """Index of the declared formal inverse of a symbol, if any."""
@@ -240,27 +249,10 @@ def occurrences(pattern: Word, host: Word) -> list[tuple[Word, Word]]:
 
 
 @dataclass(frozen=True)
-class ModuleBasis:
+class ModuleBasis(_Symbols):
     """Ordered free-module generator symbols (earlier = greater)."""
 
     symbols: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        _validate_symbols(self.symbols)
-
-    @property
-    def size(self) -> int:
-        return len(self.symbols)
-
-    def index(self, name: str) -> int:
-        try:
-            return self.symbols.index(name)
-        except ValueError:
-            raise UnknownSymbolError(name) from None
-
-    def name(self, index: int) -> str:
-        return self.symbols[index]
 
 
 @dataclass(frozen=True, repr=False)

@@ -411,6 +411,30 @@ def test_build_results_pinned(name):
     assert hashlib.sha256(text.encode()).hexdigest() == BUILD_DIGESTS[name]
 
 
+# sha256 of the four fixed builds' presentation texts, joined in name order,
+# taken before the text reader and writer were rewritten
+BUILD_TEXTS_DIGEST = "bde1f2cd77f0179d861a0fba7b54c4276abbaea7297fee252221cd4fe71cf27d"
+
+
+def test_build_presentations_round_trip_through_their_text():
+    texts = []
+    for _name, build in sorted(_fixed_builds().items()):
+        presentation = build().presentation
+        text = format_presentation(presentation)
+        loaded = load_presentation(text)
+        assert loaded == presentation
+        assert format_presentation(loaded) == text
+        texts.append(text)
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == BUILD_TEXTS_DIGEST
+
+
+def test_malcev_keeps_the_base_inverse_pairs_through_a_file_round_trip():
+    text = "alphabet: x > x^-1\nordering: deglex\nrelations:\nx*x^-1 - 1\nx^-1*x - 1\n"
+    result = build_malcev(load_presentation(text), 2)
+    assert result.presentation.alphabet.inverse_pairs == (("x", "x^-1"),)
+    assert load_presentation(format_presentation(result.presentation)) == result.presentation
+
+
 # a Malcev build checks its base (one compile) and scans its extended set
 # (one more); the other builders scan one set
 @pytest.mark.parametrize(

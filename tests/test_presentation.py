@@ -225,3 +225,22 @@ def test_accepted_presentations_survive_a_file_round_trip(tmp_path):
         loaded = load_presentation_file(path)
         assert loaded == p
         assert format_presentation(loaded) == path.read_text()
+    # a file declares no inverse pairs: the loader pairs exactly each s with
+    # s^-1, so the writer refuses any other pairing rather than lose it
+    refused = [
+        (Presentation(Alphabet(("x", "y"), (("x", "y"),)), DegLex(), ()), r"\(x, y\) paired"),
+        (Presentation(Alphabet(("t", "t^-1")), DegLex(), ()), r"\(t, t\^-1\) unpaired"),
+        (
+            Presentation(Alphabet(("a", "a^-1", "b^-1"), (("a^-1", "b^-1"),)), DegLex(), ()),
+            r"\(a\^-1, b\^-1\) paired",
+        ),
+        (
+            ModulePresentation(Alphabet(("a", "b"), (("a", "b"),)), Y12, ModuleTop(), ()),
+            r"\(a, b\) paired",
+        ),
+    ]
+    for n, (p, pair) in enumerate(refused):
+        path = tmp_path / f"refused{n}.pres"
+        with pytest.raises(PresentationFormatError, match=pair):
+            save_presentation_file(p, path)
+        assert not path.exists()
