@@ -30,6 +30,7 @@ from .poly import _digits, format_element, parse_module_element, parse_polynomia
 from .presentation import (
     ModulePresentation,
     Presentation,
+    _parse_symbol_chain,
     format_presentation,
     load_presentation_file,
     save_presentation_file,
@@ -164,8 +165,7 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_lyndon(args) -> int:
-    names = tuple(part.strip() for part in args.alphabet.split(">"))
-    alphabet = Alphabet(names)
+    alphabet = Alphabet(_parse_symbol_chain(args.alphabet, "--alphabet"))
     if args.count_only:
         if args.bracket:
             raise PresentationFormatError("lyndon --count-only does not read --bracket")

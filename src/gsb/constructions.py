@@ -139,7 +139,7 @@ def build_hnn(table: GroupTable, index_bound: int) -> HnnResult:
     names = ("t", "t^-1", "b^-1", "b", "a^-1", "a") + tuple(
         f"g{i}" for i in range(1, table.size + 1)
     )
-    alphabet = Alphabet(names, (("a", "a^-1"), ("b", "b^-1"), ("t", "t^-1")))
+    alphabet = Alphabet(names)
     spec = Tower("t", "t^-1")
 
     def run(name: str, power: int = 1):
@@ -217,7 +217,7 @@ def build_malcev(base: Presentation, count: int, a: str = "a", b: str = "b") -> 
 
     The base must be a certified basis under deg-lex; the extended set is
     re-certified and the irreducibility of the original generators is
-    returned as the embedding witness.  The base's inverse pairs carry over.
+    returned as the embedding witness.
     """
     if not isinstance(base.ordering, DegLex):
         raise PresentationFormatError("this construction works over deg-lex bases")
@@ -231,7 +231,7 @@ def build_malcev(base: Presentation, count: int, a: str = "a", b: str = "b") -> 
     if not base_report.is_certificate:
         raise UncertifiedBasisError("the base presentation is not a certified basis")
     spec = DegLex()
-    alphabet = Alphabet((a, b) + base.alphabet.symbols, base.alphabet.inverse_pairs)
+    alphabet = Alphabet((a, b) + base.alphabet.symbols)
     shift = 2
 
     def embed(p: Polynomial) -> Polynomial:

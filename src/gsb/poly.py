@@ -19,19 +19,18 @@ polynomial product.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 from .errors import (
     AlphabetMismatchError,
     BasisMismatchError,
-    UnknownSymbolError,
     WordSyntaxError,
     ZeroPolynomialError,
 )
 from .orderings import DegLex, ModuleTop
 from .words import Alphabet, ModuleBasis, ModuleWord, Word, module_code
 from .words import _checked_index, _checked_letters, _trusted_word
+from .words import _COEFF_RE, _factor_position, _factors, _split_terms, _unknown_symbol
 
 # Python refuses int/str conversions of more digits than a settable limit
 # (sys.set_int_max_str_digits), 640 at the lowest, so coefficients are
@@ -351,48 +350,10 @@ def act(p: Polynomial, m: ModuleElement) -> ModuleElement:
 
 # -- text form ---------------------------------------------------------------
 #
-# Terms joined by '+'/'-' (one sign may open the text), each an optional
-# integer or p/q coefficient and '*'-joined symbols, blanks free around each;
-# a module term ends in a generator.  A reading error gives the offset in
-# the text of the sign, factor or end at fault.
+# The grammar and its term and factor helpers are in ``words``; a reading
+# error gives the offset in the text of the sign, factor or end at fault.
 
-# a sign splits terms, except one after '^' (blanks between allowed): that
-# one belongs to a name such as 't^-1'
-_SIGN_RE = re.compile(r"\^\s*[+-]|[+-]")
-# ASCII digits only: int() would also read other scripts' digits
-_COEFF_RE = re.compile(r"[0-9]+(?:/[0-9]+)?")
 _ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
-
-
-def _split_terms(text: str) -> list[tuple[int, str, int]]:
-    """(sign, term text, offset of the term in ``text``) for each term; a
-    blank term is an error at the sign or end that closes it."""
-    terms = []
-    sign, start = 1, 0
-    for m in _SIGN_RE.finditer(text):
-        i = m.start()
-        if text[i] == "^":
-            continue
-        term = text[start:i]
-        if term.strip():
-            terms.append((sign, term, start))
-        elif start:  # only a leading sign may open the text
-            raise WordSyntaxError("empty term", i)
-        sign, start = (1 if text[i] == "+" else -1), i + 1
-    term = text[start:]
-    if not term.strip():
-        raise WordSyntaxError("empty term", len(text))
-    terms.append((sign, term, start))
-    return terms
-
-
-def _factor_position(term: str, start: int, k: int, blank: bool = False) -> int:
-    """Offset in the text of the k-th '*'-separated factor of ``term`` (a term
-    at offset ``start``): of its first non-blank character, or with ``blank``
-    of its first character."""
-    pieces = term.split("*")
-    at = start + sum(len(piece) + 1 for piece in pieces[:k])
-    return at if blank else at + len(pieces[k]) - len(pieces[k].lstrip())
 
 
 def _read(text: str, alphabet: Alphabet, basis: ModuleBasis | None = None) -> dict:
@@ -406,10 +367,7 @@ def _read(text: str, alphabet: Alphabet, basis: ModuleBasis | None = None) -> di
     symbols = alphabet._index
     acc = {}
     for sign, term, start in _split_terms(text):
-        names = list(map(str.strip, term.split("*")))
-        if "" in names:
-            at = _factor_position(term, start, names.index(""), blank=True)
-            raise WordSyntaxError("empty factor", at)
+        names = _factors(term, start)
         first = 0
         coeff = _ONE if sign > 0 else _MINUS_ONE
         if _COEFF_RE.fullmatch(names[0]):
@@ -419,14 +377,13 @@ def _read(text: str, alphabet: Alphabet, basis: ModuleBasis | None = None) -> di
                 raise WordSyntaxError("zero denominator", _factor_position(term, start, 0))
             coeff = Fraction(sign * _int_of_digits(num), den)
             first = 1
-        stop = len(names)
         try:
             if basis is None:
                 key = tuple(map(symbols.__getitem__, names[first:]))
             else:
-                if stop == first:
+                stop = len(names) - 1
+                if stop < first:
                     raise WordSyntaxError("a module term needs a generator", start + len(term))
-                stop -= 1
                 g = basis._index.get(names[stop])
                 if g is None:
                     raise WordSyntaxError(
@@ -435,8 +392,7 @@ def _read(text: str, alphabet: Alphabet, basis: ModuleBasis | None = None) -> di
                     )
                 key = (alphabet.size + g, *map(symbols.__getitem__, reversed(names[first:stop])))
         except KeyError:
-            k = next(k for k in range(first, stop) if names[k] not in symbols)
-            raise UnknownSymbolError(names[k], _factor_position(term, start, k)) from None
+            raise _unknown_symbol(names, first, symbols, term, start) from None
         if key in acc:
             acc[key] += coeff
         else:

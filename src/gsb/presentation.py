@@ -9,10 +9,11 @@ File layout (UTF-8, ``#`` starts a comment):
     a*a - b
 
 Relation lines are read by ``parse_polynomial``/``parse_module_element``.
-The loaded alphabet pairs each ``s`` with ``s^-1`` and the writer refuses
-any other pairing.  Presentations make their relations monic (scaling does
-not change the ideal) and keep them sorted by leading word, so the loader
-and writer are mutually inverse.
+A file declares no inverse pairs: every alphabet pairs each ``s`` with
+``s^-1`` by name, so a loaded alphabet equals the one written.
+Presentations make their relations monic (scaling does not change the
+ideal) and keep them sorted by leading word, so the loader and writer are
+mutually inverse.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .poly import (
     parse_module_element,
     parse_polynomial,
 )
-from .words import Alphabet, ModuleBasis, pair_formal_inverses
+from .words import Alphabet, ModuleBasis
 
 _TOWER = r"tower\(\s*([^\s,]+)\s*,\s*([^\s,)]+)\s*\)"
 _TOWER_RE = re.compile(_TOWER)
@@ -96,9 +97,10 @@ def _monic_by_lead(p, terms_of, basis=None) -> tuple:
 
 
 def _parse_symbol_chain(body: str, where: str) -> tuple[str, ...]:
+    """The names of an ``a > b > c`` chain; ``where`` names it in an error."""
     names = [part.strip() for part in body.split(">")]
     if any(not n for n in names):
-        raise PresentationFormatError(f"empty symbol in {where} section")
+        raise PresentationFormatError(f"empty symbol in {where}")
     return tuple(names)
 
 
@@ -149,15 +151,14 @@ def load_presentation(text: str):
         raise PresentationFormatError("missing alphabet section")
     if "ordering" not in sections:
         raise PresentationFormatError("missing ordering section")
-    symbols = _parse_symbol_chain(sections["alphabet"], "alphabet")
-    alphabet = Alphabet(symbols, pair_formal_inverses(symbols))
+    alphabet = Alphabet(_parse_symbol_chain(sections["alphabet"], "alphabet section"))
     ordering = _parse_ordering(sections["ordering"])
     if "basis" in sections or isinstance(ordering, ModuleTop):
         if "basis" not in sections:
             raise PresentationFormatError("module-top ordering needs a basis section")
         if not isinstance(ordering, ModuleTop):
             raise PresentationFormatError("a basis section needs the module-top ordering")
-        basis = ModuleBasis(_parse_symbol_chain(sections["basis"], "basis"))
+        basis = ModuleBasis(_parse_symbol_chain(sections["basis"], "basis section"))
         rels = _parse_relations(
             relation_lines, lambda line: parse_module_element(line, alphabet, basis)
         )
@@ -193,19 +194,7 @@ def _format_ordering(ordering) -> str:
 
 
 def format_presentation(p) -> str:
-    """The file text of ``p``, which ``load_presentation`` reads back equal.
-
-    A file pairs exactly each ``s`` with ``s^-1``, so an alphabet paired
-    otherwise is refused, naming a pair the round trip would change."""
-    declared = p.alphabet.inverse_pairs
-    implied = pair_formal_inverses(p.alphabet.symbols)
-    if declared != implied:
-        s, t = next(q for q in (*declared, *implied) if declared.count(q) != implied.count(q))
-        state = "paired" if (s, t) in declared else "unpaired"
-        raise PresentationFormatError(
-            f"cannot write the alphabet with ({s}, {t}) {state}: "
-            "a loaded alphabet pairs exactly each s with s^-1"
-        )
+    """The file text of ``p``, which ``load_presentation`` reads back equal."""
     lines = [f"alphabet: {' > '.join(p.alphabet.symbols)}"]
     lines.append(f"ordering: {_format_ordering(p.ordering)}")
     if isinstance(p, ModulePresentation):
@@ -225,6 +214,6 @@ def load_presentation_file(path):
 
 
 def save_presentation_file(p, path) -> None:
-    text = format_presentation(p)  # first, so a refused presentation writes no file
+    text = format_presentation(p)  # first, so an ordering it cannot write leaves no file
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

@@ -1,15 +1,17 @@
 """Alphabets, free-monoid words, module words, and their codes as words.
 
 Symbols are interned: a word stores indices into its alphabet, and the
-alphabet's listing order is its precedence (earlier symbol = greater).
-All values are immutable after construction and safe to share between
+alphabet's listing order is its precedence (earlier symbol = greater).  An
+alphabet pairs each ``s`` with its formal inverse ``s^-1`` by name.  The
+text form of words, polynomials and module elements is split into terms and
+factors here, and a word is read as one term.  All values are immutable after construction and safe to share between
 threads.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import (
@@ -64,44 +66,24 @@ class _Symbols:
 class Alphabet(_Symbols):
     """A finite ordered symbol set; listing order is descending precedence.
 
-    ``inverse_pairs`` optionally pairs a symbol with its formal inverse
-    (for group presentations).  The engine attaches no semantics to the
+    ``inverse_pairs`` pairs each symbol ``s`` with its formal inverse
+    ``s^-1`` when both are listed (for group presentations); it is read off
+    the names, never given.  The engine attaches no semantics to the
     pairing; unit relations are ordinary relations emitted by the
     constructions that need them.
     """
 
     symbols: tuple[str, ...]
-    inverse_pairs: tuple[tuple[str, str], ...] = ()
+    inverse_pairs: tuple[tuple[str, str], ...] = field(init=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
-        at = self._index
-        for s, t in self.inverse_pairs:
-            if s not in self.symbols or t not in self.symbols:
-                raise AlphabetError(f"inverse pair ({s}, {t}) is outside the alphabet")
-            if s == t:
-                raise AlphabetError(f"symbol {s!r} cannot be its own formal inverse")
-        # canonical pair orientation and order, so equality ignores listing
-        def orient(pair):
-            s, t = pair
-            if s.endswith("^-1") and not t.endswith("^-1"):
-                return (t, s)
-            if t.endswith("^-1") and not s.endswith("^-1"):
-                return (s, t)
-            return (s, t) if at[s] < at[t] else (t, s)
-
-        canonical = sorted((orient(p) for p in self.inverse_pairs), key=lambda pair: at[pair[0]])
-        object.__setattr__(self, "inverse_pairs", tuple(canonical))
+        object.__setattr__(self, "inverse_pairs", pair_formal_inverses(self.symbols))
 
     def inverse_index(self, index: int) -> int | None:
-        """Index of the declared formal inverse of a symbol, if any."""
+        """Index of the formal inverse of a symbol, if listed."""
         name = self.symbols[index]
-        for s, t in self.inverse_pairs:
-            if s == name:
-                return self.index(t)
-            if t == name:
-                return self.index(s)
-        return None
+        return self._index.get(name[:-3] if name.endswith("^-1") else name + "^-1")
 
     def empty(self) -> Word:
         return _trusted_word(self, ())
@@ -196,33 +178,86 @@ def concat(u: Word, v: Word) -> Word:
     return u * v
 
 
-def parse_word(text: str, alphabet: Alphabet) -> Word:
-    """Parse ``a*a*b``-style text; the literal ``1`` is the empty word."""
-    s = text.strip()
-    if s == "1":
-        return _trusted_word(alphabet, ())
-    letters = []
-    i, n = 0, len(s)
-    expect_symbol = True
-    while i < n:
-        if s[i].isspace():
-            i += 1
+# -- text form ---------------------------------------------------------------
+#
+# Terms joined by '+'/'-' (one sign may open the text), each an optional
+# integer or p/q coefficient and '*'-joined symbols, blanks free around each;
+# a module term ends in a generator.  ``poly._read`` reads polynomials and
+# module elements with the helpers below, and ``parse_word`` reads a word as
+# one term.  A reading error gives the offset in the text of the sign,
+# factor or end at fault.
+
+# a sign splits terms, except one after '^' (blanks between allowed): that
+# one belongs to a name such as 't^-1'
+_SIGN_RE = re.compile(r"\^\s*[+-]|[+-]")
+# ASCII digits only: int() would also read other scripts' digits
+_COEFF_RE = re.compile(r"[0-9]+(?:/[0-9]+)?")
+
+
+def _split_terms(text: str) -> list[tuple[int, str, int]]:
+    """(sign, term text, offset of the term in ``text``) for each term; a
+    blank term is an error at the sign or end that closes it."""
+    terms = []
+    sign, start = 1, 0
+    for m in _SIGN_RE.finditer(text):
+        i = m.start()
+        if text[i] == "^":
             continue
-        if expect_symbol:
-            m = _SYMBOL_RE.match(s, i)
-            if m is None:
-                raise WordSyntaxError("expected a symbol", i)
-            letters.append(alphabet.index(m.group()))
-            i = m.end()
-            expect_symbol = False
-        else:
-            if s[i] != "*":
-                raise WordSyntaxError("expected '*'", i)
-            i += 1
-            expect_symbol = True
-    if expect_symbol:
-        raise WordSyntaxError("dangling '*' or empty word text", n)
-    return _trusted_word(alphabet, tuple(letters))
+        term = text[start:i]
+        if term.strip():
+            terms.append((sign, term, start))
+        elif start:  # only a leading sign may open the text
+            raise WordSyntaxError("empty term", i)
+        sign, start = (1 if text[i] == "+" else -1), i + 1
+    term = text[start:]
+    if not term.strip():
+        raise WordSyntaxError("empty term", len(text))
+    terms.append((sign, term, start))
+    return terms
+
+
+def _factor_position(term: str, start: int, k: int, blank: bool = False) -> int:
+    """Offset in the text of the k-th '*'-separated factor of ``term`` (a term
+    at offset ``start``): of its first non-blank character, or with ``blank``
+    of its first character."""
+    pieces = term.split("*")
+    at = start + sum(len(piece) + 1 for piece in pieces[:k])
+    return at if blank else at + len(pieces[k]) - len(pieces[k].lstrip())
+
+
+def _factors(term: str, start: int) -> list[str]:
+    """The '*'-separated factors of ``term`` (at offset ``start``), stripped;
+    an empty one is an error at its offset."""
+    names = list(map(str.strip, term.split("*")))
+    if "" in names:
+        at = _factor_position(term, start, names.index(""), blank=True)
+        raise WordSyntaxError("empty factor", at)
+    return names
+
+
+def _unknown_symbol(names, first: int, symbols, term: str, start: int) -> UnknownSymbolError:
+    """The error for the first factor from ``names[first]`` on that is not in
+    ``symbols``, at its offset."""
+    k = next(k for k in range(first, len(names)) if names[k] not in symbols)
+    return UnknownSymbolError(names[k], _factor_position(term, start, k))
+
+
+def parse_word(text: str, alphabet: Alphabet) -> Word:
+    """Read ``a*a*b``-style text as one term with no sign and no coefficient;
+    the lone ``1`` is the empty word."""
+    if text.strip() == "1":
+        return _trusted_word(alphabet, ())
+    (_, term, start), *rest = _split_terms(text)
+    if start or rest:  # a sign opens the text, or splits it after the term
+        raise WordSyntaxError("a word takes no sign", (start or rest[0][2]) - 1)
+    names = _factors(term, start)
+    if _COEFF_RE.fullmatch(names[0]):
+        raise WordSyntaxError("a word takes no coefficient", _factor_position(term, start, 0))
+    symbols = alphabet._index
+    try:
+        return _trusted_word(alphabet, tuple(map(symbols.__getitem__, names)))
+    except KeyError:
+        raise _unknown_symbol(names, 0, symbols, term, start) from None
 
 
 def print_word(word: Word) -> str:

@@ -200,6 +200,16 @@ def test_construct_hnn_table_file_equals_cyclic(tmp_path, capsys):
     assert from_table.startswith("alphabet: ")
 
 
+def test_construct_simple_over_a_formal_inverse_basis(tmp_path, capsys):
+    table = tmp_path / "table.json"
+    product = {"1 1": "x", "1 2": "x", "2 1": "x^-1", "2 2": "x^-1"}
+    table.write_text(json.dumps({"basis": ["x", "x^-1"], "product": product}))
+    out = tmp_path / "simple.pres"
+    assert run(["construct", "simple", "--table", str(table), "-o", str(out)]) == 0
+    assert out.read_text().startswith("alphabet: ")
+    assert run(["check", str(out)]) == 0
+
+
 def test_construct_simple_with_tables(tmp_path, capsys):
     table = tmp_path / "table.json"
     table.write_text(
@@ -407,6 +417,12 @@ def test_dim_capacity_error_stops_at_the_first_degree_past_the_capacity(aab_file
     assert capsys.readouterr().err == (
         "error: 32767 words of degree <= 14 exceed the capacity 20000; max_deg is 200000\n"
     )
+
+
+@pytest.mark.parametrize("chain", ["a>>b", "b>a>", " > a"])
+def test_lyndon_alphabet_is_read_as_a_file_alphabet_is(chain, capsys):
+    assert run(["lyndon", "--alphabet", chain, "--max-len", "2"]) == 1
+    assert capsys.readouterr().err == "error: empty symbol in --alphabet\n"
 
 
 def test_lyndon_count_only_three_letters(capsys):

@@ -1080,7 +1080,7 @@ def _module_sets(seed, count):
     from gsb.words import ModuleBasis
 
     rng = random.Random(seed)
-    tower = Alphabet(("t", "t^-1", "a", "b"), (("t", "t^-1"),))
+    tower = Alphabet(("t", "t^-1", "a", "b"))
     setups = [
         (AB, ModuleBasis(("y",)), ModuleTop()),
         (tower, ModuleBasis(("y1", "y2")), ModuleTop(Tower("t", "t^-1"))),

@@ -245,6 +245,18 @@ def test_build_simple_step_toy():
     assert load_presentation(format_presentation(result.presentation)) == result.presentation
 
 
+def test_build_simple_step_over_a_formal_inverse_basis_survives_a_file_round_trip():
+    # the left-zero band over x, x^-1: its alphabet pairs x with x^-1, as a loaded one does
+    table = MultTable(
+        ("x", "x^-1"), {(1, 1): "x", (1, 2): "x", (2, 1): "x^-1", (2, 2): "x^-1"}
+    )
+    result = build_simple_step(table, SimpleStepInput(()), m_bound=1, n_bound=1)
+    assert result.report.is_certificate
+    assert result.presentation.alphabet.inverse_pairs == (("x", "x^-1"),)
+    text = format_presentation(result.presentation)
+    assert load_presentation(text) == result.presentation
+
+
 def test_simple_exponent_formula():
     base = LEFT_TABLE.base_alphabet()
     g = parse_polynomial("x1*x2 + x1", base)

@@ -223,7 +223,7 @@ def test_leading_of_action_concatenates():
 
 SHARED = Alphabet(("a", "y"))
 SHARED_Y = ModuleBasis(("y",))
-TOWER_A = Alphabet(("t", "t^-1", "a", "b"), (("t", "t^-1"),))
+TOWER_A = Alphabet(("t", "t^-1", "a", "b"))
 TOWER_Y = ModuleBasis(("y1", "y2"))
 TOWER_SPEC = ModuleTop(Tower("t", "t^-1"))
 

@@ -18,10 +18,7 @@ from gsb.orderings import (
 from gsb.words import Alphabet, ModuleBasis, ModuleWord, Word
 
 AB = Alphabet(("a", "b"))
-TOWER_ALPHABET = Alphabet(
-    ("t", "t^-1", "b^-1", "b", "a^-1", "a", "g1"),
-    (("a", "a^-1"), ("b", "b^-1"), ("t", "t^-1")),
-)
+TOWER_ALPHABET = Alphabet(("t", "t^-1", "b^-1", "b", "a^-1", "a", "g1"))
 
 
 def test_deglex_examples():

@@ -1,5 +1,6 @@
 """The polynomial and module-element reader against a character-by-character
-reference reader, on seeded generated lines."""
+reference reader, on seeded generated lines, and the word reader against
+the polynomial reader's terms."""
 
 import random
 import re
@@ -10,7 +11,7 @@ import pytest
 from gsb.errors import GsbError, UnknownSymbolError, WordSyntaxError
 from gsb.poly import ModuleElement, Polynomial, parse_module_element, parse_polynomial
 from gsb.presentation import load_presentation
-from gsb.words import Alphabet, ModuleBasis
+from gsb.words import Alphabet, ModuleBasis, Word, parse_word
 
 # -- the reference reader ------------------------------------------------------
 #
@@ -233,3 +234,58 @@ def test_other_scripts_digits_are_no_coefficient():
     assert str(exc.value) == "line 4: unknown symbol '٣' (at position 0)"
     # ASCII digits still read
     assert parse_polynomial("3*a - b", ab) == Polynomial(ab, {(0,): 3, (1,): -1})
+
+
+# -- words ----------------------------------------------------------------------
+
+
+def test_a_word_reads_as_one_term_of_the_polynomial_reader():
+    rng = random.Random(20261020)
+    accepted = rejected = 0
+    for _ in range(2000):
+        text = _term(rng, module=False)
+        got = _outcome(lambda t: Polynomial.from_word(parse_word(t, ALPHABET)), text)
+        want = _outcome(lambda t: parse_polynomial(t, ALPHABET), text)
+        factors = [f.strip() for f in text.split("*")]
+        coefficient = re.fullmatch(r"[0-9]+(?:/[0-9]+)?", factors[0])
+        if text.strip() != "1" and "" not in factors and coefficient:
+            at = len(text) - len(text.lstrip())
+            want = (WordSyntaxError, f"a word takes no coefficient (at position {at})", at)
+        assert got == want, text
+        if isinstance(got[0], type):
+            rejected += 1
+        else:
+            accepted += 1
+    assert min(accepted, rejected) >= 300, (accepted, rejected)
+
+
+@pytest.mark.parametrize(
+    "text,error,token,position",
+    [
+        ("2*a", WordSyntaxError, None, 0),
+        ("1*a", WordSyntaxError, None, 0),
+        ("-a", WordSyntaxError, None, 0),
+        ("a + a", WordSyntaxError, None, 2),
+        ("a - b", WordSyntaxError, None, 2),
+        ("a b", UnknownSymbolError, "a b", 0),
+        # positions count from the raw text, and an unknown symbol has one
+        ("  a*?", UnknownSymbolError, "?", 4),
+        ("a*z", UnknownSymbolError, "z", 2),
+        ("a* *b", WordSyntaxError, None, 2),
+        ("", WordSyntaxError, None, 0),
+    ],
+)
+def test_a_word_takes_no_sign_coefficient_or_blank(text, error, token, position):
+    ab = Alphabet(("a", "b"))
+    with pytest.raises(error) as exc:
+        ab.word(text)
+    assert type(exc.value) is error
+    assert exc.value.position == position
+    if token is not None:
+        assert exc.value.token == token
+
+
+def test_the_lone_one_is_the_empty_word():
+    ab = Alphabet(("a", "b"))
+    assert ab.word(" 1 ") == ab.empty() == Word(ab, ())
+    assert ab.word(" b *a ").letters == (1, 0)

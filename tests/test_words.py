@@ -38,7 +38,7 @@ def test_parse_basic():
 
 
 def test_parse_whitespace_and_inverse_tokens():
-    g = Alphabet(("a", "a^-1"), (("a", "a^-1"),))
+    g = Alphabet(("a", "a^-1"))
     assert parse_word(" a * a^-1 ", g).letters == (0, 1)
     assert g.inverse_index(0) == 1
     assert g.inverse_index(1) == 0
@@ -61,7 +61,7 @@ def test_parse_syntax_errors():
 
 def test_print_parse_roundtrip_random():
     rng = random.Random(1)
-    alphabet = Alphabet(("a", "b", "xx", "a^-1"), (("a", "a^-1"),))
+    alphabet = Alphabet(("a", "b", "xx", "a^-1"))
     for _ in range(1000):
         word = Word(
             alphabet, tuple(rng.randrange(4) for _ in range(rng.randint(0, 8)))
@@ -76,14 +76,20 @@ def test_alphabet_validation():
         Alphabet(("a", "a"))
     with pytest.raises(AlphabetError):
         Alphabet(("a", "2b"))
-    with pytest.raises(AlphabetError):
-        Alphabet(("a", "b"), (("a", "c"),))
-    with pytest.raises(AlphabetError):
-        Alphabet(("a", "b"), (("a", "a"),))
 
 
 def test_pair_formal_inverses():
     assert pair_formal_inverses(("t", "t^-1", "b")) == (("t", "t^-1"),)
+    # an alphabet's pairing is read off its names, never given
+    for symbols in [("a", "b"), ("t^-1", "b", "t", "b^-1"), ("a", "a^-1", "b^-1")]:
+        alphabet = Alphabet(symbols)
+        assert alphabet.inverse_pairs == pair_formal_inverses(symbols)
+        partners = [alphabet.inverse_index(i) for i in range(alphabet.size)]
+        assert all(j is None or partners[j] == i for i, j in enumerate(partners))
+    assert Alphabet(("t^-1", "b", "t", "b^-1")).inverse_pairs == (("b", "b^-1"), ("t", "t^-1"))
+    assert Alphabet(("a", "a^-1", "b^-1")).inverse_index(2) is None
+    with pytest.raises(TypeError):
+        Alphabet(("x", "y"), (("x", "y"),))
 
 
 def test_concat_examples():
