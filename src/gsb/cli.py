@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .completion import check_gsb, shirshov_complete
 from .constructions import (
@@ -198,24 +197,12 @@ def _pair_key(raw: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _element(v) -> int:
-    if isinstance(v, (bool, float)):  # JSON's true or 2.7 is no table size or entry
-        raise TypeError(f"expected an integer, got {json.dumps(v)}")
-    return int(v)
-
-
-def _coefficient(c) -> Fraction:
-    if isinstance(c, (bool, float)):  # JSON's true or 2.7 is no exact coefficient
-        raise TypeError(f"expected an integer or a fraction string, got {json.dumps(c)}")
-    return Fraction(c)
-
-
 def _load_group_table(path) -> GroupTable:
     data = _load_json(path)
     try:
-        product = {_pair_key(k): _element(v) for k, v in data["product"].items()}
-        inverse = {int(k): _element(v) for k, v in data["inverse"].items()}
-        return GroupTable(_element(data["size"]), product, inverse)
+        product = {_pair_key(k): v for k, v in data["product"].items()}
+        inverse = {int(k): v for k, v in data["inverse"].items()}
+        return GroupTable(data["size"], product, inverse)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise PresentationFormatError(f"bad group table file {path}: {exc}") from exc
 
@@ -223,12 +210,7 @@ def _load_group_table(path) -> GroupTable:
 def _load_mult_table(path) -> MultTable:
     data = _load_json(path)
     try:
-        products = {}
-        for k, v in data["product"].items():
-            if isinstance(v, str):
-                products[_pair_key(k)] = v
-            else:
-                products[_pair_key(k)] = {name: _coefficient(c) for name, c in v.items()}
+        products = {_pair_key(k): v for k, v in data["product"].items()}
         return MultTable(tuple(data["basis"]), products)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise PresentationFormatError(f"bad multiplication table file {path}: {exc}") from exc
@@ -252,16 +234,16 @@ def _load_pairs(path, alphabet: Alphabet) -> SimpleStepInput:
     return SimpleStepInput(tuple(pairs))
 
 
-def _write_construction(presentation, report, args) -> None:
+def _write_construction(result, args) -> None:
     cert_path = args.cert
     if args.output:
-        save_presentation_file(presentation, args.output)
+        save_presentation_file(result.presentation, args.output)
         cert_path = cert_path or f"{args.output}.cert.json"
     else:
-        print(format_presentation(presentation), end="")
+        print(format_presentation(result.presentation), end="")
     if cert_path:
         with open(cert_path, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
+            json.dump(result.report.to_json_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
@@ -292,6 +274,10 @@ def _cmd_construct(args) -> int:
             setattr(args, dest, default)
         elif kind not in readers:
             raise PresentationFormatError(f"construct {kind} does not read {flag}")
+    if kind == "lie-words":
+        for word, bracket in bracket_embedding_words(args.max_i):
+            print(f"{word}\t{bracket}")
+        return 0
     if kind == "hnn":
         if args.cyclic is not None and args.table is not None:
             raise PresentationFormatError("construct hnn reads --cyclic or --table, not both")
@@ -303,9 +289,7 @@ def _cmd_construct(args) -> int:
             raise PresentationFormatError("hnn needs --cyclic ORDER or --table FILE")
         bound = args.index_bound if args.index_bound is not None else table.size
         result = build_hnn(table, bound)
-        _write_construction(result.presentation, result.report, args)
-        return 0
-    if kind == "malcev":
+    elif kind == "malcev":
         if not args.base:
             raise PresentationFormatError("malcev needs a base presentation file")
         base = load_presentation_file(args.base)
@@ -313,9 +297,7 @@ def _cmd_construct(args) -> int:
             raise PresentationFormatError("malcev extends algebra presentations")
         count = args.count if args.count is not None else base.alphabet.size
         result = build_malcev(base, count, a=args.a, b=args.b)
-        _write_construction(result.presentation, result.report, args)
-        return 0
-    if kind == "simple":
+    elif kind == "simple":
         if not args.table:
             raise PresentationFormatError("simple needs --table FILE")
         table = _load_mult_table(args.table)
@@ -325,9 +307,7 @@ def _cmd_construct(args) -> int:
             else SimpleStepInput(())
         )
         result = build_simple_step(table, steps, args.m_bound, args.n_bound)
-        _write_construction(result.presentation, result.report, args)
-        return 0
-    if kind == "module-cyclic":
+    else:  # module-cyclic, the last of argparse's choices
         if not args.base:
             raise PresentationFormatError("module-cyclic needs a base presentation file")
         base = load_presentation_file(args.base)
@@ -335,13 +315,8 @@ def _cmd_construct(args) -> int:
             raise PresentationFormatError("module-cyclic extends module presentations")
         count = args.count if args.count is not None else base.basis.size
         result = build_module_cyclic(base, count, generator=args.generator)
-        _write_construction(result.presentation, result.report, args)
-        return 0
-    if kind == "lie-words":
-        for word, bracket in bracket_embedding_words(args.max_i):
-            print(f"{word}\t{bracket}")
-        return 0
-    raise PresentationFormatError(f"unknown construction {kind!r}")
+    _write_construction(result, args)
+    return 0
 
 
 def _cmd_selftest(args) -> int:

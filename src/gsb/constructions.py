@@ -1,12 +1,14 @@
 """Builders for the embedding presentations, certified at finite truncation.
 
-Each builder emits the relation families for user-chosen index bounds,
-computes (never transcribes) the orientation of every relation, and then
-runs the full composition check.  A builder fails loudly when the
-predicted zero-nontrivial-compositions certification does not hold on the
-instance.  Each certification compiles its relation set once: one scan
+The table classes refuse inexact values (a float or a bool).  Each builder
+emits the relation families for user-chosen index bounds, computes (never
+transcribes) the orientation of every relation (``_oriented``), and runs
+the full composition check; it fails loudly when the predicted
+zero-nontrivial-compositions certification does not hold on the instance.
+Each certification compiles its relation set once: one scan
 (``completion._Scan``, ``modules._ModuleScan``) serves the ambiguity shape
-check, then the composition check, then the witness normal forms.
+check (``_extension_report`` for an extended certified base), then the
+composition check, then the witness normal forms.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from fractions import Fraction
 
 from .completion import CheckReport, _Scan, check_gsb
 from .errors import (
+    AlphabetMismatchError,
     CertificationError,
     IndexOutOfRangeError,
     NonCanonicalSupportError,
@@ -32,7 +35,42 @@ from .modules import _ModuleScan, module_check_gsb
 from .orderings import DegLex, Tower
 from .poly import ModuleElement, Polynomial
 from .presentation import ModulePresentation, Presentation
-from .words import Alphabet, ModuleBasis, Word, module_code
+from .words import Alphabet, ModuleBasis, ModuleWord, Word, module_code
+
+
+def _exact(value, convert, what: str):
+    """``convert(value)``, refusing a float or a bool: table values are exact."""
+    if isinstance(value, (bool, float)):
+        raise PresentationFormatError(f"{what} is {value!r}, not an exact number")
+    return convert(value)
+
+
+def _oriented(p, spec, lead, message: str):
+    """``p``, once its computed leading word is ``lead``, the displayed left side."""
+    if p.leading_word(spec) != lead:
+        raise OrientationError(message)
+    return p
+
+
+def _shifted(p: Polynomial, alphabet: Alphabet, offset: int) -> Polynomial:
+    """``p`` over ``alphabet``, its letters moved up by ``offset``, unchecked."""
+    return Polynomial._of(
+        alphabet, {tuple(c + offset for c in w): coeff for w, coeff in p.raw_terms().items()}
+    )
+
+
+def _extension_report(scan, base_len: int, what: str) -> CheckReport:
+    """The check of a set extending a certified base of ``base_len``
+    relations, once no ambiguity involves a new one; ``what`` is "" or "module "."""
+    new = sum(
+        1 for amb in scan.ambiguities() if amb.f_index >= base_len or amb.g_index >= base_len
+    )
+    if new:
+        raise CertificationError(f"{new} unexpected new {what}compositions")
+    report = scan.check()
+    if not report.is_certificate:
+        raise CertificationError(f"extended {what}set failed certification")
+    return report
 
 
 class GroupTable:
@@ -41,15 +79,17 @@ class GroupTable:
     Elements are indexed 1..size; index 0 stands for the identity.
     ``product`` maps (j, k) to an element index, ``inverse`` maps j to the
     index of its inverse.  Associativity is checked wherever every lookup
-    involved is defined.
+    involved is defined.  The size and the entries are exact integers.
     """
 
     def __init__(self, size: int, product, inverse):
+        size = _exact(size, int, "the table size")
         if size < 1:
             raise PresentationFormatError("a group table needs at least one element")
         self.size = size
-        self.product = {tuple(k): v for k, v in dict(product).items()}
-        self.inverse = dict(inverse)
+        product = dict(product).items()
+        self.product = {(j, k): _exact(v, int, f"product entry ({j},{k})") for (j, k), v in product}
+        self.inverse = {j: _exact(v, int, f"inverse entry {j}") for j, v in dict(inverse).items()}
         for (j, k), v in self.product.items():
             if not (1 <= j <= size and 1 <= k <= size and 0 <= v <= size):
                 raise PresentationFormatError(f"product entry ({j},{k})->{v} out of range")
@@ -159,11 +199,8 @@ def build_hnn(table: GroupTable, index_bound: int) -> HnnResult:
         p = Polynomial.from_word(lhs) - Polynomial.from_word(rhs)
         if p.is_zero():
             raise ZeroPolynomialError(f"degenerate relation at {lhs}")
-        if p.leading_word(spec) != lhs:
-            raise OrientationError(
-                f"computed leading side of {lhs} = {rhs} is not the displayed left side"
-            )
-        relations.append(p)
+        message = f"computed leading side of {lhs} = {rhs} is not the displayed left side"
+        relations.append(_oriented(p, spec, lhs, message))
 
     b_ = index_bound
     # family 1: the group table
@@ -233,50 +270,28 @@ def build_malcev(base: Presentation, count: int, a: str = "a", b: str = "b") -> 
     spec = DegLex()
     alphabet = Alphabet((a, b) + base.alphabet.symbols)
     shift = 2
-
-    def embed(p: Polynomial) -> Polynomial:
-        return Polynomial(
-            alphabet,
-            {
-                tuple(c + shift for c in w): coeff
-                for w, coeff in p.raw_terms().items()
-            },
-        )
-
-    relations = [embed(r) for r in base.relations]
+    relations = [_shifted(r, alphabet, shift) for r in base.relations]
     base_len = len(relations)
     ai, bi = 0, 1
     for i in range(1, count + 1):
-        lhs = (ai, ai) + (bi,) * i + (ai, bi)
+        lhs = Word(alphabet, (ai, ai) + (bi,) * i + (ai, bi))
         p = Polynomial(alphabet, {lhs: 1, (shift + i - 1,): -1})
-        if p.leading_word(spec).letters != lhs:
-            raise OrientationError("defining word does not lead its generator")
-        relations.append(p)
+        relations.append(_oriented(p, spec, lhs, "defining word does not lead its generator"))
     scan = _Scan(relations, spec)
-    new = [
-        amb
-        for amb in scan.ambiguities()
-        if amb.f_index >= base_len or amb.g_index >= base_len
-    ]
-    if new:
-        raise CertificationError(f"{len(new)} unexpected new compositions")
-    report = scan.check()
-    if not report.is_certificate:
-        raise CertificationError("extended set failed certification")
+    report = _extension_report(scan, base_len, "")
     witness = {
         alphabet.name(c): scan.normal_form(Polynomial.from_word(Word(alphabet, (c,))))
         for c in range(shift, shift + count)
     }
-    return MalcevResult(
-        Presentation(alphabet, spec, tuple(relations)), report, len(new), witness
-    )
+    return MalcevResult(Presentation(alphabet, spec, tuple(relations)), report, 0, witness)
 
 
 class MultTable:
     """A total multiplication table over a finite basis x_1..x_n.
 
     Values are linear combinations over the basis and the unit; entries may
-    be given as a generator name, ``"1"``, or a {name: coeff} mapping.
+    be given as a generator name, ``"1"``, or a {name: coeff} mapping with
+    exact coefficients, such as integers or ``"p/q"`` strings.
     """
 
     def __init__(self, basis, products):
@@ -298,7 +313,7 @@ class MultTable:
                 value = {value: 1}
             combo = []
             for name, coeff in value.items():
-                coeff = Fraction(coeff)
+                coeff = _exact(coeff, Fraction, f"entry ({i},{j}) coefficient of {name!r}")
                 if coeff == 0:
                     continue
                 if name == "1":
@@ -391,10 +406,9 @@ def build_simple_step(
         for target, coeff in combo:
             key = () if target is None else (base_offset + target,)
             terms[key] = terms.get(key, Fraction(0)) - coeff
-        p = Polynomial(alphabet, terms)
-        if p.leading_word(spec).letters != lhs:
-            raise OrientationError("table relation does not lead with its product word")
-        relations.append(p)
+        lead = Word(alphabet, lhs)
+        message = "table relation does not lead with its product word"
+        relations.append(_oriented(Polynomial(alphabet, terms), spec, lead, message))
     table_count = len(relations)
 
     ai = alphabet.index("a")
@@ -406,20 +420,12 @@ def build_simple_step(
     for n in range(1, n_bound + 1):
         for m in range(1, m_bound + 1):
             for tail, names in ((2 * m + 1, x_names), (2 * m, y_names)):
-                lhs = slot_word(n, tail)
+                lhs = Word(alphabet, slot_word(n, tail))
                 p = Polynomial(alphabet, {lhs: 1, (alphabet.index(names[(m, n)]),): -1})
-                if p.leading_word(spec).letters != lhs:
-                    raise OrientationError("defining word does not lead its letter")
-                relations.append(p)
+                relations.append(_oriented(p, spec, lhs, "defining word does not lead its letter"))
     # the designated word for the first table generator
     lhs = (ai, ai, bi, bi, ai, bi)
     relations.append(Polynomial(alphabet, {lhs: 1, (base_offset,): -1}))
-
-    def embed(p: Polynomial) -> Polynomial:
-        terms = {}
-        for w, c in p.raw_terms().items():
-            terms[tuple(base_offset + ltr for ltr in w)] = c
-        return Polynomial(alphabet, terms)
 
     table_leads = {
         (base_offset + i - 1, base_offset + j - 1) for (i, j) in base.entries
@@ -432,29 +438,25 @@ def build_simple_step(
                     return False
         return True
 
+    base_alphabet = base.base_alphabet()
     exponents = []
     for pidx, pair in enumerate(pairs, start=1):
+        if pair.f.alphabet != base_alphabet or pair.g.alphabet != base_alphabet:
+            raise AlphabetMismatchError(f"pair #{pidx} is not over the table's basis")
         if pair.f.is_zero() or pair.g.is_zero():
             raise NonCanonicalSupportError(pidx, "pair members must be nonzero")
-        f, g = embed(pair.f), embed(pair.g)
+        f, g = _shifted(pair.f, alphabet, base_offset), _shifted(pair.g, alphabet, base_offset)
         if not canonical(f) or not canonical(g):
             raise NonCanonicalSupportError(pidx)
         power = simple_relation_exponent(g, spec)
         exponents.append(power)
-        x_word = Polynomial.from_word(
-            Word(alphabet, (alphabet.index(pair.x_symbol),) * power)
+        x_word = Word(alphabet, (alphabet.index(pair.x_symbol),) * power)
+        y_word = Word(alphabet, (alphabet.index(pair.y_symbol),))
+        p = (Polynomial.from_word(x_word) * f * Polynomial.from_word(y_word) - g).make_monic(spec)
+        lead = x_word * f.leading_word(spec) * y_word
+        relations.append(
+            _oriented(p, spec, lead, "pair relation does not lead with its x-f-y word")
         )
-        y_word = Polynomial.from_word(Word(alphabet, (alphabet.index(pair.y_symbol),)))
-        p = (x_word * f * y_word - g).make_monic(spec)
-        lead = p.leading_word(spec).letters
-        expected = (
-            (alphabet.index(pair.x_symbol),) * power
-            + f.leading_word(spec).letters
-            + (alphabet.index(pair.y_symbol),)
-        )
-        if lead != expected:
-            raise OrientationError("pair relation does not lead with its x-f-y word")
-        relations.append(p)
 
     scan = _Scan(relations, spec)
     ambiguities = scan.ambiguities()
@@ -523,20 +525,10 @@ def build_module_cyclic(
     for i in range(1, count + 1):
         prefix = (ai,) + (bi,) * i
         m = ModuleElement(alphabet, basis, {(prefix, y_new): 1, ((), i - 1): -1})
-        if m.leading_word(spec).prefix.letters != prefix:
-            raise OrientationError("defining prefix does not lead")
-        relations.append(m)
+        lead = ModuleWord(Word(alphabet, prefix), basis, y_new)
+        relations.append(_oriented(m, spec, lead, "defining prefix does not lead"))
     scan = _ModuleScan(relations, spec)
-    new = [
-        amb
-        for amb in scan.ambiguities()
-        if amb.f_index >= base_len or amb.g_index >= base_len
-    ]
-    if new:
-        raise CertificationError(f"{len(new)} unexpected new module compositions")
-    report = scan.check()
-    if not report.is_certificate:
-        raise CertificationError("extended module set failed certification")
+    report = _extension_report(scan, base_len, "module ")
     witness = {
         basis.name(i): scan.normal_form(ModuleElement(alphabet, basis, {((), i): 1}))
         for i in range(base.basis.size)

@@ -210,6 +210,20 @@ def test_construct_simple_over_a_formal_inverse_basis(tmp_path, capsys):
     assert run(["check", str(out)]) == 0
 
 
+def test_construct_simple_on_a_non_associative_table_exits_1_and_writes_nothing(
+    tmp_path, capsys
+):
+    table = tmp_path / "na.json"
+    product = {"1 1": "x2", "1 2": "x2", "2 1": "x1", "2 2": "x1"}
+    table.write_text(json.dumps({"basis": ["x1", "x2"], "product": product}))
+    out = tmp_path / "n.pres"
+    assert run(["construct", "simple", "--table", str(table), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: a table overlap was nontrivial; the table is not associative\n"
+    )
+    assert not out.exists() and not (tmp_path / "n.pres.cert.json").exists()
+
+
 def test_construct_simple_with_tables(tmp_path, capsys):
     table = tmp_path / "table.json"
     table.write_text(

@@ -20,6 +20,8 @@ from gsb.constructions import (
     simple_relation_exponent,
 )
 from gsb.errors import (
+    AlphabetMismatchError,
+    CertificationError,
     IndexOutOfRangeError,
     NonCanonicalSupportError,
     PresentationFormatError,
@@ -55,6 +57,20 @@ def test_group_table_validation():
             {(1, 1): 2, (1, 2): 1, (2, 1): 2, (2, 2): 1},
             {},
         )
+
+
+@pytest.mark.parametrize(
+    "size, product",
+    [
+        (2, {(1, 1): 2.0, (1, 2): 0, (2, 1): 0, (2, 2): 1}),
+        (2, {(1, 1): 2, (1, 2): 0, (2, 1): 0, (2, 2): True}),
+        (True, {(1, 1): 0}),
+    ],
+)
+def test_group_table_refuses_a_float_or_bool_size_or_entry(size, product):
+    # refused here, where the value enters, not in build_hnn as an unknown symbol 'g2.0'
+    with pytest.raises(PresentationFormatError, match="not an exact number"):
+        GroupTable(size, product, {})
 
 
 def _first_non_associative(size, product):
@@ -231,6 +247,36 @@ def test_mult_table_validation():
         MultTable(("x1", "x2"), {(1, 1): "x1"})
     with pytest.raises(PresentationFormatError):
         MultTable(("x1",), {(1, 1): "zz"})
+
+
+@pytest.mark.parametrize("coeff", [2.7, True])
+def test_mult_table_refuses_a_float_or_bool_coefficient(coeff):
+    # as a Fraction, 2.7 would be its binary value 3039929748475085/1125899906842624
+    with pytest.raises(PresentationFormatError, match="not an exact number"):
+        MultTable(("x1",), {(1, 1): {"x1": coeff}})
+
+
+def test_build_simple_step_on_a_non_associative_table():
+    table = MultTable(("x1", "x2"), {(1, 1): "x2", (1, 2): "x2", (2, 1): "x1", (2, 2): "x1"})
+    with pytest.raises(CertificationError) as exc:
+        build_simple_step(table, SimpleStepInput(()), m_bound=1, n_bound=1)
+    assert str(exc.value) == "a table overlap was nontrivial; the table is not associative"
+
+
+@pytest.mark.parametrize(
+    "symbols, f, g",
+    [
+        # x3 is past the table's basis: shifted, it would read as the fresh letter v1
+        (("x1", "x2", "x3"), "x3", "x1"),
+        # a two-letter alphabet that is not the basis: shifted, p and q would read as x1 and x2
+        (("p", "q"), "p", "q"),
+    ],
+)
+def test_build_simple_step_refuses_a_pair_over_another_alphabet(symbols, f, g):
+    other = Alphabet(symbols)
+    pair = SimplePair(parse_polynomial(f, other), parse_polynomial(g, other), "u1", "v1")
+    with pytest.raises(AlphabetMismatchError, match="pair #1"):
+        build_simple_step(LEFT_TABLE, SimpleStepInput((pair,)), m_bound=1, n_bound=1)
 
 
 def test_build_simple_step_toy():
