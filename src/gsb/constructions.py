@@ -1,14 +1,15 @@
 """Builders for the embedding presentations, certified at finite truncation.
 
-The table classes refuse inexact values (a float or a bool).  Each builder
-emits the relation families for user-chosen index bounds, computes (never
-transcribes) the orientation of every relation (``_oriented``), and runs
-the full composition check; it fails loudly when the predicted
+The table classes refuse inexact values (a float, a bool, or a coefficient
+string that a relation line would not read as one).  Each builder emits the
+relation families for user-chosen index bounds, computes (never transcribes)
+the orientation of every relation (``_oriented``), and runs the full
+composition check; it fails loudly when the predicted
 zero-nontrivial-compositions certification does not hold on the instance.
-Each certification compiles its relation set once: one scan
-(``completion._Scan``, ``modules._ModuleScan``) serves the ambiguity shape
-check (``_extension_report`` for an extended certified base), then the
-composition check, then the witness normal forms.
+Each builder compiles its relation set once: one scan (``completion._Scan``,
+``modules._ModuleScan``) serves the ambiguity shape check, the composition
+check (``_extension_report`` reads an extended base's own compositions off
+it too) and the witness normal forms.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .lyndon import BracketedWord, is_alsw, std_bracketing
-from .modules import _ModuleScan, module_check_gsb
+from .modules import _ModuleScan
 from .orderings import DegLex, Tower
-from .poly import ModuleElement, Polynomial
+from .poly import ModuleElement, Polynomial, _coefficient
 from .presentation import ModulePresentation, Presentation
 from .words import Alphabet, ModuleBasis, ModuleWord, Word, module_code
 
@@ -43,6 +44,21 @@ def _exact(value, convert, what: str):
     if isinstance(value, (bool, float)):
         raise PresentationFormatError(f"{what} is {value!r}, not an exact number")
     return convert(value)
+
+
+def _table_coefficient(value, what: str) -> Fraction:
+    """``value`` as a ``Fraction``; a string is read as a relation line reads
+    a coefficient: an optional sign, then digits or ``p/q``."""
+    if not isinstance(value, str):
+        return _exact(value, Fraction, what)
+    sign = -1 if value[:1] == "-" else 1
+    try:
+        coeff = _coefficient(value[1:] if value[:1] in ("+", "-") else value, sign)
+    except ZeroDivisionError:
+        raise PresentationFormatError(f"{what} is {value!r}, with a zero denominator") from None
+    if coeff is None:
+        raise PresentationFormatError(f"{what} is {value!r}, not an integer or p/q")
+    return coeff
 
 
 def _oriented(p, spec, lead, message: str):
@@ -59,17 +75,17 @@ def _shifted(p: Polynomial, alphabet: Alphabet, offset: int) -> Polynomial:
     )
 
 
-def _extension_report(scan, base_len: int, what: str) -> CheckReport:
-    """The check of a set extending a certified base of ``base_len``
-    relations, once no ambiguity involves a new one; ``what`` is "" or "module "."""
-    new = sum(
-        1 for amb in scan.ambiguities() if amb.f_index >= base_len or amb.g_index >= base_len
-    )
+def _extension_report(scan, base_len: int, what: str, uncertified: str) -> CheckReport:
+    """The one check of a base of ``base_len`` relations and new ones whose
+    leads hold a letter no base relation has, so the base's compositions are
+    its own: a nontrivial one raises ``UncertifiedBasisError(uncertified)``,
+    then any ambiguity of a new relation raises; ``what`` is "" or "module "."""
+    report = scan.check()
+    if any(max(amb.f_index, amb.g_index) < base_len for amb, _ in report.nontrivial):
+        raise UncertifiedBasisError(uncertified)
+    new = sum(1 for _kind, i, j, *_ in scan.overlaps if max(i, j) >= base_len)
     if new:
         raise CertificationError(f"{new} unexpected new {what}compositions")
-    report = scan.check()
-    if not report.is_certificate:
-        raise CertificationError(f"extended {what}set failed certification")
     return report
 
 
@@ -252,21 +268,20 @@ class MalcevResult:
 def build_malcev(base: Presentation, count: int, a: str = "a", b: str = "b") -> MalcevResult:
     """Adjoin the two fresh generators and the defining words for x_1..x_count.
 
-    The base must be a certified basis under deg-lex; the extended set is
-    re-certified and the irreducibility of the original generators is
-    returned as the embedding witness.
+    The base must be a certified basis under deg-lex, which the one check
+    of the extended set shows; the normal forms of the original generators
+    are returned as the embedding witness.
     """
     if not isinstance(base.ordering, DegLex):
         raise PresentationFormatError("this construction works over deg-lex bases")
-    if a == b or a in base.alphabet.symbols or b in base.alphabet.symbols:
+    if a == b:
+        raise SymbolClashError(f"the two fresh symbols must differ, got {a!r} twice")
+    if a in base.alphabet.symbols or b in base.alphabet.symbols:
         raise SymbolClashError(f"fresh symbols {a!r}, {b!r} clash with the base alphabet")
     if not 1 <= count <= base.alphabet.size:
         raise IndexOutOfRangeError(
             f"count {count} outside 1..{base.alphabet.size}"
         )
-    base_report = check_gsb(base.relations, base.ordering)
-    if not base_report.is_certificate:
-        raise UncertifiedBasisError("the base presentation is not a certified basis")
     spec = DegLex()
     alphabet = Alphabet((a, b) + base.alphabet.symbols)
     shift = 2
@@ -278,7 +293,9 @@ def build_malcev(base: Presentation, count: int, a: str = "a", b: str = "b") -> 
         p = Polynomial(alphabet, {lhs: 1, (shift + i - 1,): -1})
         relations.append(_oriented(p, spec, lhs, "defining word does not lead its generator"))
     scan = _Scan(relations, spec)
-    report = _extension_report(scan, base_len, "")
+    report = _extension_report(
+        scan, base_len, "", "the base presentation is not a certified basis"
+    )
     witness = {
         alphabet.name(c): scan.normal_form(Polynomial.from_word(Word(alphabet, (c,))))
         for c in range(shift, shift + count)
@@ -291,7 +308,9 @@ class MultTable:
 
     Values are linear combinations over the basis and the unit; entries may
     be given as a generator name, ``"1"``, or a {name: coeff} mapping with
-    exact coefficients, such as integers or ``"p/q"`` strings.
+    exact coefficients: integers, ``Fraction``s, or strings such as ``"3"``,
+    ``"-1/2"`` (an optional sign, then ASCII digits, then optionally ``/``
+    and a nonzero denominator).
     """
 
     def __init__(self, basis, products):
@@ -313,7 +332,7 @@ class MultTable:
                 value = {value: 1}
             combo = []
             for name, coeff in value.items():
-                coeff = _exact(coeff, Fraction, f"entry ({i},{j}) coefficient of {name!r}")
+                coeff = _table_coefficient(coeff, f"entry ({i},{j}) coefficient of {name!r}")
                 if coeff == 0:
                     continue
                 if name == "1":
@@ -507,9 +526,6 @@ def build_module_cyclic(
         raise SymbolClashError(f"generator {generator!r} clashes with the basis")
     if not 1 <= count <= base.basis.size:
         raise IndexOutOfRangeError(f"count {count} outside 1..{base.basis.size}")
-    base_report = module_check_gsb(base.relations, base.ordering)
-    if not base_report.is_certificate:
-        raise UncertifiedBasisError("the base module presentation is not certified")
     spec = base.ordering
     basis = ModuleBasis(base.basis.symbols + (generator,))
     alphabet = base.alphabet
@@ -528,7 +544,9 @@ def build_module_cyclic(
         lead = ModuleWord(Word(alphabet, prefix), basis, y_new)
         relations.append(_oriented(m, spec, lead, "defining prefix does not lead"))
     scan = _ModuleScan(relations, spec)
-    report = _extension_report(scan, base_len, "module ")
+    report = _extension_report(
+        scan, base_len, "module ", "the base module presentation is not certified"
+    )
     witness = {
         basis.name(i): scan.normal_form(ModuleElement(alphabet, basis, {((), i): 1}))
         for i in range(base.basis.size)

@@ -368,14 +368,13 @@ def _read(text: str, alphabet: Alphabet, basis: ModuleBasis | None = None) -> di
     acc = {}
     for sign, term, start in _split_terms(text):
         names = _factors(term, start)
-        first = 0
-        coeff = _ONE if sign > 0 else _MINUS_ONE
-        if _COEFF_RE.fullmatch(names[0]):
-            num, _, den = names[0].partition("/")
-            den = _int_of_digits(den) if den else 1
-            if not den:
-                raise WordSyntaxError("zero denominator", _factor_position(term, start, 0))
-            coeff = Fraction(sign * _int_of_digits(num), den)
+        try:
+            coeff = _coefficient(names[0], sign)
+        except ZeroDivisionError:
+            raise WordSyntaxError("zero denominator", _factor_position(term, start, 0)) from None
+        if coeff is None:
+            first, coeff = 0, _ONE if sign > 0 else _MINUS_ONE
+        else:
             first = 1
         try:
             if basis is None:
@@ -409,6 +408,16 @@ def parse_module_element(text: str, alphabet: Alphabet, basis: ModuleBasis) -> M
     """Parse a module element; each term ends in a basis generator."""
     code = Polynomial._of(module_code(alphabet, basis)[0], _read(text, alphabet, basis))
     return ModuleElement._of_code(alphabet, basis, code)
+
+
+def _coefficient(text: str, sign: int) -> Fraction | None:
+    """``sign`` times the coefficient ``text`` (``_COEFF_RE``: ASCII digits,
+    then optionally ``/`` and more), or None when ``text`` is none; a zero
+    denominator raises ``ZeroDivisionError``."""
+    if not _COEFF_RE.fullmatch(text):
+        return None
+    num, _, den = text.partition("/")
+    return Fraction(sign * _int_of_digits(num), _int_of_digits(den) if den else 1)
 
 
 def _int_of_digits(digits: str) -> int:

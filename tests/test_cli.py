@@ -183,6 +183,33 @@ def test_construct_malcev(tmp_path, capsys):
     assert "alphabet: a > b > x1 > x2" in out
 
 
+@pytest.mark.parametrize(
+    "kind, text, message",
+    [
+        (
+            "malcev",
+            "alphabet: x1 > x2\nordering: deglex\nrelations:\nx1*x1 - x2\n",
+            "the base presentation is not a certified basis",
+        ),
+        (
+            "module-cyclic",
+            "alphabet: a > b\nordering: module-top\nbasis: y1 > y2\nrelations:\n"
+            "a*y1 - y2\nb*a*y1 - y1\n",
+            "the base module presentation is not certified",
+        ),
+    ],
+)
+def test_construct_on_an_uncertified_base_exits_1_and_writes_nothing(
+    kind, text, message, tmp_path, capsys
+):
+    base = tmp_path / "base.pres"
+    base.write_text(text)
+    out = tmp_path / "out.pres"
+    assert run(["construct", kind, str(base), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists() and not (tmp_path / "out.pres.cert.json").exists()
+
+
 def test_construct_hnn_cyclic(tmp_path, capsys):
     out = str(tmp_path / "hnn.pres")
     assert run(["construct", "hnn", "--cyclic", "3", "-o", out]) == 0
@@ -222,6 +249,17 @@ def test_construct_simple_on_a_non_associative_table_exits_1_and_writes_nothing(
         "error: a table overlap was nontrivial; the table is not associative\n"
     )
     assert not out.exists() and not (tmp_path / "n.pres.cert.json").exists()
+
+
+def test_construct_simple_on_a_zero_denominator_exits_1_and_writes_nothing(tmp_path, capsys):
+    table = tmp_path / "z.json"
+    table.write_text(json.dumps({"basis": ["x1"], "product": {"1 1": {"x1": "1/0"}}}))
+    out = tmp_path / "z.pres"
+    assert run(["construct", "simple", "--table", str(table), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: entry (1,1) coefficient of 'x1' is '1/0', with a zero denominator\n"
+    )
+    assert not out.exists() and not (tmp_path / "z.pres.cert.json").exists()
 
 
 def test_construct_simple_with_tables(tmp_path, capsys):

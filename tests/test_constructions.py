@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -198,8 +199,9 @@ def test_build_malcev_binomial_base_stays_binomial():
 def test_build_malcev_requires_certified_base():
     X = x_alphabet(2)
     base = Presentation(X, DegLex(), (parse_polynomial("x1*x1 - x2", X),))
-    with pytest.raises(UncertifiedBasisError):
+    with pytest.raises(UncertifiedBasisError) as err:
         build_malcev(base, 2)
+    assert str(err.value) == "the base presentation is not a certified basis"
 
 
 def test_build_malcev_symbol_clash():
@@ -207,6 +209,14 @@ def test_build_malcev_symbol_clash():
     base = Presentation(X, DegLex(), ())
     with pytest.raises(SymbolClashError):
         build_malcev(base, 1)
+
+
+def test_build_malcev_fresh_symbols_must_differ():
+    # neither symbol is in the base, so the message names no clash with it
+    base = Presentation(x_alphabet(2), DegLex(), ())
+    with pytest.raises(SymbolClashError) as err:
+        build_malcev(base, 1, "x", "x")
+    assert str(err.value) == "the two fresh symbols must differ, got 'x' twice"
 
 
 def test_malcev_extension_completes_with_zero_additions():
@@ -247,6 +257,31 @@ def test_mult_table_validation():
         MultTable(("x1", "x2"), {(1, 1): "x1"})
     with pytest.raises(PresentationFormatError):
         MultTable(("x1",), {(1, 1): "zz"})
+
+
+@pytest.mark.parametrize(
+    "coeff, message",
+    [
+        ("1e5", "is '1e5', not an integer or p/q"),
+        ("1.5", "is '1.5', not an integer or p/q"),
+        ("1_0", "is '1_0', not an integer or p/q"),
+        ("\u0663", "is '\u0663', not an integer or p/q"),
+        ("1/0", "is '1/0', with a zero denominator"),
+    ],
+    ids=["exponent", "point", "underscore", "arabic-indic-digit", "zero-denominator"],
+)
+def test_mult_table_reads_a_coefficient_string_as_a_relation_line_does(coeff, message):
+    # Fraction(str) would read "1e10000000" as a ten-million-digit integer
+    with pytest.raises(PresentationFormatError) as err:
+        MultTable(("x1",), {(1, 1): {"x1": coeff}})
+    assert str(err.value) == f"entry (1,1) coefficient of 'x1' {message}"
+
+
+@pytest.mark.parametrize(
+    "coeff, value", [("-1/2", Fraction(-1, 2)), ("3", 3), ("1/2", Fraction(1, 2))]
+)
+def test_mult_table_builds_a_signed_integer_or_p_q_string(coeff, value):
+    assert MultTable(("x1",), {(1, 1): {"x1": coeff}}).entries == {(1, 1): ((0, value),)}
 
 
 @pytest.mark.parametrize("coeff", [2.7, True])
@@ -409,6 +444,18 @@ def test_build_module_cyclic_with_base_relations():
     assert len(result.presentation.relations) == 3
 
 
+def test_build_module_cyclic_requires_certified_base():
+    # b*a*y1 - y1 contains the lead a*y1 of the other, leaving b*y2 - y1
+    alphabet, basis = Alphabet(("a", "b")), ModuleBasis(("y1", "y2"))
+    relations = tuple(
+        parse_module_element(t, alphabet, basis) for t in ("a*y1 - y2", "b*a*y1 - y1")
+    )
+    base = ModulePresentation(alphabet, basis, ModuleTop(), relations)
+    with pytest.raises(UncertifiedBasisError) as err:
+        build_module_cyclic(base, 2)
+    assert str(err.value) == "the base module presentation is not certified"
+
+
 # ------------------------------------------------------------------ lie words
 
 
@@ -493,11 +540,11 @@ def test_malcev_keeps_the_base_inverse_pairs_through_a_file_round_trip():
     assert load_presentation(format_presentation(result.presentation)) == result.presentation
 
 
-# a Malcev build checks its base (one compile) and scans its extended set
-# (one more); the other builders scan one set
+# each builder scans one set: an extended base is checked inside the scan of
+# the extended set, not on its own first
 @pytest.mark.parametrize(
     "name, compiles",
-    [("build_hnn", 1), ("build_malcev", 2), ("build_simple_step", 1), ("build_module_cyclic", 2)],
+    [("build_hnn", 1), ("build_malcev", 1), ("build_simple_step", 1), ("build_module_cyclic", 1)],
 )
 def test_each_build_compiles_each_relation_set_once(name, compiles, monkeypatch):
     build = _fixed_builds()[name]
@@ -512,3 +559,20 @@ def test_each_build_compiles_each_relation_set_once(name, compiles, monkeypatch)
     monkeypatch.setattr(completion, "compile_rules", counted)
     build()
     assert len(calls) == compiles
+
+
+@pytest.mark.parametrize(
+    "name", ["build_hnn", "build_malcev", "build_simple_step", "build_module_cyclic"]
+)
+def test_each_build_runs_one_composition_check(name, monkeypatch):
+    build = _fixed_builds()[name]
+    calls = []
+    original = completion._Scan.check
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(completion._Scan, "check", counted)
+    build()
+    assert len(calls) == 1
