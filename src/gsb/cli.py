@@ -16,6 +16,7 @@ from .constructions import (
     MultTable,
     SimplePair,
     SimpleStepInput,
+    _table_int,
     bracket_embedding_words,
     build_hnn,
     build_malcev,
@@ -24,7 +25,7 @@ from .constructions import (
 )
 from .errors import GsbError, LimitError, PresentationFormatError
 from .lyndon import alsw_up_to, nlsw_basis_count, std_bracketing
-from .modules import module_check_gsb, module_complete, module_irr
+from .modules import module_check_gsb, module_complete, module_irr, module_nf_with_trace
 from .poly import _digits, format_element, parse_module_element, parse_polynomial
 from .presentation import (
     ModulePresentation,
@@ -39,11 +40,10 @@ from .words import Alphabet
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse uses exit code 2 for usage errors; this tool reserves 2."""
+    """A usage error as an input error: one ``error:`` line, exit 1 (this tool reserves 2)."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"error: {message}\n")
 
 
 def _emit_json(payload) -> None:
@@ -118,8 +118,6 @@ def _cmd_nf(args) -> int:
     p = _load_for(args)
     if isinstance(p, ModulePresentation):
         element = parse_module_element(args.poly, p.alphabet, p.basis)
-        from .modules import module_nf_with_trace
-
         nf, trace = module_nf_with_trace(element, p.relations, p.ordering)
         if args.trace:
             for n, step in enumerate(trace.steps, start=1):
@@ -166,8 +164,6 @@ def _cmd_dim(args) -> int:
 def _cmd_lyndon(args) -> int:
     alphabet = Alphabet(_parse_symbol_chain(args.alphabet, "--alphabet"))
     if args.count_only:
-        if args.bracket:
-            raise PresentationFormatError("lyndon --count-only does not read --bracket")
         if args.max_len < 1:
             raise LimitError(f"max_len must be >= 1, got {args.max_len}")
         for n in range(1, args.max_len + 1):
@@ -194,14 +190,14 @@ def _pair_key(raw: str) -> tuple[int, int]:
     parts = raw.replace(",", " ").split()
     if len(parts) != 2:
         raise PresentationFormatError(f"bad table key {raw!r}; expected 'j k'")
-    return int(parts[0]), int(parts[1])
+    return tuple(_table_int(part, f"an index of table key {raw!r}") for part in parts)
 
 
 def _load_group_table(path) -> GroupTable:
     data = _load_json(path)
     try:
         product = {_pair_key(k): v for k, v in data["product"].items()}
-        inverse = {int(k): v for k, v in data["inverse"].items()}
+        inverse = {_table_int(k, "an inverse key"): v for k, v in data["inverse"].items()}
         return GroupTable(data["size"], product, inverse)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise PresentationFormatError(f"bad group table file {path}: {exc}") from exc
@@ -234,7 +230,35 @@ def _load_pairs(path, alphabet: Alphabet) -> SimpleStepInput:
     return SimpleStepInput(tuple(pairs))
 
 
-def _write_construction(result, args) -> None:
+def _build_hnn(args):
+    table = GroupTable.cyclic(args.cyclic) if args.table is None else _load_group_table(args.table)
+    return build_hnn(table, table.size if args.index_bound is None else args.index_bound)
+
+
+def _build_malcev(args):
+    base = load_presentation_file(args.base)
+    if isinstance(base, ModulePresentation):
+        raise PresentationFormatError("malcev extends algebra presentations")
+    count = args.count if args.count is not None else base.alphabet.size
+    return build_malcev(base, count, a=args.a, b=args.b)
+
+
+def _build_simple(args):
+    table = _load_mult_table(args.table)
+    steps = _load_pairs(args.pairs, table.base_alphabet()) if args.pairs else SimpleStepInput(())
+    return build_simple_step(table, steps, args.m_bound, args.n_bound)
+
+
+def _build_module_cyclic(args):
+    base = load_presentation_file(args.base)
+    if not isinstance(base, ModulePresentation):
+        raise PresentationFormatError("module-cyclic extends module presentations")
+    count = args.count if args.count is not None else base.basis.size
+    return build_module_cyclic(base, count, generator=args.generator)
+
+
+def _cmd_construct(args) -> int:
+    result = args.build(args)
     cert_path = args.cert
     if args.output:
         save_presentation_file(result.presentation, args.output)
@@ -245,77 +269,12 @@ def _write_construction(result, args) -> None:
         with open(cert_path, "w", encoding="utf-8") as fh:
             json.dump(result.report.to_json_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
+    return 0
 
 
-# flags that only some construction kinds read, by argparse destination: the flag, its
-# readers and its default, set here because argparse must leave an unread flag None
-_CONSTRUCT_FLAG_READERS = {
-    "base": ("a base presentation file", ("malcev", "module-cyclic"), None),
-    "cyclic": ("--cyclic", ("hnn",), None),
-    "table": ("--table", ("hnn", "simple"), None),
-    "index_bound": ("--index-bound", ("hnn",), None),
-    "pairs": ("--pairs", ("simple",), None),
-    "output": ("-o/--output", ("hnn", "malcev", "simple", "module-cyclic"), None),
-    "cert": ("--cert", ("hnn", "malcev", "simple", "module-cyclic"), None),
-    "count": ("--count", ("malcev", "module-cyclic"), None),
-    "a": ("--a", ("malcev",), "a"),
-    "b": ("--b", ("malcev",), "b"),
-    "generator": ("--generator", ("module-cyclic",), "y"),
-    "m_bound": ("--m-bound", ("simple",), 1),
-    "n_bound": ("--n-bound", ("simple",), 1),
-    "max_i": ("--max-i", ("lie-words",), 4),
-}
-
-
-def _cmd_construct(args) -> int:
-    kind = args.kind
-    for dest, (flag, readers, default) in _CONSTRUCT_FLAG_READERS.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
-        elif kind not in readers:
-            raise PresentationFormatError(f"construct {kind} does not read {flag}")
-    if kind == "lie-words":
-        for word, bracket in bracket_embedding_words(args.max_i):
-            print(f"{word}\t{bracket}")
-        return 0
-    if kind == "hnn":
-        if args.cyclic is not None and args.table is not None:
-            raise PresentationFormatError("construct hnn reads --cyclic or --table, not both")
-        if args.cyclic is not None:
-            table = GroupTable.cyclic(args.cyclic)
-        elif args.table:
-            table = _load_group_table(args.table)
-        else:
-            raise PresentationFormatError("hnn needs --cyclic ORDER or --table FILE")
-        bound = args.index_bound if args.index_bound is not None else table.size
-        result = build_hnn(table, bound)
-    elif kind == "malcev":
-        if not args.base:
-            raise PresentationFormatError("malcev needs a base presentation file")
-        base = load_presentation_file(args.base)
-        if isinstance(base, ModulePresentation):
-            raise PresentationFormatError("malcev extends algebra presentations")
-        count = args.count if args.count is not None else base.alphabet.size
-        result = build_malcev(base, count, a=args.a, b=args.b)
-    elif kind == "simple":
-        if not args.table:
-            raise PresentationFormatError("simple needs --table FILE")
-        table = _load_mult_table(args.table)
-        steps = (
-            _load_pairs(args.pairs, table.base_alphabet())
-            if args.pairs
-            else SimpleStepInput(())
-        )
-        result = build_simple_step(table, steps, args.m_bound, args.n_bound)
-    else:  # module-cyclic, the last of argparse's choices
-        if not args.base:
-            raise PresentationFormatError("module-cyclic needs a base presentation file")
-        base = load_presentation_file(args.base)
-        if not isinstance(base, ModulePresentation):
-            raise PresentationFormatError("module-cyclic extends module presentations")
-        count = args.count if args.count is not None else base.basis.size
-        result = build_module_cyclic(base, count, generator=args.generator)
-    _write_construction(result, args)
+def _cmd_lie_words(args) -> int:
+    for word, bracket in bracket_embedding_words(args.max_i):
+        print(f"{word}\t{bracket}")
     return 0
 
 
@@ -368,27 +327,47 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("lyndon", help="Lyndon-Shirshov word tooling")
     p.add_argument("--alphabet", required=True, help='e.g. "x2>x1"')
     p.add_argument("--max-len", type=int, required=True)
-    p.add_argument("--bracket", action="store_true")
-    p.add_argument("--count-only", action="store_true")
+    listing = p.add_mutually_exclusive_group()
+    listing.add_argument("--bracket", action="store_true")
+    listing.add_argument("--count-only", action="store_true")
     p.set_defaults(func=_cmd_lyndon)
 
     p = sub.add_parser("construct", help="emit a certified embedding presentation")
-    p.add_argument("kind", choices=["hnn", "malcev", "simple", "module-cyclic", "lie-words"])
-    p.add_argument("base", nargs="?", help="base presentation file (malcev, module-cyclic)")
-    p.add_argument("--cyclic", type=int, help="hnn: cyclic group order")
-    p.add_argument("--table", help="hnn/simple: table file (JSON)")
-    p.add_argument("--index-bound", type=int)
-    p.add_argument("--count", type=int)
-    p.add_argument("--a", help="malcev: first fresh generator (default a)")
-    p.add_argument("--b", help="malcev: second fresh generator (default b)")
-    p.add_argument("--generator", help="module-cyclic: fresh generator (default y)")
-    p.add_argument("--pairs", help="simple: pairs file (JSON)")
-    p.add_argument("--m-bound", type=int, help="simple (default 1)")
-    p.add_argument("--n-bound", type=int, help="simple (default 1)")
-    p.add_argument("--max-i", type=int, help="lie-words (default 4)")
-    p.add_argument("-o", "--output")
-    p.add_argument("--cert", help="write the JSON certificate here")
-    p.set_defaults(func=_cmd_construct)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    written = _Parser(add_help=False)
+    written.add_argument("-o", "--output", help="write the presentation here, not to stdout")
+    written.add_argument("--cert", help="write the JSON certificate here (default OUTPUT.cert.json)")
+
+    k = kinds.add_parser("hnn", parents=[written], help="the HNN-style group embedding")
+    group = k.add_mutually_exclusive_group(required=True)
+    group.add_argument("--cyclic", type=int, help="cyclic group order")
+    group.add_argument("--table", help="group table file (JSON)")
+    k.add_argument("--index-bound", type=int, help="default: the table size")
+    k.set_defaults(func=_cmd_construct, build=_build_hnn)
+
+    k = kinds.add_parser("malcev", parents=[written], help="the Malcev two-generator algebra")
+    k.add_argument("base", help="base presentation file")
+    k.add_argument("--count", type=int, help="default: the base alphabet size")
+    k.add_argument("--a", default="a", help="first fresh generator (default a)")
+    k.add_argument("--b", default="b", help="second fresh generator (default b)")
+    k.set_defaults(func=_cmd_construct, build=_build_malcev)
+
+    k = kinds.add_parser("simple", parents=[written], help="one simple-algebra step")
+    k.add_argument("--table", required=True, help="multiplication table file (JSON)")
+    k.add_argument("--pairs", help="pairs file (JSON)")
+    k.add_argument("--m-bound", type=int, default=1, help="default 1")
+    k.add_argument("--n-bound", type=int, default=1, help="default 1")
+    k.set_defaults(func=_cmd_construct, build=_build_simple)
+
+    k = kinds.add_parser("module-cyclic", parents=[written], help="the cyclic module")
+    k.add_argument("base", help="base module presentation file")
+    k.add_argument("--count", type=int, help="default: the base basis size")
+    k.add_argument("--generator", default="y", help="fresh generator (default y)")
+    k.set_defaults(func=_cmd_construct, build=_build_module_cyclic)
+
+    k = kinds.add_parser("lie-words", help="the words a*a*b^i*a*b, bracketed")
+    k.add_argument("--max-i", type=int, default=4, help="default 4")
+    k.set_defaults(func=_cmd_lie_words)
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
     p.set_defaults(func=_cmd_selftest)
@@ -397,17 +376,13 @@ def _build_parser() -> _Parser:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except GsbError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (GsbError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

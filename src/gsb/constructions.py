@@ -1,10 +1,10 @@
 """Builders for the embedding presentations, certified at finite truncation.
 
-The table classes refuse inexact values (a float, a bool, or a coefficient
-string that a relation line would not read as one).  Each builder emits the
-relation families for user-chosen index bounds, computes (never transcribes)
-the orientation of every relation (``_oriented``), and runs the full
-composition check; it fails loudly when the predicted
+The table classes refuse inexact values (a float, a bool, or a string that
+a relation line would not read as an integer or a coefficient).  Each
+builder emits the relation families for user-chosen index bounds, computes
+(never transcribes) the orientation of every relation (``_oriented``), and
+runs the full composition check; it fails loudly when the predicted
 zero-nontrivial-compositions certification does not hold on the instance.
 Each builder compiles its relation set once: one scan (``completion._Scan``,
 ``modules._ModuleScan``) serves the ambiguity shape check, the composition
@@ -34,23 +34,29 @@ from .errors import (
 from .lyndon import BracketedWord, is_alsw, std_bracketing
 from .modules import _ModuleScan
 from .orderings import DegLex, Tower
-from .poly import ModuleElement, Polynomial, _coefficient
+from .poly import ModuleElement, Polynomial, _coefficient, _int_of_digits
 from .presentation import ModulePresentation, Presentation
 from .words import Alphabet, ModuleBasis, ModuleWord, Word, module_code
 
 
-def _exact(value, convert, what: str):
-    """``convert(value)``, refusing a float or a bool: table values are exact."""
-    if isinstance(value, (bool, float)):
-        raise PresentationFormatError(f"{what} is {value!r}, not an exact number")
-    return convert(value)
+def _table_int(value, what: str) -> int:
+    """``value`` as a table integer: an int (not a bool), or a string of
+    ASCII digits, read as a relation line reads them."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        return _int_of_digits(value)
+    raise PresentationFormatError(f"{what} is {value!r}, not an integer")
 
 
 def _table_coefficient(value, what: str) -> Fraction:
-    """``value`` as a ``Fraction``; a string is read as a relation line reads
-    a coefficient: an optional sign, then digits or ``p/q``."""
+    """``value`` as a ``Fraction``, refusing a float or a bool; a string is
+    read as a relation line reads a coefficient: an optional sign, then
+    digits or ``p/q``."""
     if not isinstance(value, str):
-        return _exact(value, Fraction, what)
+        if isinstance(value, (bool, float)):
+            raise PresentationFormatError(f"{what} is {value!r}, not an exact number")
+        return Fraction(value)
     sign = -1 if value[:1] == "-" else 1
     try:
         coeff = _coefficient(value[1:] if value[:1] in ("+", "-") else value, sign)
@@ -95,17 +101,18 @@ class GroupTable:
     Elements are indexed 1..size; index 0 stands for the identity.
     ``product`` maps (j, k) to an element index, ``inverse`` maps j to the
     index of its inverse.  Associativity is checked wherever every lookup
-    involved is defined.  The size and the entries are exact integers.
+    involved is defined.  The size and the entries are ints or strings of
+    ASCII digits (``_table_int``).
     """
 
     def __init__(self, size: int, product, inverse):
-        size = _exact(size, int, "the table size")
+        size = _table_int(size, "the table size")
         if size < 1:
             raise PresentationFormatError("a group table needs at least one element")
         self.size = size
         product = dict(product).items()
-        self.product = {(j, k): _exact(v, int, f"product entry ({j},{k})") for (j, k), v in product}
-        self.inverse = {j: _exact(v, int, f"inverse entry {j}") for j, v in dict(inverse).items()}
+        self.product = {(j, k): _table_int(v, f"product entry ({j},{k})") for (j, k), v in product}
+        self.inverse = {j: _table_int(v, f"inverse entry {j}") for j, v in dict(inverse).items()}
         for (j, k), v in self.product.items():
             if not (1 <= j <= size and 1 <= k <= size and 0 <= v <= size):
                 raise PresentationFormatError(f"product entry ({j},{k})->{v} out of range")
@@ -261,7 +268,6 @@ def build_hnn(table: GroupTable, index_bound: int) -> HnnResult:
 class MalcevResult:
     presentation: Presentation
     report: CheckReport
-    new_ambiguities: int
     witness: dict
 
 
@@ -300,7 +306,7 @@ def build_malcev(base: Presentation, count: int, a: str = "a", b: str = "b") -> 
         alphabet.name(c): scan.normal_form(Polynomial.from_word(Word(alphabet, (c,))))
         for c in range(shift, shift + count)
     }
-    return MalcevResult(Presentation(alphabet, spec, tuple(relations)), report, 0, witness)
+    return MalcevResult(Presentation(alphabet, spec, tuple(relations)), report, witness)
 
 
 class MultTable:

@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 from itertools import product
 
-from .completion import CompletionStatus, shirshov_complete
+from .completion import CompletionStatus, find_ambiguities, shirshov_complete
 from .constructions import (
     MultTable,
     SimplePair,
@@ -136,8 +136,12 @@ def criterion_4_malcev():
     for trial in range(20):
         base = Presentation(alphabet, spec, _random_certified_base(rng, alphabet, spec))
         result = build_malcev(base, 5)
-        if result.new_ambiguities != 0:
-            return False, f"trial {trial}: new compositions appeared"
+        relations = result.presentation.relations
+        leads = [r.leading_word(spec).letters for r in relations]
+        fresh = {result.presentation.alphabet.index(s) for s in ("a", "b")}
+        for amb in find_ambiguities(relations, spec):
+            if fresh & {*leads[amb.f_index], *leads[amb.g_index]}:
+                return False, f"trial {trial}: new composition {amb.describe()}"
         for i in range(1, 6):
             name = f"x{i}"
             expected = Polynomial.parse(name, result.presentation.alphabet)

@@ -227,6 +227,48 @@ def test_construct_hnn_table_file_equals_cyclic(tmp_path, capsys):
     assert from_table.startswith("alphabet: ")
 
 
+@pytest.mark.parametrize(
+    "product, inverse, message",
+    [
+        ({"\u0661 1": 2}, {}, "an index of table key '\u0661 1' is '\u0661', not an integer"),
+        ({"1 1": "0_0"}, {}, "product entry (1,1) is '0_0', not an integer"),
+        ({}, {"\u0661": 2}, "an inverse key is '\u0661', not an integer"),
+        ({}, {"1": " 2 "}, "inverse entry 1 is ' 2 ', not an integer"),
+    ],
+    ids=["product-key", "product-entry", "inverse-key", "inverse-entry"],
+)
+def test_construct_hnn_reads_table_integers_as_ints_or_ascii_digits(
+    tmp_path, capsys, product, inverse, message
+):
+    table = tmp_path / "g.json"
+    c3 = {"size": "2", "product": {"1 1": "2", "1 2": "0", "2 1": 0, "2 2": 1}}
+    table.write_text(json.dumps({**c3, "inverse": {"1": "2", "2": 1}}))
+    assert run(["construct", "hnn", "--table", str(table)]) == 0
+    from_table = capsys.readouterr().out
+    assert run(["construct", "hnn", "--cyclic", "3"]) == 0
+    assert from_table == capsys.readouterr().out
+    bad = {"product": {**c3["product"], **product}, "inverse": {"1": 2, "2": 1, **inverse}}
+    table.write_text(json.dumps({**c3, **bad}))
+    assert run(["construct", "hnn", "--table", str(table)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "kind, flags",
+    [
+        ("hnn", {"-o", "--output", "--cert", "--cyclic", "--table", "--index-bound"}),
+        ("malcev", {"-o", "--output", "--cert", "--count", "--a", "--b"}),
+        ("simple", {"-o", "--output", "--cert", "--table", "--pairs", "--m-bound", "--n-bound"}),
+        ("module-cyclic", {"-o", "--output", "--cert", "--count", "--generator"}),
+        ("lie-words", {"--max-i"}),
+    ],
+)
+def test_construct_help_lists_only_the_flags_of_its_kind(kind, flags, capsys):
+    assert run(["construct", kind, "-h"]) == 0
+    words = capsys.readouterr().out.replace(",", " ").replace("[", " ").replace("]", " ").split()
+    assert {w for w in words if w.startswith("-")} == flags | {"-h", "--help"}
+
+
 def test_construct_simple_over_a_formal_inverse_basis(tmp_path, capsys):
     table = tmp_path / "table.json"
     product = {"1 1": "x", "1 2": "x", "2 1": "x^-1", "2 2": "x^-1"}
@@ -416,6 +458,14 @@ def test_selftest_exit_codes(monkeypatch, capsys):
         (["construct", "hnn", "--table", "GB"], {}),
         (["construct", "simple", "--table", "MF"], {}),
         (["construct", "simple", "--table", "MB"], {}),
+        ([], {}),
+        (["complete"], {}),
+        (["nonsense"], {}),
+        (["construct"], {}),
+        (["construct", "hnn"], {}),
+        (["construct", "hnn", "--cyclic", "x"], {}),
+        (["construct", "malcev"], {}),
+        (["construct", "lie-words", "-o", "OUT"], {}),
     ],
 )
 def test_limit_errors_exit_1_without_traceback(aab_file, tmp_path, argv, env):
@@ -500,10 +550,13 @@ def test_lyndon_count_only_three_letters(capsys):
         (
             ["construct", "lie-words", "nonexistent.pres", "--max-i", "1", "--cyclic", "3",
              "--pairs", "x.json"],
-            "base",
+            "nonexistent.pres",
         ),
-        (["construct", "hnn", "nonexistent.pres", "--cyclic", "3", "-o", "OUT"], "base"),
-        (["construct", "simple", "nonexistent.pres", "--table", "TABLE"], "base"),
+        (
+            ["construct", "hnn", "nonexistent.pres", "--cyclic", "3", "-o", "OUT"],
+            "nonexistent.pres",
+        ),
+        (["construct", "simple", "nonexistent.pres", "--table", "TABLE"], "nonexistent.pres"),
         (["construct", "lie-words", "--cyclic", "3"], "--cyclic"),
         (["construct", "simple", "--table", "TABLE", "--cyclic", "3", "-o", "OUT"], "--cyclic"),
         (["construct", "malcev", "nonexistent.pres", "--table", "TABLE"], "--table"),
