@@ -26,11 +26,12 @@ support; relations enter far less often than they are reduced or paired.
 Pairing runs only on an interreduced set: no lead is a factor of another
 relation's support, so no lead contains another and ``_pair`` enumerates
 only intersections.  The overlaps of a relation are enumerated once, against
-the relations paired when it enters.  Those on words above the degree
-bound are counted without being built; the rest are pushed on a heap
-ordered by (w, lead f, lead g, kind, len(a)); since the leading words of
-the working set are distinct and kept sorted, this is the smallest-first
-order by word and relation indices.
+the relations paired when it enters.  Those on words above the degree bound
+are counted without being built, as a check's overlap scan
+(``_all_overlaps``) counts those above its bound (``CheckReport.skipped``);
+the rest are pushed on a heap ordered by (w, lead f, lead g, kind, len(a));
+since the leading words of the working set are distinct and kept sorted,
+this is the smallest-first order by word and relation indices.
 Pairs whose relation has left the set are dropped when popped.  The monic
 normal form of each nontrivial composition is added and the set is
 inter-reduced, always rewriting the lowest-ranked relation whose support
@@ -57,7 +58,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 
 from .errors import (
     AlphabetMismatchError,
@@ -116,63 +117,67 @@ class Ambiguity:
         )
 
 
-def _all_overlaps(rules, index: _RuleIndex, keyf) -> list:
-    """Every ambiguity among ``rules`` (ranked by relation index), which
-    ``index`` holds, as raw ``(kind, i, j, w, a, b)``, sorted by
-    (w, i, j, kind, len(a)).
+def _all_overlaps(rules, index: _RuleIndex, keyf, max_deg=None) -> tuple[list, int]:
+    """The ambiguities among the ranked ``rules``, which ``index`` holds, on
+    at most ``max_deg`` letters, as raw ``(kind, i, j, w, a, b)`` sorted by
+    (w, i, j, kind, len(a)), and the count of the rest, which are never built.
 
     Intersections probe the index's trie with the proper suffixes of every
     lead; inclusions walk it from each position of every lead.  Equal leads
     count once, as an inclusion of the lower index pair.
     """
-    found = []
+    found, skipped = [], 0
     for rule in rules:
         i, f = rule.rank, rule.lead
         nf = len(f)
+        # an intersection at overlap o has |f| + |g| - o letters, an inclusion |f|
+        room = (inf if max_deg is None else max_deg) - nf
         for o in range(1, nf):
             for other in index.extending(f[nf - o :]):
-                w, a, b = f + other.lead[o:], f[: nf - o], other.lead[o:]
-                found.append((keyf(w), i, other.rank, INTERSECTION, nf - o, w, a, b))
+                if len(other.lead) - o > room:
+                    skipped += 1
+                else:
+                    w, a, b = f + other.lead[o:], f[: nf - o], other.lead[o:]
+                    found.append((keyf(w), i, other.rank, INTERSECTION, nf - o, w, a, b))
         for start, end, held in index.factors(f):
             for other in held:
                 j = other.rank
                 if i != j and (end - start < nf or i < j):
-                    a, b = f[:start], f[end:]
-                    found.append((keyf(f), i, j, INCLUSION, start, f, a, b))
+                    if room < 0:
+                        skipped += 1
+                    else:
+                        found.append((keyf(f), i, j, INCLUSION, start, f, f[:start], f[end:]))
     found.sort(key=lambda e: e[:5])
-    return [(kind, i, j, w, a, b) for _, i, j, kind, _, w, a, b in found]
+    return [(kind, i, j, w, a, b) for _, i, j, kind, _, w, a, b in found], skipped
 
 
 class _Scan:
-    """One compile of a relation set, its rule index and its ambiguities,
-    from which ``find_ambiguities``, ``check_gsb`` and normal forms by the
-    set are all read."""
+    """One compile of a relation set, its rule index and its ambiguities on
+    at most ``max_deg`` letters, read by ``find_ambiguities``, ``check_gsb``
+    and normal forms by the set; ``skipped`` counts the rest, never built."""
 
-    def __init__(self, relations, spec):
+    def __init__(self, relations, spec, max_deg=None):
         self.relations = tuple(relations)
-        self.spec = spec
+        self.spec, self.max_deg = spec, max_deg
         self.alphabet = A = self.relations[0].alphabet if self.relations else None
         self.rules = compile_rules(self.relations, spec, A)
         self.index = _RuleIndex(self.rules)
         self.keyf = spec.letter_key(A) if self.rules else None
-        self.overlaps = _all_overlaps(self.rules, self.index, self.keyf)
+        self.overlaps, self.skipped = _all_overlaps(self.rules, self.index, self.keyf, max_deg)
 
     def ambiguities(self) -> list[Ambiguity]:
         return [Ambiguity._of(self.alphabet, *e) for e in self.overlaps]
 
-    def check(self, max_deg: int | None = None) -> CheckReport:
+    def check(self) -> CheckReport:
         A, rules, index, keyf = self.alphabet, self.rules, self.index, self.keyf
         nontrivial = []
-        evaluated = skipped = 0
         for kind, i, j, w, a, b in self.overlaps:
-            if max_deg is not None and len(w) > max_deg:
-                skipped += 1
-                continue
-            evaluated += 1
             nf = _reduce(*_compose(kind, rules[i], rules[j], a, b), index, keyf)
             if nf:
                 nontrivial.append((Ambiguity._of(A, kind, i, j, w, a, b), Polynomial._of(A, nf)))
-        return CheckReport(self.relations, self.spec, max_deg, tuple(nontrivial), evaluated, skipped)
+        return CheckReport(
+            self.relations, self.spec, self.max_deg, tuple(nontrivial), len(self.overlaps), self.skipped
+        )
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """``p``, over the alphabet of the set, reduced by the set."""
@@ -707,9 +712,10 @@ class CheckReport:
 def check_gsb(relations, spec, max_deg: int | None = None) -> CheckReport:
     """Evaluate every ambiguity (optionally bounded by degree of w).
 
-    An empty report with nothing skipped is a Groebner-Shirshov basis
-    certificate for the set.
+    Those above ``max_deg`` are counted in ``skipped`` by the overlap scan,
+    never built.  An empty report with nothing skipped is a
+    Groebner-Shirshov basis certificate for the set.
     """
     if max_deg is not None and max_deg < 1:
         raise LimitError(f"max_deg must be positive, got {max_deg}")
-    return _Scan(relations, spec).check(max_deg)
+    return _Scan(relations, spec, max_deg).check()

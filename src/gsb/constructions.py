@@ -101,8 +101,8 @@ class GroupTable:
     Elements are indexed 1..size; index 0 stands for the identity.
     ``product`` maps (j, k) to an element index, ``inverse`` maps j to the
     index of its inverse.  Associativity is checked wherever every lookup
-    involved is defined.  The size and the entries are ints or strings of
-    ASCII digits (``_table_int``).
+    involved is defined.  The size, the keys and the entries are ints or
+    strings of ASCII digits (``_table_int``).
     """
 
     def __init__(self, size: int, product, inverse):
@@ -110,9 +110,19 @@ class GroupTable:
         if size < 1:
             raise PresentationFormatError("a group table needs at least one element")
         self.size = size
-        product = dict(product).items()
-        self.product = {(j, k): _table_int(v, f"product entry ({j},{k})") for (j, k), v in product}
-        self.inverse = {j: _table_int(v, f"inverse entry {j}") for j, v in dict(inverse).items()}
+        self.product, self.inverse = {}, {}
+        for key, v in dict(product).items():
+            if type(key) is not tuple or len(key) != 2:
+                raise PresentationFormatError(f"product key {key!r} is not a pair")
+            j, k = (_table_int(c, "a product key") for c in key)
+            if (j, k) in self.product:
+                raise PresentationFormatError(f"product entry ({j},{k}) is given twice")
+            self.product[j, k] = _table_int(v, f"product entry ({j},{k})")
+        for j, v in dict(inverse).items():
+            j = _table_int(j, "an inverse key")
+            if j in self.inverse:
+                raise PresentationFormatError(f"inverse entry {j} is given twice")
+            self.inverse[j] = _table_int(v, f"inverse entry {j}")
         for (j, k), v in self.product.items():
             if not (1 <= j <= size and 1 <= k <= size and 0 <= v <= size):
                 raise PresentationFormatError(f"product entry ({j},{k})->{v} out of range")

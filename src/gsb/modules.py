@@ -155,22 +155,20 @@ class ModuleAmbiguity:
 class _ModuleScan(_Scan):
     """A ``_Scan`` of the codes of a module relation set, its results decoded."""
 
-    def __init__(self, relations, spec: ModuleTop):
+    def __init__(self, relations, spec: ModuleTop, max_deg=None):
         self.module_relations = tuple(relations)
         self.codec, codes = _encode_set(self.module_relations)
-        super().__init__(codes, spec)
+        # a code is one letter longer than its module word; the report states max_deg
+        super().__init__(codes, spec, None if max_deg is None else max_deg + 1)
+        self.max_deg = max_deg
 
     def ambiguities(self) -> list[ModuleAmbiguity]:
         return [self.codec.ambiguity(amb) for amb in super().ambiguities()]
 
-    def check(self, max_deg: int | None = None) -> CheckReport:
-        # a code is one letter longer than its module word
-        report = super().check(None if max_deg is None else max_deg + 1)
-        codec = self.codec
+    def check(self) -> CheckReport:
+        report, codec = super().check(), self.codec
         nontrivial = tuple((codec.ambiguity(a), codec.element(h)) for a, h in report.nontrivial)
-        return replace(
-            report, relations=self.module_relations, max_deg=max_deg, nontrivial=nontrivial
-        )
+        return replace(report, relations=self.module_relations, nontrivial=nontrivial)
 
     def normal_form(self, m: ModuleElement) -> ModuleElement:
         return self.codec.element(super().normal_form(m.code))
@@ -205,10 +203,11 @@ def module_complete(
 
 
 def module_check_gsb(relations, spec: ModuleTop, max_deg: int | None = None) -> CheckReport:
-    """Evaluate every module composition; empty and unskipped = certificate."""
+    """Evaluate every module composition; those above ``max_deg`` are
+    counted in ``skipped``, never built.  Empty and unskipped = certificate."""
     if max_deg is not None and max_deg < 1:
         raise LimitError(f"max_deg must be positive, got {max_deg}")
-    return _ModuleScan(relations, spec).check(max_deg)
+    return _ModuleScan(relations, spec, max_deg).check()
 
 
 def module_irr(

@@ -825,6 +825,9 @@ def test_braid_degree_16_pinned():
         "reduction_steps": 31613,
         "rules_compiled": 635,
     }
+    # the bounded check of the output builds only the overlaps it evaluates
+    check = check_gsb(report.relations, SPEC, 16)
+    assert (check.evaluated, check.skipped, check.nontrivial) == (3189, 186946, ())
 
 
 def test_degree_bounded_status_equals_overlap_scan_of_final_leads():
@@ -866,7 +869,10 @@ def _random_leads(rng):
 
 
 def test_all_overlaps_equal_pairwise_scan():
+    # each case runs unbounded and with a random bound: the scan keeps the
+    # overlaps on at most max_deg letters and counts the rest
     rng = random.Random(71)
+    bounds = random.Random(73)
     keyf = SPEC.letter_key(ABC)
     kinds = Counter()
     for _ in range(400):
@@ -878,11 +884,17 @@ def test_all_overlaps_equal_pairwise_scan():
                 for kind, w, a, b in _overlaps(f, g, inclusion):
                     expected[(kind, i, j, w, a, b)] += 1
         rules = [_Rule({lead: 1}, lead, i) for i, lead in enumerate(leads)]
-        found = _all_overlaps(rules, _RuleIndex(rules), keyf)
-        assert Counter(found) == expected
-        order = [(keyf(w), i, j, kind, len(a)) for kind, i, j, w, a, b in found]
-        assert order == sorted(order)
-        kinds.update(kind for kind, *_ in found)
+        index = _RuleIndex(rules)
+        for max_deg in (None, bounds.choice((None, *range(7)))):
+            found, skipped = _all_overlaps(rules, index, keyf, max_deg)
+            kept = Counter(
+                {e: n for e, n in expected.items() if max_deg is None or len(e[3]) <= max_deg}
+            )
+            assert Counter(found) == kept
+            assert skipped == sum(expected.values()) - sum(kept.values())
+            order = [(keyf(w), i, j, kind, len(a)) for kind, i, j, w, a, b in found]
+            assert order == sorted(order)
+        kinds.update(kind for kind, *_ in expected.elements())
     assert min(kinds.values()) > 500
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -95,6 +96,26 @@ def test_group_table_reads_an_int_or_a_string_of_ascii_digits(size, entry, value
     with pytest.raises(PresentationFormatError) as err:
         GroupTable(size, {**CYCLIC_3_PRODUCT, entry: value}, {})
     assert str(err.value) == message
+
+
+def test_group_table_reads_its_keys_as_its_entries():
+    # one rule for a table's keys and values: ASCII digits or an int, not a bool
+    assert GroupTable(2, {("1", "1"): 2}, {}).product == {(1, 1): 2}
+    as_string = GroupTable(2, {(1, 1): 2}, {"1": 2})
+    as_int = GroupTable(2, {(1, 1): 2}, {1: 2})
+    assert (as_string.product, as_string.inverse) == (as_int.product, as_int.inverse) == (
+        {(1, 1): 2},
+        {1: 2},
+    )
+    with pytest.raises(PresentationFormatError, match="a product key is True, not an integer"):
+        GroupTable(2, {(True, 1): 2}, {})
+    for key in ("11", 1, (1, 1, 1)):
+        with pytest.raises(PresentationFormatError, match=re.escape(f"product key {key!r} is not a pair")):
+            GroupTable(2, {key: 2}, {})
+    with pytest.raises(PresentationFormatError, match=r"product entry \(1,1\) is given twice"):
+        GroupTable(2, {(1, 1): 2, ("1", "01"): 2}, {})
+    with pytest.raises(PresentationFormatError, match="inverse entry 1 is given twice"):
+        GroupTable(2, {}, {1: 2, "1": 2})
 
 
 def _first_non_associative(size, product):
