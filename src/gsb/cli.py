@@ -2,6 +2,11 @@
 
 Exit codes: 0 success / certified, 2 a check or completion found the set is
 not a certified basis, 1 usage or input error.
+
+Each command imports the layers it reads when it runs, and loading this module
+imports none: on a small input, importing is most of a run's time, so ``gsb
+lyndon`` never loads the completion engine and a check of an algebra file
+never loads the module, Lyndon or construction layers.
 """
 
 from __future__ import annotations
@@ -10,33 +15,7 @@ import argparse
 import json
 import sys
 
-from .completion import check_gsb, shirshov_complete
-from .constructions import (
-    GroupTable,
-    MultTable,
-    SimplePair,
-    SimpleStepInput,
-    _table_int,
-    bracket_embedding_words,
-    build_hnn,
-    build_malcev,
-    build_module_cyclic,
-    build_simple_step,
-)
 from .errors import GsbError, LimitError, PresentationFormatError
-from .lyndon import alsw_up_to, nlsw_basis_count, std_bracketing
-from .modules import module_check_gsb, module_complete, module_irr, module_nf_with_trace
-from .poly import _digits, format_element, parse_module_element, parse_polynomial
-from .presentation import (
-    ModulePresentation,
-    Presentation,
-    _parse_symbol_chain,
-    format_presentation,
-    load_presentation_file,
-    save_presentation_file,
-)
-from .rewrite import irr_counts, irr_words, normal_form_with_trace, quotient_dim_oracle
-from .words import Alphabet
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,6 +46,8 @@ def _print_report(report, as_json: bool) -> None:
 
 def _load_for(args):
     """Load the presentation, honoring an explicit --module assertion."""
+    from .presentation import ModulePresentation, load_presentation_file
+
     p = load_presentation_file(args.file)
     if getattr(args, "module", False) and not isinstance(p, ModulePresentation):
         raise PresentationFormatError(
@@ -76,8 +57,13 @@ def _load_for(args):
 
 
 def _cmd_complete(args) -> int:
+    from .completion import shirshov_complete
+    from .presentation import ModulePresentation, Presentation, save_presentation_file
+
     p = _load_for(args)
     if isinstance(p, ModulePresentation):
+        from .modules import module_complete
+
         report = module_complete(
             p.relations, p.ordering, max_deg=args.max_deg, max_steps=args.max_steps
         )
@@ -94,8 +80,14 @@ def _cmd_complete(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .completion import check_gsb
+    from .poly import format_element
+    from .presentation import ModulePresentation
+
     p = _load_for(args)
     if isinstance(p, ModulePresentation):
+        from .modules import module_check_gsb
+
         report = module_check_gsb(p.relations, p.ordering, max_deg=args.max_deg)
     else:
         report = check_gsb(p.relations, p.ordering, max_deg=args.max_deg)
@@ -115,8 +107,14 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_nf(args) -> int:
+    from .poly import format_element, parse_module_element, parse_polynomial
+    from .presentation import ModulePresentation
+    from .rewrite import normal_form_with_trace
+
     p = _load_for(args)
     if isinstance(p, ModulePresentation):
+        from .modules import module_nf_with_trace
+
         element = parse_module_element(args.poly, p.alphabet, p.basis)
         nf, trace = module_nf_with_trace(element, p.relations, p.ordering)
         if args.trace:
@@ -136,8 +134,14 @@ def _cmd_nf(args) -> int:
 
 
 def _cmd_irr(args) -> int:
+    from .poly import _digits
+    from .presentation import ModulePresentation
+    from .rewrite import irr_counts, irr_words
+
     p = _load_for(args)
     if isinstance(p, ModulePresentation):
+        from .modules import module_irr
+
         words = module_irr(p.alphabet, p.basis, p.relations, p.ordering, args.max_deg)
     elif args.count_only:
         # a count can pass Python's int/str digit limit, so it is written in chunks
@@ -154,6 +158,9 @@ def _cmd_irr(args) -> int:
 
 
 def _cmd_dim(args) -> int:
+    from .presentation import ModulePresentation
+    from .rewrite import quotient_dim_oracle
+
     p = _load_for(args)
     if isinstance(p, ModulePresentation):
         raise PresentationFormatError("the dimension oracle works on algebra presentations")
@@ -162,6 +169,11 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_lyndon(args) -> int:
+    from .lyndon import alsw_up_to, nlsw_basis_count, std_bracketing
+    from .poly import _digits
+    from .presentation import _parse_symbol_chain
+    from .words import Alphabet
+
     alphabet = Alphabet(_parse_symbol_chain(args.alphabet, "--alphabet"))
     if args.count_only:
         if args.max_len < 1:
@@ -187,13 +199,17 @@ def _load_json(path):
 
 
 def _pair_key(raw: str) -> tuple[int, int]:
+    from .constructions import _table_int
+
     parts = raw.replace(",", " ").split()
     if len(parts) != 2:
         raise PresentationFormatError(f"bad table key {raw!r}; expected 'j k'")
     return tuple(_table_int(part, f"an index of table key {raw!r}") for part in parts)
 
 
-def _load_group_table(path) -> GroupTable:
+def _load_group_table(path):
+    from .constructions import GroupTable, _table_int
+
     data = _load_json(path)
     try:
         product = {_pair_key(k): v for k, v in data["product"].items()}
@@ -203,7 +219,9 @@ def _load_group_table(path) -> GroupTable:
         raise PresentationFormatError(f"bad group table file {path}: {exc}") from exc
 
 
-def _load_mult_table(path) -> MultTable:
+def _load_mult_table(path):
+    from .constructions import MultTable
+
     data = _load_json(path)
     try:
         products = {_pair_key(k): v for k, v in data["product"].items()}
@@ -212,7 +230,10 @@ def _load_mult_table(path) -> MultTable:
         raise PresentationFormatError(f"bad multiplication table file {path}: {exc}") from exc
 
 
-def _load_pairs(path, alphabet: Alphabet) -> SimpleStepInput:
+def _load_pairs(path, alphabet):
+    from .constructions import SimplePair, SimpleStepInput
+    from .poly import parse_polynomial
+
     data = _load_json(path)
     pairs = []
     try:
@@ -231,11 +252,16 @@ def _load_pairs(path, alphabet: Alphabet) -> SimpleStepInput:
 
 
 def _build_hnn(args):
+    from .constructions import GroupTable, build_hnn
+
     table = GroupTable.cyclic(args.cyclic) if args.table is None else _load_group_table(args.table)
     return build_hnn(table, table.size if args.index_bound is None else args.index_bound)
 
 
 def _build_malcev(args):
+    from .constructions import build_malcev
+    from .presentation import ModulePresentation, load_presentation_file
+
     base = load_presentation_file(args.base)
     if isinstance(base, ModulePresentation):
         raise PresentationFormatError("malcev extends algebra presentations")
@@ -244,12 +270,17 @@ def _build_malcev(args):
 
 
 def _build_simple(args):
+    from .constructions import SimpleStepInput, build_simple_step
+
     table = _load_mult_table(args.table)
     steps = _load_pairs(args.pairs, table.base_alphabet()) if args.pairs else SimpleStepInput(())
     return build_simple_step(table, steps, args.m_bound, args.n_bound)
 
 
 def _build_module_cyclic(args):
+    from .constructions import build_module_cyclic
+    from .presentation import ModulePresentation, load_presentation_file
+
     base = load_presentation_file(args.base)
     if not isinstance(base, ModulePresentation):
         raise PresentationFormatError("module-cyclic extends module presentations")
@@ -258,6 +289,8 @@ def _build_module_cyclic(args):
 
 
 def _cmd_construct(args) -> int:
+    from .presentation import format_presentation, save_presentation_file
+
     result = args.build(args)
     cert_path = args.cert
     if args.output:
@@ -273,6 +306,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_lie_words(args) -> int:
+    from .constructions import bracket_embedding_words
+
     for word, bracket in bracket_embedding_words(args.max_i):
         print(f"{word}\t{bracket}")
     return 0
@@ -286,7 +321,8 @@ def _cmd_selftest(args) -> int:
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="gsb", description=__doc__)
+    # the docstring's last paragraph is about this module, not about using it
+    parser = _Parser(prog="gsb", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("complete", help="run Shirshov completion")
