@@ -73,6 +73,7 @@ from .rewrite import (
     GsbCertificate,
     _rank,
     _reduce,
+    _reduced,
     _replay,
     _normal_form,
     _Rule,
@@ -174,14 +175,15 @@ class _Scan:
         for kind, i, j, w, a, b in self.overlaps:
             nf = _reduce(*_compose(kind, rules[i], rules[j], a, b), index, keyf)
             if nf:
-                nontrivial.append((Ambiguity._of(A, kind, i, j, w, a, b), Polynomial._of(A, nf)))
+                amb = Ambiguity._of(A, kind, i, j, w, a, b)
+                nontrivial.append((amb, _reduced(A, nf, self.spec)))
         return CheckReport(
             self.relations, self.spec, self.max_deg, tuple(nontrivial), len(self.overlaps), self.skipped
         )
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """``p``, over the alphabet of the set, reduced by the set."""
-        return _normal_form(p, self.index, self.keyf)
+        return _normal_form(p, self.index, self.spec, self.keyf)
 
 
 def find_ambiguities(relations, spec) -> list[Ambiguity]:
@@ -360,7 +362,9 @@ def _remove_from(table, key, item):
 
 class _Relation(_Rule):
     """A relation of the working set: the ``_Rule`` of the monic ``poly``,
-    compiled once when it enters.
+    compiled once when it enters.  Its lead is the one ``poly`` recorded
+    when the engine made it (``_reduced``, ``make_monic``); only an input
+    that carries none has its lead found here.
 
     ``rank`` is its place in the working set while it is there.
     ``paired`` is set once its pairs are enumerated and cleared when it
@@ -374,9 +378,9 @@ class _Relation(_Rule):
 
     __slots__ = ("poly", "key", "text", "paired")
 
-    def __init__(self, poly, keyf):
+    def __init__(self, poly, spec, keyf):
         terms = poly.raw_terms()
-        _Rule.__init__(self, terms, max(terms, key=keyf))
+        _Rule.__init__(self, terms, poly._lead_letters(spec, keyf))
         self.poly = poly
         self.key = keyf(self.lead)
         self.text = chr(poly.alphabet.size).join(map(_text, terms))
@@ -422,7 +426,7 @@ class _Engine:
     def compile(self, poly: Polynomial) -> _Relation:
         """A new record for ``poly``, counted in ``rules_compiled``."""
         self.stats["rules_compiled"] += 1
-        return _Relation(poly, self.keyf)
+        return _Relation(poly, self.spec, self.keyf)
 
     def start(self, polys) -> None:
         """Enter the inputs, sorted by lead, as the working set."""
@@ -495,7 +499,7 @@ class _Engine:
             steps = []
             terms = dict(r.tail)
             terms[r.lead] = r.p
-            nf = Polynomial._of(self.alphabet, self.reduce(terms, r.p, steps))
+            nf = _reduced(self.alphabet, self.reduce(terms, r.p, steps), self.spec)
             decomposition = self.decomposition(steps)
             i = rels.index(r)
             if nf.is_zero():
@@ -649,7 +653,7 @@ def shirshov_complete(
             nf_terms = engine.reduce(*_compose(kind, f, g, a, b), steps)
             if not nf_terms:
                 continue
-            nf = Polynomial._of(A, nf_terms)
+            nf = _reduced(A, nf_terms, spec)
             # after sorting, a paired relation's rank is its index
             amb = Ambiguity._of(A, kind, f.rank, g.rank, w, a, b)
             monic = nf.make_monic(spec)

@@ -10,6 +10,16 @@ range-check raw letters and generators.  Values derived from checked ones
 from text, whose letters come from the alphabet's own symbol map, are built
 by ``Polynomial._of``, and words read from them by ``_trusted_word``.
 
+A polynomial may carry its leading word under one ordering, recorded by
+the code that made it when that code already knew it: ``_of`` takes it
+from its caller, ``make_monic`` records the lead it found on the quotient,
+scalar multiples, negation and ``/`` keep their operand's, and the
+rewriting engine records the first word of each normal form it returns.
+``_lead_letters`` returns the recorded lead when asked under the same
+ordering and otherwise finds it.  A lead is recorded only when the object
+is made, never when it is read, so a polynomial's state is fixed at
+construction and reading it costs the same work on every call.
+
 A module element is stored encoded, as a polynomial over a code alphabet:
 the module word u*y_g is the algebra word Y_g*rev(u) (``words.module_code``).
 Its sums, scalings, equality and leading term are the polynomial's, as
@@ -63,10 +73,6 @@ class _FormalSum:
     def is_monic(self, spec) -> bool:
         return bool(self) and self.leading(spec)[0] == 1
 
-    def make_monic(self, spec):
-        c, _ = self.leading(spec)
-        return self if c == 1 else self / c
-
     def __str__(self) -> str:
         return format_element(self)
 
@@ -77,7 +83,7 @@ class _FormalSum:
 class Polynomial(_FormalSum):
     """A finite formal sum of rational multiples of words."""
 
-    __slots__ = ("alphabet", "_terms")
+    __slots__ = ("alphabet", "_terms", "_lead_spec", "_lead")
 
     def __init__(self, alphabet: Alphabet, terms=()):
         """Terms keyed by ``Word`` or by a letter tuple, range-checked."""
@@ -92,12 +98,17 @@ class Polynomial(_FormalSum):
             pairs.append((w, c))
         self.alphabet = alphabet
         self._terms = _sum_terms(pairs)
+        self._lead_spec = self._lead = None
 
     @classmethod
-    def _of(cls, alphabet: Alphabet, terms: dict) -> Polynomial:
-        """Wrap a map of in-range letter tuples to nonzero ``Fraction``s, unchecked."""
+    def _of(cls, alphabet: Alphabet, terms: dict, spec=None, lead=None) -> Polynomial:
+        """Wrap a map of in-range letter tuples to nonzero ``Fraction``s, unchecked.
+
+        A caller that knows the greatest word ``lead`` of a nonzero ``terms``
+        under the ordering ``spec`` passes both, and the polynomial records them.
+        """
         p = object.__new__(cls)
-        p.alphabet, p._terms = alphabet, terms
+        p.alphabet, p._terms, p._lead_spec, p._lead = alphabet, terms, spec, lead
         return p
 
     @classmethod
@@ -137,13 +148,30 @@ class Polynomial(_FormalSum):
     def coefficient(self, word: Word) -> Fraction:
         return self._terms.get(word.letters, Fraction(0))
 
-    def leading(self, spec) -> tuple[Fraction, Word]:
-        """Ordering-greatest term as (coefficient, word)."""
+    def _lead_letters(self, spec, keyf=None) -> tuple[int, ...]:
+        """The greatest word under ``spec`` as a letter tuple: the recorded
+        lead when it was recorded under ``spec``, else found with ``keyf``
+        (``spec.letter_key(alphabet)`` when None)."""
+        known = self._lead_spec
+        if known is spec or (known is not None and known == spec):
+            return self._lead
         if not self._terms:
             raise ZeroPolynomialError("the zero polynomial has no leading term")
-        key = spec.letter_key(self.alphabet)
-        w = max(self._terms, key=key)
+        return max(self._terms, key=keyf or spec.letter_key(self.alphabet))
+
+    def leading(self, spec) -> tuple[Fraction, Word]:
+        """Ordering-greatest term as (coefficient, word)."""
+        w = self._lead_letters(spec)
         return self._terms[w], _trusted_word(self.alphabet, w)
+
+    def make_monic(self, spec) -> Polynomial:
+        """The polynomial divided by its leading coefficient; itself when monic."""
+        lead = self._lead_letters(spec)
+        c = self._terms[lead]
+        if c == 1:
+            return self
+        terms = {w: v / c for w, v in self._terms.items()}
+        return Polynomial._of(self.alphabet, terms, spec, lead)
 
     def degree(self, spec) -> int:
         return len(self.leading(spec)[1])
@@ -177,13 +205,15 @@ class Polynomial(_FormalSum):
         return self + (-other)
 
     def __neg__(self) -> Polynomial:
-        return Polynomial._of(self.alphabet, {w: -c for w, c in self._terms.items()})
+        terms = {w: -c for w, c in self._terms.items()}
+        return Polynomial._of(self.alphabet, terms, self._lead_spec, self._lead)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return Polynomial.zero(self.alphabet)
-            return Polynomial._of(self.alphabet, {w: c * other for w, c in self._terms.items()})
+            terms = {w: c * other for w, c in self._terms.items()}
+            return Polynomial._of(self.alphabet, terms, self._lead_spec, self._lead)
         if isinstance(other, Word):
             other = Polynomial.from_word(other)
         if isinstance(other, ModuleElement):
@@ -212,7 +242,8 @@ class Polynomial(_FormalSum):
 
     def __truediv__(self, c) -> Polynomial:
         c = Fraction(c)
-        return Polynomial._of(self.alphabet, {w: v / c for w, v in self._terms.items()})
+        terms = {w: v / c for w, v in self._terms.items()}
+        return Polynomial._of(self.alphabet, terms, self._lead_spec, self._lead)
 
     def __eq__(self, other) -> bool:
         return (
@@ -291,6 +322,13 @@ class ModuleElement(_FormalSum):
             raise ZeroPolynomialError("the zero element has no leading term")
         c, w = self.code.leading(spec)
         return c, self._module_word(module_code(self.alphabet, self.basis)[2](w.letters))
+
+    def make_monic(self, spec: ModuleTop) -> ModuleElement:
+        """The element divided by its leading coefficient; itself when monic."""
+        if not self.code:
+            raise ZeroPolynomialError("the zero element has no leading term")
+        code = self.code.make_monic(spec)
+        return self if code is self.code else self._of_code(self.alphabet, self.basis, code)
 
     def __add__(self, other: ModuleElement) -> ModuleElement:
         if not isinstance(other, ModuleElement):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .errors import (
     AlphabetMismatchError,
@@ -54,7 +54,7 @@ class Presentation:
     relations: tuple[Polynomial, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "relations", _monic_by_lead(self, Polynomial.raw_terms))
+        object.__setattr__(self, "relations", _monic_by_lead(self, lambda r: r))
 
 
 @dataclass(frozen=True)
@@ -67,19 +67,20 @@ class ModulePresentation:
     relations: tuple[ModuleElement, ...]
 
     def __post_init__(self):
-        relations = _monic_by_lead(self, lambda m: m.code.raw_terms(), self.basis)
+        relations = _monic_by_lead(self, attrgetter("code"), self.basis)
         object.__setattr__(self, "relations", relations)
 
 
-def _monic_by_lead(p, terms_of, basis=None) -> tuple:
+def _monic_by_lead(p, poly_of, basis=None) -> tuple:
     """The relations of ``p``, checked to lie over its alphabet (and ``basis``)
     and to be nonzero, made monic and sorted by the key of their leads.
 
-    ``terms_of`` gives a relation's map of letter tuples or codes to
-    coefficients.  Each lead key is computed once, and the stable sort keeps
-    relations with equal leads in their given order."""
+    ``poly_of`` gives a relation as a polynomial: itself, or a module
+    element's code.  Each lead key is computed once, and the stable sort
+    keeps relations with equal leads in their given order."""
+    spec = p.ordering
     # orders codes too, and rejects a word order whose letters the alphabet lacks
-    keyf = p.ordering.letter_key(p.alphabet)
+    keyf = spec.letter_key(p.alphabet)
     keyed = []
     for idx, r in enumerate(p.relations):
         if r.alphabet != p.alphabet:
@@ -88,8 +89,14 @@ def _monic_by_lead(p, terms_of, basis=None) -> tuple:
             raise BasisMismatchError(f"relation #{idx} lives over a different basis")
         if r.is_zero():
             raise ZeroPolynomialError(f"relation #{idx} is zero")
-        terms = terms_of(r)
-        key, lead = max(zip(map(keyf, terms), terms))
+        poly = poly_of(r)
+        terms = poly.raw_terms()
+        if poly._lead_spec is None:
+            # no lead recorded: the key of each term is read, the lead's among them
+            key, lead = max(zip(map(keyf, terms), terms))
+        else:
+            lead = poly._lead_letters(spec, keyf)
+            key = keyf(lead)
         c = terms[lead]
         keyed.append((key, r if c == 1 else r / c))
     keyed.sort(key=itemgetter(0))

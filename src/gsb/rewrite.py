@@ -44,19 +44,25 @@ without building a word.
 
 Letters are range-checked once, when a ``Word`` or ``Polynomial`` is built.
 ``_checked`` still checks, once per public call, that a relation set is
-nonzero, monic and over the caller's alphabet, and finds each leading
-word.  ``_Rule`` alone builds an integer row, from ``(terms, lead)``: for
-``compile_rules``, ranked by relation index, and for the completion
-engine, whose relations are ``_Rule``s.  The callers that read only leads
-take them from ``_checked`` and build no tail.  Derived values take the trusted path:
-normal forms are wrapped by ``Polynomial._of`` and output words are made
-by ``_trusted_word``, with no re-check.  The randomized cross-check
-(``normal_form_random``) builds its own ``Fraction`` tails and scans
-every rule by brute force, and the dimension oracle (``quotient_dims``)
-is plain linear algebra on rows of its own, numbered words, with no index
-and no reduction step: a row whose greatest word has no pivot is stored
-as one as it is, and no translate of a row found dependent is built.  So
-both stay independent of the index and of the rules' integer rows.
+nonzero, monic and over the caller's alphabet, and reads each leading
+word through ``Polynomial._lead_letters``: the lead a relation recorded
+when it was made, if it was made under the same ordering (a normal form,
+a ``make_monic`` quotient, a completion's relation), and otherwise the
+greatest word, found with one key per term.  ``_Rule`` alone builds an
+integer row, from ``(terms, lead)``: for ``compile_rules``, ranked by
+relation index, and for the completion engine, whose relations are
+``_Rule``s.  The callers that read only leads take them from
+``_checked`` and build no tail.  Derived values take the trusted path:
+normal forms are wrapped by ``_reduced``, which records the first word
+of ``_reduce``'s output as the lead (the loop emits words in strictly
+descending order), and output words are made with no re-check.  The
+randomized cross-check (``normal_form_random``) builds its own
+``Fraction`` tails and scans every rule by brute force, and the
+dimension oracle (``quotient_dims``) is plain linear algebra on rows of
+its own, numbered words, with no index and no reduction step: a row
+whose greatest word has no pivot is stored as one as it is, and no
+translate of a row found dependent is built.  So both stay independent
+of the index and of the rules' integer rows.
 """
 
 from __future__ import annotations
@@ -76,8 +82,8 @@ from .errors import (
     UncertifiedBasisError,
 )
 from .orderings import DegLex
-from .poly import Polynomial
-from .words import Alphabet, Word, _trusted_word
+from .poly import Polynomial, _int_of_digits
+from .words import Alphabet, Word, _set_word_alphabet, _set_word_letters, _trusted_word
 
 DEFAULT_WORD_CAPACITY = 20_000
 _CAPACITY_ENV = "GSB_MAX_WORDS"
@@ -89,14 +95,14 @@ def _checked(relations, spec, alphabet=None):
     monic."""
     keyed = keyf = None
     for idx, s in enumerate(relations):
-        if alphabet is not None and s.alphabet != alphabet:
+        if alphabet is not None and s.alphabet is not alphabet and s.alphabet != alphabet:
             raise AlphabetMismatchError(f"relation #{idx} lives over a different alphabet")
-        if s.is_zero():
+        terms = s.raw_terms()
+        if not terms:
             raise NonMonicRelationError(idx, "zero relation")
         if s.alphabet is not keyed:
             keyed, keyf = s.alphabet, spec.letter_key(s.alphabet)
-        terms = s.raw_terms()
-        lead = max(terms, key=keyf)
+        lead = s._lead_letters(spec, keyf)
         if terms[lead] != 1:
             raise NonMonicRelationError(idx)
         yield terms, lead
@@ -277,6 +283,10 @@ def _reduce(terms, scale, index, keyf, steps=None):
     ``steps`` as (rule, left, right, rewritten word, c, S), whose
     coefficient is c/S.  The normal form maps each word to its
     ``Fraction``; a word leaves the work once, so nothing is summed.
+
+    Words leave the work greatest first, and a step only brings in words
+    below the one it rewrites, so the normal form lists its words in
+    strictly descending order: its first word is its lead (``_reduced``).
     """
     work = terms
     keys = {w: keyf(w) for w in work}
@@ -396,22 +406,30 @@ class ReductionTrace:
         return _replay(self.residual, steps)
 
 
-def _normal_form(p: Polynomial, index, keyf, steps=None) -> Polynomial:
+def _reduced(alphabet: Alphabet, nf: dict, spec) -> Polynomial:
+    """The output of ``_reduce`` under the ordering ``spec`` as a polynomial,
+    which records its first word as its lead: no word comes before it."""
+    for lead in nf:
+        return Polynomial._of(alphabet, nf, spec, lead)
+    return Polynomial._of(alphabet, nf)
+
+
+def _normal_form(p: Polynomial, index, spec, keyf, steps=None) -> Polynomial:
     """``p`` reduced by the rules of ``index``, scaled to integers on the way in."""
     scale, terms = _integer_row(p.raw_terms().items())
-    return Polynomial._of(p.alphabet, _reduce(dict(terms), scale, index, keyf, steps))
+    return _reduced(p.alphabet, _reduce(dict(terms), scale, index, keyf, steps), spec)
 
 
 def normal_form(p: Polynomial, relations, spec) -> Polynomial:
     """Reduce ``p`` modulo monic relations; the result avoids every leading word."""
     index = _RuleIndex(compile_rules(relations, spec, p.alphabet))
-    return _normal_form(p, index, spec.letter_key(p.alphabet))
+    return _normal_form(p, index, spec, spec.letter_key(p.alphabet))
 
 
 def normal_form_with_trace(p: Polynomial, relations, spec) -> tuple[Polynomial, ReductionTrace]:
     raw_steps = []
     index = _RuleIndex(compile_rules(relations, spec, p.alphabet))
-    nf = _normal_form(p, index, spec.letter_key(p.alphabet), raw_steps)
+    nf = _normal_form(p, index, spec, spec.letter_key(p.alphabet), raw_steps)
     A = p.alphabet
     word = _trusted_word
     steps = tuple(
@@ -513,7 +531,15 @@ def irr_words(alphabet: Alphabet, relations, spec, max_deg: int) -> list[Word]:
         found.extend(w for w, _s in frontier)
     if not isinstance(spec, DegLex):
         found.sort(key=spec.letter_key(alphabet))
-    return [_trusted_word(alphabet, w) for w in found]
+    # one loop wraps the listing, as _trusted_word does, with its calls bound here
+    new, set_alphabet, set_letters = object.__new__, _set_word_alphabet, _set_word_letters
+    words = []
+    for w in found:
+        word = new(Word)
+        set_alphabet(word, alphabet)
+        set_letters(word, w)
+        words.append(word)
+    return words
 
 
 def irr_counts(alphabet: Alphabet, relations, spec, max_deg: int) -> list[int]:
@@ -545,13 +571,12 @@ def irr_counts(alphabet: Alphabet, relations, spec, max_deg: int) -> list[int]:
 
 
 def word_capacity() -> int:
+    """``GSB_MAX_WORDS`` when set: a string of ASCII digits, read as a
+    relation line reads a coefficient; otherwise ``DEFAULT_WORD_CAPACITY``."""
     env = os.environ.get(_CAPACITY_ENV)
     if not env:
         return DEFAULT_WORD_CAPACITY
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = 0
+    cap = _int_of_digits(env) if env.isascii() and env.isdigit() else 0
     if cap <= 0:
         raise LimitError(f"{_CAPACITY_ENV} must be a positive integer, got {env!r}")
     return cap

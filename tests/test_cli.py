@@ -414,6 +414,19 @@ def test_capacity_env_override(aab_file, tmp_path, capsys, monkeypatch):
         assert "GSB_MAX_WORDS must be a positive integer" in capsys.readouterr().err
 
 
+def test_capacity_env_takes_ascii_digits_only(aab_file, capsys, monkeypatch):
+    # other scripts' digits, underscores, blanks and signs are refused, as in table files
+    for bad in ("\u0663", "1_0", " 7 ", "+5", "4\n"):
+        monkeypatch.setenv("GSB_MAX_WORDS", bad)
+        assert run(["dim", aab_file, "--max-deg", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: GSB_MAX_WORDS must be a positive integer, got {bad!r}\n"
+    # a capacity past Python's int/str digit limit is read in chunks
+    monkeypatch.setenv("GSB_MAX_WORDS", "9" * 5000)
+    assert run(["dim", aab_file, "--max-deg", "3"]) == 0
+    capsys.readouterr()
+
+
 def test_selftest_exit_codes(monkeypatch, capsys):
     import gsb.selftest as selftest
 
