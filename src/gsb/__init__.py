@@ -28,8 +28,8 @@ _HOMES = {
     " parse_polynomial",
     "presentation": "ModulePresentation Presentation format_presentation load_presentation"
     " load_presentation_file save_presentation_file",
-    "rewrite": "GsbCertificate ReductionTrace irr_counts irr_words is_member normal_form"
-    " normal_form_random normal_form_with_trace quotient_dim_oracle quotient_dims",
+    "rewrite": "GsbCertificate ReductionTrace RuleSet irr_counts irr_words is_member"
+    " normal_form normal_form_random normal_form_with_trace quotient_dim_oracle quotient_dims",
     "words": "Alphabet ModuleBasis ModuleWord Word concat occurrences pair_formal_inverses"
     " parse_word print_word",
 }

@@ -71,15 +71,14 @@ from .errors import (
 from .poly import Polynomial, format_element
 from .rewrite import (
     GsbCertificate,
+    RuleSet,
     _rank,
     _reduce,
     _reduced,
     _replay,
-    _normal_form,
     _Rule,
     _RuleIndex,
-    compile_rules,
-    normal_form,
+    compile_rules,  # noqa: F401  still importable from here, where callers patch it
 )
 from .words import Word, _trusted_word
 
@@ -152,18 +151,14 @@ def _all_overlaps(rules, index: _RuleIndex, keyf, max_deg=None) -> tuple[list, i
     return [(kind, i, j, w, a, b) for _, i, j, kind, _, w, a, b in found], skipped
 
 
-class _Scan:
-    """One compile of a relation set, its rule index and its ambiguities on
-    at most ``max_deg`` letters, read by ``find_ambiguities``, ``check_gsb``
-    and normal forms by the set; ``skipped`` counts the rest, never built."""
+class _Scan(RuleSet):
+    """A compiled relation set with its ambiguities on at most ``max_deg``
+    letters, read by ``find_ambiguities`` and ``check_gsb``; ``skipped``
+    counts the rest, never built."""
 
     def __init__(self, relations, spec, max_deg=None):
-        self.relations = tuple(relations)
-        self.spec, self.max_deg = spec, max_deg
-        self.alphabet = A = self.relations[0].alphabet if self.relations else None
-        self.rules = compile_rules(self.relations, spec, A)
-        self.index = _RuleIndex(self.rules)
-        self.keyf = spec.letter_key(A) if self.rules else None
+        super().__init__(relations, spec)
+        self.max_deg = max_deg
         self.overlaps, self.skipped = _all_overlaps(self.rules, self.index, self.keyf, max_deg)
 
     def ambiguities(self) -> list[Ambiguity]:
@@ -176,14 +171,10 @@ class _Scan:
             nf = _reduce(*_compose(kind, rules[i], rules[j], a, b), index, keyf)
             if nf:
                 amb = Ambiguity._of(A, kind, i, j, w, a, b)
-                nontrivial.append((amb, _reduced(A, nf, self.spec)))
+                nontrivial.append((amb, _reduced(A, nf, self.ordering)))
         return CheckReport(
-            self.relations, self.spec, self.max_deg, tuple(nontrivial), len(self.overlaps), self.skipped
+            self.relations, self.ordering, self.max_deg, tuple(nontrivial), len(self.overlaps), self.skipped
         )
-
-    def normal_form(self, p: Polynomial) -> Polynomial:
-        """``p``, over the alphabet of the set, reduced by the set."""
-        return _normal_form(p, self.index, self.spec, self.keyf)
 
 
 def find_ambiguities(relations, spec) -> list[Ambiguity]:
@@ -223,7 +214,7 @@ def is_trivial(h: Polynomial, relations, w: Word, spec) -> bool:
             raise LeadingNotBelowError(
                 f"leading word {h.leading_word(spec)} is not below {w}"
             )
-    return normal_form(h, relations, spec).is_zero()
+    return RuleSet(relations, spec).normal_form(h).is_zero()
 
 
 class CompletionStatus(enum.Enum):
@@ -269,6 +260,8 @@ class CompletionReport:
     ordering: object
     # work counters, keyed by STAT_KEYS; not part of to_json_dict()
     stats: dict = field(default_factory=dict, compare=False)
+    # builds the certificate of the relations; a module report's encodes them
+    _certified: type = field(default=GsbCertificate, repr=False, compare=False)
 
     @property
     def is_certified(self) -> bool:
@@ -285,11 +278,12 @@ class CompletionReport:
         return self.status.value
 
     def certificate(self) -> GsbCertificate:
+        """The certified relations, compiled once."""
         if not self.is_certified:
             raise UncertifiedBasisError(
                 f"completion ended with status {self.status_text()}"
             )
-        return GsbCertificate(self.relations, self.ordering, source="completion")
+        return self._certified(self.relations, self.ordering)
 
     def verify_ideal_preservation(self) -> bool:
         """Replay every addition and removal decomposition exactly."""
@@ -689,17 +683,19 @@ class CheckReport:
     nontrivial: tuple
     evaluated: int
     skipped: int
+    _certified: type = field(default=GsbCertificate, repr=False, compare=False)
 
     @property
     def is_certificate(self) -> bool:
         return not self.nontrivial and self.skipped == 0
 
     def certificate(self) -> GsbCertificate:
+        """The certified relations, compiled once."""
         if not self.is_certificate:
             raise UncertifiedBasisError(
                 "the relation set is not certified by this check"
             )
-        return GsbCertificate(self.relations, self.ordering, source="check")
+        return self._certified(self.relations, self.ordering)
 
     def to_json_dict(self) -> dict:
         return {

@@ -6,10 +6,11 @@ builder emits the relation families for user-chosen index bounds, computes
 (never transcribes) the orientation of every relation (``_oriented``), and
 runs the full composition check; it fails loudly when the predicted
 zero-nontrivial-compositions certification does not hold on the instance.
-Each builder compiles its relation set once: one scan (``completion._Scan``,
-``modules._ModuleScan``) serves the ambiguity shape check, the composition
-check (``_extension_report`` reads an extended base's own compositions off
-it too) and the witness normal forms.
+Each builder compiles its relation set once: one scan, a ``RuleSet`` with
+its overlaps (``completion._Scan``, ``modules._ModuleScan``), serves the
+ambiguity shape check, the composition check (``_extension_report`` reads
+an extended base's own compositions off it too) and the witness normal
+forms.
 """
 
 from __future__ import annotations

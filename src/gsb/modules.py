@@ -20,12 +20,13 @@ suffix, and it changed traces, check residuals and completions.)
 caller's ordering is the engine's.
 
 A module element is stored as its code (``words.module_code``), so the
-functions below hand ``m.code`` and the caller's ``ModuleTop`` to
-``shirshov_complete``, ``completion._Scan``, ``normal_form``,
-``normal_form_with_trace`` or ``rewrite._checked`` as they are, wrap the
-resulting polynomials as module elements without re-keying a term, and
-decode only traces, ambiguities, removals and irreducible words into
-module types.
+codes and the caller's ``ModuleTop`` go to the algebra engine as they are:
+``_ModuleRules`` is the ``rewrite.RuleSet`` of a set's codes, and
+``_ModuleScan`` and ``_ModuleCertificate`` add ``completion._Scan`` and
+``GsbCertificate`` to it; ``shirshov_complete`` and ``rewrite._checked``
+take the codes directly.  Results are wrapped as module elements without
+re-keying a term, and only traces, ambiguities, removals and irreducible
+words are decoded into module types.
 """
 
 from __future__ import annotations
@@ -37,32 +38,30 @@ from .completion import CheckReport, CompletionReport, RemovedRelation, _Scan, s
 from .errors import AlphabetMismatchError, BasisMismatchError, LimitError
 from .orderings import ModuleTop
 from .poly import ModuleElement, Polynomial, act
-from .rewrite import _checked, _replay, normal_form, normal_form_with_trace
+from .rewrite import GsbCertificate, RuleSet, _checked, _replay
 from .words import Alphabet, ModuleBasis, ModuleWord, Word, _trusted_word, module_code
 
 
 class _Codec:
-    """The decoders of module codes over one (alphabet, basis).
-
-    Module elements already hold their codes (``module_code``); the codec
-    checks that an input lives over its (alphabet, basis) and decodes what
-    the engine returns into module types.
-    """
+    """The codes of one (alphabet, basis): it checks that a module element
+    lives over them and decodes what the engine returns into module types."""
 
     def __init__(self, alphabet: Alphabet, basis: ModuleBasis):
         self.alphabet = alphabet
         self.basis = basis
         self.decode = module_code(alphabet, basis)[2]
 
+    def code(self, m: ModuleElement, what: str) -> Polynomial:
+        """The code of ``m``, after checking that it lives over the codec's
+        (alphabet, basis); ``what`` names it in the error."""
+        if m.alphabet != self.alphabet:
+            raise AlphabetMismatchError(f"{what} lives over a different alphabet")
+        if m.basis != self.basis:
+            raise BasisMismatchError(f"{what} lives over a different basis")
+        return m.code
+
     def encode(self, relations) -> list[Polynomial]:
-        codes = []
-        for idx, m in enumerate(relations):
-            if m.alphabet != self.alphabet:
-                raise AlphabetMismatchError(f"relation #{idx} lives over a different alphabet")
-            if m.basis != self.basis:
-                raise BasisMismatchError(f"relation #{idx} lives over a different basis")
-            codes.append(m.code)
-        return codes
+        return [self.code(m, f"relation #{idx}") for idx, m in enumerate(relations)]
 
     def element(self, p: Polynomial) -> ModuleElement:
         return ModuleElement._of_code(self.alphabet, self.basis, p)
@@ -117,22 +116,46 @@ class ModuleReductionTrace:
         )
 
 
+class _ModuleRules(RuleSet):
+    """A ``RuleSet`` of the codes of a module relation set, over the
+    (alphabet, basis) of its first relation: it reduces module elements and
+    decodes what it returns.  ``relations`` are the module relations, and
+    ``bound`` is passed on to a ``_Scan`` that follows in the MRO."""
+
+    def __init__(self, relations, spec: ModuleTop, *bound):
+        relations = tuple(relations)
+        self.codec, codes = _encode_set(relations)
+        super().__init__(codes, spec, *bound)
+        self.relations = relations
+
+    def _code(self, m: ModuleElement) -> Polynomial:
+        return m.code if self.codec is None else self.codec.code(m, "the element")
+
+    def normal_form(self, m: ModuleElement) -> ModuleElement:
+        return ModuleElement._of_code(m.alphabet, m.basis, super().normal_form(self._code(m)))
+
+    def normal_form_with_trace(self, m: ModuleElement):
+        nf, trace = super().normal_form_with_trace(self._code(m))
+        nf, codec = ModuleElement._of_code(m.alphabet, m.basis, nf), self.codec
+        steps = tuple(
+            ModuleReductionStep(
+                s.rule, codec.left(s.right), codec.module_word(s.rewritten.letters), s.coefficient
+            )
+            for s in trace.steps
+        )
+        return nf, ModuleReductionTrace(steps, nf)
+
+
+class _ModuleCertificate(_ModuleRules, GsbCertificate):
+    """The certificate of a module relation set: its code set, certified."""
+
+
 def module_nf(m: ModuleElement, relations, spec: ModuleTop) -> ModuleElement:
-    codec = _Codec(m.alphabet, m.basis)
-    return codec.element(normal_form(m.code, codec.encode(relations), spec))
+    return _ModuleRules(relations, spec).normal_form(m)
 
 
 def module_nf_with_trace(m: ModuleElement, relations, spec: ModuleTop):
-    codec = _Codec(m.alphabet, m.basis)
-    nf, trace = normal_form_with_trace(m.code, codec.encode(relations), spec)
-    nf = codec.element(nf)
-    steps = tuple(
-        ModuleReductionStep(
-            s.rule, codec.left(s.right), codec.module_word(s.rewritten.letters), s.coefficient
-        )
-        for s in trace.steps
-    )
-    return nf, ModuleReductionTrace(steps, nf)
+    return _ModuleRules(relations, spec).normal_form_with_trace(m)
 
 
 @dataclass(frozen=True)
@@ -152,14 +175,12 @@ class ModuleAmbiguity:
         return f"module overlap of #{self.f_index} and #{self.g_index} at {self.w}"
 
 
-class _ModuleScan(_Scan):
+class _ModuleScan(_ModuleRules, _Scan):
     """A ``_Scan`` of the codes of a module relation set, its results decoded."""
 
     def __init__(self, relations, spec: ModuleTop, max_deg=None):
-        self.module_relations = tuple(relations)
-        self.codec, codes = _encode_set(self.module_relations)
         # a code is one letter longer than its module word; the report states max_deg
-        super().__init__(codes, spec, None if max_deg is None else max_deg + 1)
+        super().__init__(relations, spec, None if max_deg is None else max_deg + 1)
         self.max_deg = max_deg
 
     def ambiguities(self) -> list[ModuleAmbiguity]:
@@ -168,10 +189,7 @@ class _ModuleScan(_Scan):
     def check(self) -> CheckReport:
         report, codec = super().check(), self.codec
         nontrivial = tuple((codec.ambiguity(a), codec.element(h)) for a, h in report.nontrivial)
-        return replace(report, relations=self.module_relations, nontrivial=nontrivial)
-
-    def normal_form(self, m: ModuleElement) -> ModuleElement:
-        return self.codec.element(super().normal_form(m.code))
+        return replace(report, nontrivial=nontrivial, _certified=_ModuleCertificate)
 
 
 def module_ambiguities(relations, spec: ModuleTop) -> list[ModuleAmbiguity]:
@@ -199,6 +217,7 @@ def module_complete(
         report,
         relations=tuple(codec.element(r) for r in report.relations),
         removed=tuple(codec.removal(e) for e in report.removed),
+        _certified=_ModuleCertificate,
     )
 
 

@@ -6,63 +6,31 @@ leftmost; among rules matching there take the lowest index.  For a
 certified basis the result is strategy-independent; the fixed strategy
 makes traces reproducible.
 
-Reduction runs on integer rows.  A rule is the row ``p*lead + tail`` of
-its monic relation ``lead + tail/p``, with ``p`` the lcm of the
-denominators, so the row is primitive; the work is an integer map and one
-scale.  Each step is the pseudo-remainder step (Knuth, TAOCP vol. 2,
-§4.6.1): scale the work by p/gcd(c, p), subtract an integer multiple of
-the tail, and divide the content out once the scale has grown.  Scaling
-changes no zero test and no key, so the steps are those of reduction over
-the rationals.  Values become ``Fraction`` only where they leave the
-loop: normal-form terms and step coefficients, each an exact quotient by
-the scale of its moment.
+A relation set is compiled once, into a ``RuleSet``: ``_checked`` checks
+that each relation is nonzero, monic and over one alphabet and reads its
+lead (``Polynomial._lead_letters``), ``_Rule`` builds its primitive integer
+row ``p*lead + tail``, and ``_RuleIndex``, the letter trie of the leads,
+finds the leftmost redex of a word in a few letter-keyed probes per
+position.  Every normal form, composition check (``completion._Scan``) and
+certificate (``GsbCertificate``) reduces through one; a free
+``normal_form`` builds a fresh set per call, so a caller with many
+polynomials builds one set and reduces them all by it.  ``_reduce`` takes
+pseudo-remainder steps on integers (Knuth, TAOCP vol. 2, §4.6.1), so values
+become ``Fraction`` only where they leave the loop, and ``_reduced``
+records the first word of its output as the lead.  The completion engine
+keeps one index over its working set and updates it as relations enter
+and leave.
 
-Redexes are found through one ``_RuleIndex``, which is the letter trie
-of the leading words and nothing beside it: its node for a prefix lists
-the rules whose lead ends there, lowest rank first, and the rules whose
-lead extends it.  The leftmost redex of a word is found by walking the
-trie from each position in order, one letter at a time while the letters
-read are a proper prefix of some lead, so a lookup costs a few
-letter-keyed probes per position however many rules there are, and no
-window of the word is sliced or hashed.  ``factors`` walks the same way
-and yields the rules of each lead it finds with its place.  A rule's
-rank is its index at the public entry points; the completion engine keeps
-one index over its working set, ranked by place in the set, and updates it
-as relations enter and leave.
+Irreducible words are listed and counted through ``_LeadAutomaton``, the
+Aho–Corasick automaton of the leads, whose states form the Ufnarovski
+graph: ``irr_words``, ``irr_counts`` and the oracle read leads alone from
+``_checked`` and build no tail.
 
-Irreducible words are found through a second structure, ``_LeadAutomaton``:
-the Aho–Corasick automaton of the leading words, built from a plain set of
-leads and a set of their proper prefixes, one state row at a time as words
-reach the state.  A state is the longest suffix of the word read that is a
-proper prefix of some lead, and its row lists the letters whose appending
-completes no lead, each with the next state.  ``irr_words`` extends every
-word of one degree through its state's row, taking letters in descending
-index: under ``DegLex`` that lists each degree in ascending order, so the
-listing needs no sort.  ``irr_counts`` counts words per degree by dynamic
-programming over the same states, the Ufnarovski graph of the leads,
-without building a word.
-
-Letters are range-checked once, when a ``Word`` or ``Polynomial`` is built.
-``_checked`` still checks, once per public call, that a relation set is
-nonzero, monic and over the caller's alphabet, and reads each leading
-word through ``Polynomial._lead_letters``: the lead a relation recorded
-when it was made, if it was made under the same ordering (a normal form,
-a ``make_monic`` quotient, a completion's relation), and otherwise the
-greatest word, found with one key per term.  ``_Rule`` alone builds an
-integer row, from ``(terms, lead)``: for ``compile_rules``, ranked by
-relation index, and for the completion engine, whose relations are
-``_Rule``s.  The callers that read only leads take them from
-``_checked`` and build no tail.  Derived values take the trusted path:
-normal forms are wrapped by ``_reduced``, which records the first word
-of ``_reduce``'s output as the lead (the loop emits words in strictly
-descending order), and output words are made with no re-check.  The
-randomized cross-check (``normal_form_random``) builds its own
-``Fraction`` tails and scans every rule by brute force, and the
-dimension oracle (``quotient_dims``) is plain linear algebra on rows of
-its own, numbered words, with no index and no reduction step: a row
-whose greatest word has no pivot is stored as one as it is, and no
-translate of a row found dependent is built.  So both stay independent
-of the index and of the rules' integer rows.
+The randomized cross-check (``normal_form_random``) builds its own
+``Fraction`` tails and scans every rule by brute force, and the dimension
+oracle (``quotient_dims``) is plain linear algebra on rows of its own
+numbered words, with no index and no reduction step.  So both stay
+independent of the index and of the rules' integer rows.
 """
 
 from __future__ import annotations
@@ -414,29 +382,53 @@ def _reduced(alphabet: Alphabet, nf: dict, spec) -> Polynomial:
     return Polynomial._of(alphabet, nf)
 
 
-def _normal_form(p: Polynomial, index, spec, keyf, steps=None) -> Polynomial:
-    """``p`` reduced by the rules of ``index``, scaled to integers on the way in."""
-    scale, terms = _integer_row(p.raw_terms().items())
-    return _reduced(p.alphabet, _reduce(dict(terms), scale, index, keyf, steps), spec)
+class RuleSet:
+    """A relation set compiled once, for any number of normal forms: its
+    relations, checked nonzero, monic and over the alphabet of the first,
+    as ``_Rule``s ranked by index, their ``_RuleIndex`` and the letter key.
+    A polynomial it reduces must be over that alphabet."""
+
+    def __init__(self, relations, ordering):
+        self.relations = tuple(relations)
+        self.ordering = ordering
+        self.alphabet = A = self.relations[0].alphabet if self.relations else None
+        self.rules = compile_rules(self.relations, ordering, A)
+        self.index = _RuleIndex(self.rules)
+        self.keyf = None if A is None else ordering.letter_key(A)
+
+    def _nf(self, p: Polynomial, steps=None) -> Polynomial:
+        """``p`` reduced by the set, scaled to integers on the way in."""
+        A, keyf = self.alphabet, self.keyf
+        if A is None:
+            keyf = self.ordering.letter_key(p.alphabet)
+        elif p.alphabet is not A and p.alphabet != A:
+            raise AlphabetMismatchError("the polynomial lives over a different alphabet")
+        scale, terms = _integer_row(p.raw_terms().items())
+        nf = _reduce(dict(terms), scale, self.index, keyf, steps)
+        return _reduced(p.alphabet, nf, self.ordering)
+
+    def normal_form(self, p: Polynomial) -> Polynomial:
+        """Reduce ``p`` by the set; the result avoids every leading word."""
+        return self._nf(p)
+
+    def normal_form_with_trace(self, p: Polynomial) -> tuple[Polynomial, ReductionTrace]:
+        """``normal_form(p)`` and the replayable record of its steps."""
+        raw_steps, A, word = [], p.alphabet, _trusted_word
+        nf = self._nf(p, raw_steps)
+        steps = tuple(
+            ReductionStep(rule.rank, word(A, a), word(A, b), word(A, u), Fraction(c, scale))
+            for rule, a, b, u, c, scale in raw_steps
+        )
+        return nf, ReductionTrace(steps, nf)
 
 
 def normal_form(p: Polynomial, relations, spec) -> Polynomial:
     """Reduce ``p`` modulo monic relations; the result avoids every leading word."""
-    index = _RuleIndex(compile_rules(relations, spec, p.alphabet))
-    return _normal_form(p, index, spec, spec.letter_key(p.alphabet))
+    return RuleSet(relations, spec).normal_form(p)
 
 
 def normal_form_with_trace(p: Polynomial, relations, spec) -> tuple[Polynomial, ReductionTrace]:
-    raw_steps = []
-    index = _RuleIndex(compile_rules(relations, spec, p.alphabet))
-    nf = _normal_form(p, index, spec, spec.letter_key(p.alphabet), raw_steps)
-    A = p.alphabet
-    word = _trusted_word
-    steps = tuple(
-        ReductionStep(rule.rank, word(A, a), word(A, b), word(A, u), Fraction(c, scale))
-        for rule, a, b, u, c, scale in raw_steps
-    )
-    return nf, ReductionTrace(steps, nf)
+    return RuleSet(relations, spec).normal_form_with_trace(p)
 
 
 def normal_form_random(p: Polynomial, relations, spec, rng: random.Random) -> Polynomial:
@@ -754,26 +746,17 @@ def quotient_dims(
 def quotient_dim_oracle(
     alphabet: Alphabet, relations, spec, max_deg: int, capacity: int | None = None
 ) -> int:
-    """Dimension of span(words of degree <= max_deg) modulo the relation span.
-
-    Computed by exact elimination over integer rows a*s*b with
-    deg(a*lead(s)*b) <= max_deg: each relation is scaled to integers once,
-    a row whose greatest word has no pivot becomes one as it is, other
-    rows are reduced by cross-multiplication, and no translate of a
-    dependent row is built (see ``quotient_dims``, whose last entry this
-    is).  Independent of the rewriting engine; used as the oracle for
-    irr_words counts on certified bases.
+    """Dimension of span(words of degree <= max_deg) modulo the relation span:
+    the last entry of ``quotient_dims``, by exact elimination independent of
+    the rewriting engine.  The oracle for irr_words counts on certified bases.
     """
     return quotient_dims(alphabet, relations, spec, max_deg, capacity)[-1]
 
 
-@dataclass(frozen=True)
-class GsbCertificate:
-    """Proof token that a relation set had every composition reduce to zero."""
-
-    relations: tuple[Polynomial, ...]
-    ordering: object
-    source: str = "check"
+class GsbCertificate(RuleSet):
+    """A relation set certified as a Groebner-Shirshov basis: every
+    composition reduced to zero.  Compiled once, so every membership test
+    against it reduces by the same rules."""
 
 
 def is_member(f: Polynomial, basis: GsbCertificate) -> bool:
@@ -782,4 +765,4 @@ def is_member(f: Polynomial, basis: GsbCertificate) -> bool:
         raise UncertifiedBasisError(
             "ideal membership is only decidable against a certified basis"
         )
-    return normal_form(f, basis.relations, basis.ordering).is_zero()
+    return basis.normal_form(f).is_zero()
