@@ -25,19 +25,22 @@ support; relations enter far less often than they are reduced or paired.
 
 Pairing runs only on an interreduced set: no lead is a factor of another
 relation's support, so no lead contains another and ``_pair`` enumerates
-only intersections.  The overlaps of a relation are enumerated once, against
-the relations paired when it enters.  Those on words above the degree bound
-are counted without being built, as a check's overlap scan
-(``_all_overlaps``) counts those above its bound (``CheckReport.skipped``);
-the rest are pushed on a heap ordered by (w, lead f, lead g, kind, len(a));
-since the leading words of the working set are distinct and kept sorted,
-this is the smallest-first order by word and relation indices.
-Pairs whose relation has left the set are dropped when popped.  The monic
-normal form of each nontrivial composition is added and the set is
-inter-reduced, always rewriting the lowest-ranked relation whose support
-contains another relation's leading word.  Every accepted addition and
-every removal carries an exact replayable decomposition, so ideal
-preservation is certified, not assumed.
+only intersections.  An intersection is fixed by its two relations and
+its word, w = lead(f)*b = a*lead(g), so a pair is queued as (f, g, w), and
+a and b are read off w where the composition is built.  The overlaps of a
+relation are enumerated once, against the relations paired when it enters.
+Those on words above the degree bound are counted without being built, as
+a check's overlap scan (``_all_overlaps``) counts those above its bound
+(``CheckReport.skipped``); the rest are pushed on a heap ordered by
+(w, lead f, lead g); since the leading words of the working set are
+distinct and kept sorted, this is the smallest-first order by word and
+relation indices.  A pair is queued without a test, and dropped when popped
+if one of its relations has left the set.  The monic normal form of each
+nontrivial composition is added and the set is inter-reduced, always
+rewriting the lowest-ranked relation whose support contains another
+relation's leading word.  Every accepted addition and every removal
+carries an exact replayable decomposition, so ideal preservation is
+certified, not assumed.
 
 No pair is routed twice, so nothing about a pair is kept once it has been
 evaluated.  Pairing begins in ``seed``, after the first interreduction,
@@ -78,7 +81,6 @@ from .rewrite import (
     _replay,
     _Rule,
     _RuleIndex,
-    compile_rules,  # noqa: F401  still importable from here, where callers patch it
 )
 from .words import Word, _trusted_word
 
@@ -165,16 +167,25 @@ class _Scan(RuleSet):
         return [Ambiguity._of(self.alphabet, *e) for e in self.overlaps]
 
     def check(self) -> CheckReport:
-        A, rules, index, keyf = self.alphabet, self.rules, self.index, self.keyf
-        nontrivial = []
-        for kind, i, j, w, a, b in self.overlaps:
-            nf = _reduce(*_compose(kind, rules[i], rules[j], a, b), index, keyf)
-            if nf:
-                amb = Ambiguity._of(A, kind, i, j, w, a, b)
-                nontrivial.append((amb, _reduced(A, nf, self.ordering)))
+        A = self.alphabet
+        nontrivial = [
+            (Ambiguity._of(A, *e), _reduced(A, nf, self.ordering))
+            for e, nf in _nontrivial(self, self.overlaps)
+        ]
         return CheckReport(
             self.relations, self.ordering, self.max_deg, tuple(nontrivial), len(self.overlaps), self.skipped
         )
+
+
+def _nontrivial(compiled: RuleSet, overlaps):
+    """Yield ``(overlap, normal form)`` of each raw overlap of the compiled
+    set whose composition does not reduce to zero by it, in order."""
+    rules, index, keyf = compiled.rules, compiled.index, compiled.keyf
+    for e in overlaps:
+        kind, i, j, _w, a, b = e
+        nf = _reduce(*_compose(kind, rules[i], rules[j], a, b), index, keyf)
+        if nf:
+            yield e, nf
 
 
 def find_ambiguities(relations, spec) -> list[Ambiguity]:
@@ -511,14 +522,14 @@ class _Engine:
         rels = self.rels
         for rel in rels:
             rel.paired = True
-        # find_ambiguities rather than _pair: the traced benchmark counts the
-        # ambiguities a completion enumerates through this call
+        # find_ambiguities, not update(), only for the benchmark's tracer: its
+        # layer_value indexes counts["completion.ambiguities_enumerated"], which
+        # this call alone fills, until it reads report.stats (ROADMAP item 1)
         ambiguities = find_ambiguities([r.poly for r in rels], self.spec)
         self.stats["pairs_enumerated"] += len(ambiguities)
         for amb in ambiguities:
             if amb.degree <= self.max_deg:
-                f, g = rels[amb.f_index], rels[amb.g_index]
-                self.queue((f, g, amb.kind, amb.w.letters, amb.a.letters, amb.b.letters))
+                self.queue((rels[amb.f_index], rels[amb.g_index], amb.w.letters))
 
     def update(self) -> None:
         """Pair every relation that entered the working set."""
@@ -532,8 +543,8 @@ class _Engine:
         every paired relation, and queue those within the bound.
 
         The set is interreduced, so no lead is inside another and every
-        overlap is an intersection.  One on more than ``max_deg`` letters is
-        only counted: its word and context are never built.
+        overlap is an intersection, queued as (f, g, w).  One on more than
+        ``max_deg`` letters is only counted: its word is never built.
         """
         f = rel.lead
         n = len(f)
@@ -550,27 +561,23 @@ class _Engine:
                     count += 1
                     g = other.lead
                     if len(g) - o <= room:
-                        queue((rel, other, INTERSECTION, f + g[o:], f[: n - o], g[o:]))
+                        queue((rel, other, f + g[o:]))
             for other in self._suffixes.get(f[:o], ()):
                 if other.paired and other is not rel:
                     count += 1
                     g = other.lead
                     if len(g) - o <= room:
-                        queue((other, rel, INTERSECTION, g + f[o:], g[: len(g) - o], f[o:]))
+                        queue((other, rel, g + f[o:]))
         self.stats["pairs_enumerated"] += count
 
     def queue(self, entry) -> None:
-        """Queue a pair if both relations are still paired.
+        """Queue the pair ``(f, g, w)``; ``pop`` drops it if f or g has left.
 
         With distinct leads sorted ascending, (w, lead f, lead g) orders
         pairs exactly as (w, f_index, g_index) does.
         """
-        f, g, kind, w, a, b = entry
-        if f.paired and g.paired:
-            heapq.heappush(
-                self._queue,
-                (self.keyf(w), f.key, g.key, kind, len(a), next(self._seq), entry),
-            )
+        f, g, w = entry
+        heapq.heappush(self._queue, (self.keyf(w), f.key, g.key, next(self._seq), entry))
 
     def pop(self):
         """The smallest queued pair whose relations are both still paired."""
@@ -642,14 +649,15 @@ def shirshov_complete(
                 status = CompletionStatus.BUDGET_EXHAUSTED
                 break
             processed += 1
-            f, g, kind, w, a, b = entry
+            f, g, w = entry
+            a, b = w[: len(w) - len(g.lead)], w[len(f.lead) :]
             steps = []
-            nf_terms = engine.reduce(*_compose(kind, f, g, a, b), steps)
+            nf_terms = engine.reduce(*_compose(INTERSECTION, f, g, a, b), steps)
             if not nf_terms:
                 continue
             nf = _reduced(A, nf_terms, spec)
             # after sorting, a paired relation's rank is its index
-            amb = Ambiguity._of(A, kind, f.rank, g.rank, w, a, b)
+            amb = Ambiguity._of(A, INTERSECTION, f.rank, g.rank, w, a, b)
             monic = nf.make_monic(spec)
             added.append(
                 AddedRelation(monic, nf, amb, f.poly, g.poly, engine.decomposition(steps))

@@ -12,14 +12,14 @@ lead (``Polynomial._lead_letters``), ``_Rule`` builds its primitive integer
 row ``p*lead + tail``, and ``_RuleIndex``, the letter trie of the leads,
 finds the leftmost redex of a word in a few letter-keyed probes per
 position.  Every normal form, composition check (``completion._Scan``) and
-certificate (``GsbCertificate``) reduces through one; a free
-``normal_form`` builds a fresh set per call, so a caller with many
-polynomials builds one set and reduces them all by it.  ``_reduce`` takes
-pseudo-remainder steps on integers (Knuth, TAOCP vol. 2, §4.6.1), so values
-become ``Fraction`` only where they leave the loop, and ``_reduced``
-records the first word of its output as the lead.  The completion engine
-keeps one index over its working set and updates it as relations enter
-and leave.
+certificate (``GsbCertificate``, which runs that check when it is made)
+reduces through one; a free ``normal_form`` builds a fresh set per call,
+so a caller with many polynomials builds one set and reduces them all by
+it.  ``_reduce`` takes pseudo-remainder steps on integers (Knuth, TAOCP
+vol. 2, §4.6.1), so values become ``Fraction`` only where they leave the
+loop, and ``_reduced`` records the first word of its output as the lead.
+The completion engine keeps one index over its working set and updates it
+as relations enter and leave.
 
 Irreducible words are listed and counted through ``_LeadAutomaton``, the
 Aho–Corasick automaton of the leads, whose states form the Ufnarovski
@@ -448,14 +448,15 @@ class _LeadAutomaton:
     lists ``(letter tuple, next state)`` for each letter, in the order of
     ``letters``, whose appending leaves no lead as a suffix; the letters
     that complete a lead are left out.  Rows are built by ``grow``, only
-    for states a word has reached.
+    for states a word has reached, and the set of proper lead prefixes on
+    its first call, so a listing of degree 0 builds none.
     """
 
     __slots__ = ("leads", "prefixes", "letters", "suffixes", "ids", "rows")
 
     def __init__(self, leads, letters):
         self.leads = leads
-        self.prefixes = {lead[:o] for lead in leads for o in range(len(lead))}
+        self.prefixes = None
         self.letters = letters
         self.suffixes = [()]
         self.ids = {(): 0}
@@ -463,6 +464,8 @@ class _LeadAutomaton:
 
     def grow(self) -> list:
         """Build the rows of the states found since the last call; the rows."""
+        if self.prefixes is None:
+            self.prefixes = {lead[:o] for lead in self.leads for o in range(len(lead))}
         rows = self.rows
         for s in range(len(rows), len(self.suffixes)):
             rows.append(self._row(self.suffixes[s]))
@@ -754,9 +757,24 @@ def quotient_dim_oracle(
 
 
 class GsbCertificate(RuleSet):
-    """A relation set certified as a Groebner-Shirshov basis: every
-    composition reduced to zero.  Compiled once, so every membership test
-    against it reduces by the same rules."""
+    """A relation set certified as a Groebner-Shirshov basis, compiled once.
+
+    It is checked when it is made: every composition of the set is reduced
+    on its own compile, as ``check_gsb`` reduces them, and the first that
+    does not reduce to zero raises ``UncertifiedBasisError``.  So every
+    membership test against it reduces by the rules of a basis.
+    """
+
+    def __init__(self, relations, ordering):
+        super().__init__(relations, ordering)
+        from .completion import _all_overlaps, _nontrivial  # completion imports this module
+
+        overlaps, _ = _all_overlaps(self.rules, self.index, self.keyf)
+        for (_kind, i, j, *_), _nf in _nontrivial(self, overlaps):
+            raise UncertifiedBasisError(
+                f"not a Groebner-Shirshov basis: a composition of relations #{i} and #{j}"
+                " does not reduce to zero"
+            )
 
 
 def is_member(f: Polynomial, basis: GsbCertificate) -> bool:

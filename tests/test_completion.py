@@ -925,15 +925,45 @@ def test_engine_pairing_equals_pairwise_scan():
         expected = Counter()
         for f in engine.rels:
             for g in engine.rels:
-                for kind, w, a, b in _overlaps(f.lead, g.lead, f is not g):
-                    expected[(f, g, kind, w, a, b)] += 1
+                for kind, w, _a, _b in _overlaps(f.lead, g.lead, f is not g):
+                    expected[(f, g, w)] += 1
+                    inclusions += kind == INCLUSION
+        # a queued pair is (f, g, w): its context is read off w when popped
         assert routed == expected
         # every word is within the bound, so each counted pair is queued
         assert engine.stats["pairs_enumerated"] == sum(expected.values())
-        inclusions += sum(n for key, n in expected.items() if key[2] == INCLUSION)
     # no lead is inside another, yet the nested leads were there to remove
     assert inclusions == 0
     assert removed > 100
+
+
+def test_engine_pops_proper_intersections_in_ascending_order():
+    # the queue of an interreduced set, drained: each pair is an intersection
+    # fixed by (f, g, w), and pops come smallest first by (w, lead f, lead g)
+    rng = random.Random(74)
+    popped = 0
+    for _ in range(300):
+        letters, leads = _random_leads(rng)
+        A = ABC if letters == 3 else AB
+        polys = [
+            Polynomial(A, [(lead, 1)] + ([(lead[1:], rng.choice((-1, 2)))] if lead else []))
+            for lead in leads
+        ]
+        engine = _Engine(SPEC, A, max_deg=rng.choice((4, 6, 20)))
+        engine.start(polys)
+        engine.interreduce([])
+        engine.sort()
+        engine.update()
+        order = []
+        while (entry := engine.pop()) is not None:
+            f, g, w = entry
+            assert w[: len(f.lead)] == f.lead and w[len(w) - len(g.lead) :] == g.lead
+            assert max(len(f.lead), len(g.lead)) < len(w) < len(f.lead) + len(g.lead)
+            assert len(w) <= engine.max_deg
+            order.append((engine.keyf(w), f.key, g.key))
+        assert order == sorted(order) and len(set(order)) == len(order)
+        popped += len(order)
+    assert popped > 200
 
 
 def _interreduce_by_scan(polys):

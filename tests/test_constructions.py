@@ -614,7 +614,6 @@ def test_each_build_compiles_each_relation_set_once(name, compiles, monkeypatch)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(rewrite, "compile_rules", counted)
-    monkeypatch.setattr(completion, "compile_rules", counted)
     build()
     assert len(calls) == compiles
 

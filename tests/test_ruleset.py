@@ -9,7 +9,13 @@ import pytest
 from gsb import rewrite
 from gsb.completion import check_gsb, shirshov_complete
 from gsb.errors import AlphabetMismatchError, BasisMismatchError, UncertifiedBasisError
-from gsb.modules import module_check_gsb, module_complete, module_nf, module_nf_with_trace
+from gsb.modules import (
+    _ModuleCertificate,
+    module_check_gsb,
+    module_complete,
+    module_nf,
+    module_nf_with_trace,
+)
 from gsb.orderings import DegLex, ModuleTop
 from gsb.poly import ModuleElement, Polynomial, parse_module_element, parse_polynomial
 from gsb.rewrite import GsbCertificate, RuleSet, is_member, normal_form, normal_form_with_trace
@@ -145,8 +151,48 @@ def test_a_relation_set_that_is_not_a_certificate_is_refused():
         is_member(parse_polynomial("a", AB), RuleSet([parse_polynomial("a*a - b", AB)], SPEC))
 
 
+def test_a_forged_certificate_raises_when_it_is_made():
+    # {a*a - b} is not a basis: its composition on a*a*a leaves a*b - b*a
+    commutator = parse_polynomial("a*b - b*a", AB)
+    with pytest.raises(UncertifiedBasisError):
+        is_member(commutator, GsbCertificate([parse_polynomial("a*a - b", AB)], SPEC))
+    completed = shirshov_complete([parse_polynomial("a*a - b", AB)], SPEC)
+    assert is_member(commutator, completed.certificate())
+
+
+def test_a_certificate_is_made_exactly_when_check_gsb_certifies():
+    rng = random.Random(31)
+    made = refused = 0
+    for _ in range(80):
+        rels = [_random_poly(rng, AB, 3, 3).make_monic(SPEC) for _ in range(rng.randint(1, 3))]
+        certified = check_gsb(rels, SPEC).is_certificate
+        try:
+            GsbCertificate(rels, SPEC)
+        except UncertifiedBasisError:
+            assert not certified
+            refused += 1
+        else:
+            assert certified
+            made += 1
+    assert made > 10 and refused > 10
+
+
 def _module(text):
     return parse_module_element(text, AB, Y12)
+
+
+def test_a_module_report_certificate_is_checked_and_decides_membership(monkeypatch):
+    # lead(b*a*y1) = b*lead(a*y1): one module composition, which vanishes
+    report = module_check_gsb([_module("a*y1 - y2"), _module("b*a*y1 - b*y2")], ModuleTop())
+    assert report.is_certificate and report.evaluated == 1
+    calls = _counting_compiles(monkeypatch)
+    cert = report.certificate()
+    assert is_member(_module("a*b*a*y1 - a*b*y2"), cert)
+    assert not is_member(_module("b*a*y1 - y1"), cert)
+    assert len(calls) == 1
+    # b*a*y1 - y1 instead leaves b*y2 - y1, so its set is no certificate
+    with pytest.raises(UncertifiedBasisError):
+        _ModuleCertificate([_module("a*y1 - y2"), _module("b*a*y1 - y1")], ModuleTop())
 
 
 @pytest.mark.parametrize("make", [module_complete, module_check_gsb])
