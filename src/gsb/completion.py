@@ -5,19 +5,21 @@ enters it gets a record of its own, computed once: a ``rewrite._Rule``,
 the primitive integer row ``p*lead + tail`` built as for a public call,
 with a sort key and its support as one string.
 A composition is built from the two rows scaled to lcm(p_f, p_g), where
-the leads cancel exactly, and reduced on integers.  Coefficients become
-``Fraction`` only where a polynomial leaves the engine: residuals,
-decomposition coefficients, and the monic form of each relation that
-enters.  The engine keeps maps over the working set and updates them as
+the leads cancel exactly (``rewrite._compose``), and reduced on integers.
+Coefficients become ``Fraction`` only where a polynomial leaves the
+engine: residuals, decomposition coefficients, and the monic form of each
+relation that enters.  The engine keeps two rule indexes
+(``rewrite._RuleIndex``) over the working set and updates them as
 relations enter and leave:
 
-- the rule index (``rewrite._RuleIndex``) is the trie of the leads: the
-  node of a lead lists its relations, ranked by place in the set, and the
-  node of each proper prefix of a lead holds the relations with a lead
-  extending it; it finds every redex and every lead inside a support, and
-  interreduction takes a relation out of it before reducing it by the rest;
-- the trie and a suffix map, probed with the proper suffixes and prefixes
-  of a new lead, give its intersection overlaps.
+- the lead index is the trie of the leads: the node of a lead lists its
+  relations, ranked by place in the set, and the node of each proper prefix
+  of a lead holds the relations with a lead extending it; it finds every
+  redex and every lead inside a support, and interreduction takes a
+  relation out of it before reducing it by the rest;
+- the reversed index files each relation under its reversed lead; probed
+  with the proper suffixes of a new lead and with its proper prefixes
+  reversed, the two give its intersection overlaps.
 
 A new lead finds the relations it may make reducible (the interreduction
 candidates) by one substring test per relation, on the string of its
@@ -30,8 +32,8 @@ its word, w = lead(f)*b = a*lead(g), so a pair is queued as (f, g, w), and
 a and b are read off w where the composition is built.  The overlaps of a
 relation are enumerated once, against the relations paired when it enters.
 Those on words above the degree bound are counted without being built, as
-a check's overlap scan (``_all_overlaps``) counts those above its bound
-(``CheckReport.skipped``); the rest are pushed on a heap ordered by
+a check's overlap scan (``rewrite._all_overlaps``) counts those above its
+bound (``CheckReport.skipped``); the rest are pushed on a heap ordered by
 (w, lead f, lead g); since the leading words of the working set are
 distinct and kept sorted, this is the smallest-first order by word and
 relation indices.  A pair is queued without a test, and dropped when popped
@@ -61,7 +63,6 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import inf, lcm
 
 from .errors import (
     AlphabetMismatchError,
@@ -73,8 +74,13 @@ from .errors import (
 )
 from .poly import Polynomial, format_element
 from .rewrite import (
+    INCLUSION,
+    INTERSECTION,
     GsbCertificate,
     RuleSet,
+    _all_overlaps,
+    _compose,
+    _nontrivial,
     _rank,
     _reduce,
     _reduced,
@@ -83,10 +89,6 @@ from .rewrite import (
     _RuleIndex,
 )
 from .words import Word, _trusted_word
-
-
-INTERSECTION = "intersection"
-INCLUSION = "inclusion"
 
 
 @dataclass(frozen=True)
@@ -119,40 +121,6 @@ class Ambiguity:
         )
 
 
-def _all_overlaps(rules, index: _RuleIndex, keyf, max_deg=None) -> tuple[list, int]:
-    """The ambiguities among the ranked ``rules``, which ``index`` holds, on
-    at most ``max_deg`` letters, as raw ``(kind, i, j, w, a, b)`` sorted by
-    (w, i, j, kind, len(a)), and the count of the rest, which are never built.
-
-    Intersections probe the index's trie with the proper suffixes of every
-    lead; inclusions walk it from each position of every lead.  Equal leads
-    count once, as an inclusion of the lower index pair.
-    """
-    found, skipped = [], 0
-    for rule in rules:
-        i, f = rule.rank, rule.lead
-        nf = len(f)
-        # an intersection at overlap o has |f| + |g| - o letters, an inclusion |f|
-        room = (inf if max_deg is None else max_deg) - nf
-        for o in range(1, nf):
-            for other in index.extending(f[nf - o :]):
-                if len(other.lead) - o > room:
-                    skipped += 1
-                else:
-                    w, a, b = f + other.lead[o:], f[: nf - o], other.lead[o:]
-                    found.append((keyf(w), i, other.rank, INTERSECTION, nf - o, w, a, b))
-        for start, end, held in index.factors(f):
-            for other in held:
-                j = other.rank
-                if i != j and (end - start < nf or i < j):
-                    if room < 0:
-                        skipped += 1
-                    else:
-                        found.append((keyf(f), i, j, INCLUSION, start, f, f[:start], f[end:]))
-    found.sort(key=lambda e: e[:5])
-    return [(kind, i, j, w, a, b) for _, i, j, kind, _, w, a, b in found], skipped
-
-
 class _Scan(RuleSet):
     """A compiled relation set with its ambiguities on at most ``max_deg``
     letters, read by ``find_ambiguities`` and ``check_gsb``; ``skipped``
@@ -175,17 +143,6 @@ class _Scan(RuleSet):
         return CheckReport(
             self.relations, self.ordering, self.max_deg, tuple(nontrivial), len(self.overlaps), self.skipped
         )
-
-
-def _nontrivial(compiled: RuleSet, overlaps):
-    """Yield ``(overlap, normal form)`` of each raw overlap of the compiled
-    set whose composition does not reduce to zero by it, in order."""
-    rules, index, keyf = compiled.rules, compiled.index, compiled.keyf
-    for e in overlaps:
-        kind, i, j, _w, a, b = e
-        nf = _reduce(*_compose(kind, rules[i], rules[j], a, b), index, keyf)
-        if nf:
-            yield e, nf
 
 
 def find_ambiguities(relations, spec) -> list[Ambiguity]:
@@ -329,42 +286,6 @@ STAT_KEYS = (
 )
 
 
-def _compose(kind, f, g, a, b) -> tuple[dict, int]:
-    """Integer terms and scale of f*b - a*g (intersection) or f - a*g*b
-    (inclusion), for rules with integer rows ``p*lead + tail``.
-
-    The two leads cancel exactly, so only the tails are multiplied, each
-    scaled to lcm(p_f, p_g), which is the scale of the result.
-    """
-    scale = lcm(f.p, g.p)
-    mf, mg = scale // f.p, scale // g.p
-    if kind == INTERSECTION:
-        h = {u + b: mf * c for u, c in f.tail}
-        right = ()
-    else:
-        h = {u: mf * c for u, c in f.tail}
-        right = b
-    for u, c in g.tail:
-        w = a + u + right
-        v = h.get(w, 0) - mg * c
-        if v:
-            h[w] = v
-        else:
-            h.pop(w, None)
-    return h, scale
-
-
-def _add_to(table, key, item):
-    table.setdefault(key, set()).add(item)
-
-
-def _remove_from(table, key, item):
-    held = table[key]
-    held.discard(item)
-    if not held:
-        del table[key]
-
-
 class _Relation(_Rule):
     """A relation of the working set: the ``_Rule`` of the monic ``poly``,
     compiled once when it enters.  Its lead is the one ``poly`` recorded
@@ -402,12 +323,13 @@ def _lead_key(rel: _Relation):
 
 
 class _Engine:
-    """The working set, its maps and the pair queue.
+    """The working set, its two indexes and the pair queue.
 
     ``rels`` is the working set in rank order.  ``index`` is its rule index,
     whose trie gives, for each proper prefix of a lead, the relations with
-    a lead extending it; ``_suffixes`` maps each proper suffix of a lead to
-    the relations with that lead.  ``_dirty`` holds the interreduction
+    a lead extending it; ``_reversed`` files each relation under its
+    reversed lead, so probed with a word reversed it gives the relations
+    whose lead has that word as a proper suffix.  ``_dirty`` holds the interreduction
     candidates: each relation that entered, or whose support contains a
     lead that entered, since it was last picked; so it holds every relation
     that another relation's lead makes reducible.  A new lead finds the
@@ -423,7 +345,7 @@ class _Engine:
         self.stats = dict.fromkeys(STAT_KEYS, 0)
         self.rels = []
         self.index = _RuleIndex()
-        self._suffixes = {}
+        self._reversed = _RuleIndex()
         self._dirty = set()
         self._queue = []
         self._seq = itertools.count()
@@ -451,19 +373,16 @@ class _Engine:
         text = _text(lead)
         self._dirty.update(r for r in self.rels if text in r.text)
         self.index.add(rel)
-        for o in range(1, len(lead)):
-            _add_to(self._suffixes, lead[o:], rel)
+        self._reversed.add(rel, lead[::-1])
 
     def _leave(self, rel) -> None:
         rel.paired = False
-        lead = rel.lead
         self.index.discard(rel)
-        for o in range(1, len(lead)):
-            _remove_from(self._suffixes, lead[o:], rel)
+        self._reversed.discard(rel, rel.lead[::-1])
 
     def sort(self) -> None:
         """Sort the interreduced working set by lead; ranks become list
-        positions.  Its leads are distinct, so the index stays valid."""
+        positions.  Its leads are distinct, so both indexes stay valid."""
         self.rels.sort(key=_lead_key)
         for rank, rel in enumerate(self.rels):
             rel.rank = rank
@@ -488,7 +407,7 @@ class _Engine:
         another relation's leading word, so the removal log has the order
         of a scan from the front that restarts after every change.  The
         lowest-ranked candidate is rewritten if another relation's lead is a
-        factor of its support, and dropped otherwise.  It leaves the maps
+        factor of its support, and dropped otherwise.  It leaves the indexes
         first, so it is reduced by the others.
         """
         rels = self.rels
@@ -549,20 +468,20 @@ class _Engine:
         f = rel.lead
         n = len(f)
         queue = self.queue
-        index = self.index
+        extending, ending = self.index.extending, self._reversed.extending
         # an intersection of f and g at overlap o has |f| + |g| - o letters
         room = self.max_deg - n
         count = 0
         for o in range(1, n):
-            # a proper suffix of f is a proper prefix of g, and the reverse;
-            # rel is indexed, so only the first probe finds its self-overlaps
-            for other in index.extending(f[n - o :]):
+            # a proper suffix of f is a proper prefix of g, and the reverse; rel
+            # is in both indexes, so the second probe skips its self-overlaps
+            for other in extending(f[n - o :]):
                 if other.paired:
                     count += 1
                     g = other.lead
                     if len(g) - o <= room:
                         queue((rel, other, f + g[o:]))
-            for other in self._suffixes.get(f[:o], ()):
+            for other in ending(f[o - 1 :: -1]):
                 if other.paired and other is not rel:
                     count += 1
                     g = other.lead
@@ -650,14 +569,14 @@ def shirshov_complete(
                 break
             processed += 1
             f, g, w = entry
-            a, b = w[: len(w) - len(g.lead)], w[len(f.lead) :]
+            start = len(w) - len(g.lead)
             steps = []
-            nf_terms = engine.reduce(*_compose(INTERSECTION, f, g, a, b), steps)
+            nf_terms = engine.reduce(*_compose(f, g, w, start), steps)
             if not nf_terms:
                 continue
             nf = _reduced(A, nf_terms, spec)
             # after sorting, a paired relation's rank is its index
-            amb = Ambiguity._of(A, INTERSECTION, f.rank, g.rank, w, a, b)
+            amb = Ambiguity._of(A, INTERSECTION, f.rank, g.rank, w, w[:start], w[len(f.lead) :])
             monic = nf.make_monic(spec)
             added.append(
                 AddedRelation(monic, nf, amb, f.poly, g.poly, engine.decomposition(steps))

@@ -37,6 +37,7 @@ from .modules import _ModuleScan
 from .orderings import DegLex, Tower
 from .poly import ModuleElement, Polynomial, _coefficient, _int_of_digits
 from .presentation import ModulePresentation, Presentation
+from .rewrite import INTERSECTION
 from .words import Alphabet, ModuleBasis, ModuleWord, Word, module_code
 
 
@@ -499,7 +500,7 @@ def build_simple_step(
     base_range = range(base_offset, base_offset + nb)
     for amb in ambiguities:
         shape_ok = (
-            amb.kind == "intersection"
+            amb.kind == INTERSECTION
             and amb.w.degree == 3
             and all(c in base_range for c in amb.w.letters)
             and amb.f_index < table_count

@@ -18,8 +18,10 @@ so a caller with many polynomials builds one set and reduces them all by
 it.  ``_reduce`` takes pseudo-remainder steps on integers (Knuth, TAOCP
 vol. 2, §4.6.1), so values become ``Fraction`` only where they leave the
 loop, and ``_reduced`` records the first word of its output as the lead.
-The completion engine keeps one index over its working set and updates it
-as relations enter and leave.
+The overlaps of a compiled set (``_all_overlaps``) and their compositions
+(``_compose``, f*b - a*g*c for both kinds; ``_nontrivial``) live here too,
+so this module imports nothing from ``completion``, whose engine files
+each relation under its lead and, in a second index, its reversed lead.
 
 Irreducible words are listed and counted through ``_LeadAutomaton``, the
 Aho–Corasick automaton of the leads, whose states form the Ufnarovski
@@ -40,7 +42,7 @@ import random
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 from .errors import (
     AlphabetMismatchError,
@@ -110,16 +112,18 @@ def compile_rules(relations, spec, alphabet=None) -> list:
 
 
 class _RuleIndex:
-    """The leading words of a rule set, in their letter trie.
+    """Rules in a letter trie, filed under their leads or under the word
+    given to ``add`` and ``discard`` (completion's second index files
+    relations under their reversed leads).
 
-    ``trie`` has one node per prefix of a lead, its root the empty prefix.
-    A node is a list ``[children, held, below]``: ``children`` maps a letter
-    to the node one letter longer, ``held`` is None where no lead ends and
-    otherwise lists the rules whose lead ends at the node, lowest rank
-    first, and ``below`` lists, in no particular order, the rules whose lead
-    has the node's prefix as a proper prefix.  A node with no child and no
-    rule is pruned.  Each rule is a ``_Rule``; ranks are distinct, lower
-    first, and may change only while no lead has two rules.
+    ``trie`` has one node per prefix of a filed word, its root the empty
+    prefix.  A node is a list ``[children, held, below]``: ``children`` maps
+    a letter to the node one letter longer, ``held`` is None where no word
+    ends and otherwise lists the rules filed under the node's word, lowest
+    rank first, and ``below`` lists, in no particular order, the rules whose
+    word has the node's prefix as a proper prefix.  A node with no child
+    and no rule is pruned.  Each rule is a ``_Rule``; ranks are distinct,
+    lower first, and may change only while no word has two rules.
     """
 
     __slots__ = ("trie",)
@@ -129,9 +133,9 @@ class _RuleIndex:
         for rule in rules:
             self.add(rule)
 
-    def add(self, rule) -> None:
+    def add(self, rule, word=None) -> None:
         node = self.trie
-        for c in rule.lead:
+        for c in rule.lead if word is None else word:
             children, _, below = node
             below.append(rule)
             node = children.get(c)
@@ -142,10 +146,10 @@ class _RuleIndex:
         else:
             insort(node[1], rule, key=_rank)
 
-    def discard(self, rule) -> None:
-        lead = rule.lead
+    def discard(self, rule, word=None) -> None:
+        word = rule.lead if word is None else word
         path = [self.trie]
-        for c in lead:
+        for c in word:
             children, _, below = path[-1]
             below.remove(rule)
             path.append(children[c])
@@ -155,14 +159,14 @@ class _RuleIndex:
             return
         path[-1][1] = None
         # prune the nodes left with no child and no rule, deepest first
-        for depth in range(len(lead), 0, -1):
+        for depth in range(len(word), 0, -1):
             children, held, _ = path[depth]
             if children or held is not None:
                 break
-            del path[depth - 1][0][lead[depth - 1]]
+            del path[depth - 1][0][word[depth - 1]]
 
     def extending(self, prefix):
-        """The rules whose lead has ``prefix`` as a proper prefix."""
+        """The rules filed under a word that has ``prefix`` as a proper prefix."""
         node = self.trie
         for c in prefix:
             node = node[0].get(c)
@@ -420,6 +424,78 @@ class RuleSet:
             for rule, a, b, u, c, scale in raw_steps
         )
         return nf, ReductionTrace(steps, nf)
+
+
+INTERSECTION = "intersection"
+INCLUSION = "inclusion"
+
+
+def _compose(f, g, w, start) -> tuple[dict, int]:
+    """Integer terms and scale of the composition f*b - a*g*c of two rules
+    with integer rows ``p*lead + tail`` on the word w = lead(f)*b =
+    a*lead(g)*c, where a = w[:start]: an intersection has c empty, an
+    inclusion b empty.
+
+    The two leads cancel exactly, so only the tails are multiplied, each
+    scaled to lcm(p_f, p_g), which is the scale of the result.
+    """
+    scale = lcm(f.p, g.p)
+    mf, mg = scale // f.p, scale // g.p
+    a, b, c = w[:start], w[len(f.lead) :], w[start + len(g.lead) :]
+    h = {u + b: mf * coeff for u, coeff in f.tail}
+    for u, coeff in g.tail:
+        x = a + u + c
+        v = h.get(x, 0) - mg * coeff
+        if v:
+            h[x] = v
+        else:
+            h.pop(x, None)
+    return h, scale
+
+
+def _all_overlaps(rules, index: _RuleIndex, keyf, max_deg=None) -> tuple[list, int]:
+    """The ambiguities among the ranked ``rules``, which ``index`` holds, on
+    at most ``max_deg`` letters, as raw ``(kind, i, j, w, a, b)`` sorted by
+    (w, i, j, kind, len(a)), and the count of the rest, which are never built.
+
+    Intersections probe the index's trie with the proper suffixes of every
+    lead; inclusions walk it from each position of every lead.  Equal leads
+    count once, as an inclusion of the lower index pair.
+    """
+    found, skipped = [], 0
+    for rule in rules:
+        i, f = rule.rank, rule.lead
+        nf = len(f)
+        # an intersection at overlap o has |f| + |g| - o letters, an inclusion |f|
+        room = (inf if max_deg is None else max_deg) - nf
+        for o in range(1, nf):
+            for other in index.extending(f[nf - o :]):
+                if len(other.lead) - o > room:
+                    skipped += 1
+                else:
+                    w, a, b = f + other.lead[o:], f[: nf - o], other.lead[o:]
+                    found.append((keyf(w), i, other.rank, INTERSECTION, nf - o, w, a, b))
+        for start, end, held in index.factors(f):
+            for other in held:
+                j = other.rank
+                if i != j and (end - start < nf or i < j):
+                    if room < 0:
+                        skipped += 1
+                    else:
+                        found.append((keyf(f), i, j, INCLUSION, start, f, f[:start], f[end:]))
+    found.sort(key=lambda e: e[:5])
+    return [(kind, i, j, w, a, b) for _, i, j, kind, _, w, a, b in found], skipped
+
+
+def _nontrivial(compiled: RuleSet, overlaps):
+    """Yield ``(overlap, normal form)`` of each raw overlap of the compiled
+    set whose composition does not reduce to zero by it, in order."""
+    rules, index, keyf = compiled.rules, compiled.index, compiled.keyf
+    for e in overlaps:
+        _kind, i, j, w, a, _b = e
+        nf = _reduce(*_compose(rules[i], rules[j], w, len(a)), index, keyf)
+        if nf:
+            yield e, nf
 
 
 def normal_form(p: Polynomial, relations, spec) -> Polynomial:
@@ -767,8 +843,6 @@ class GsbCertificate(RuleSet):
 
     def __init__(self, relations, ordering):
         super().__init__(relations, ordering)
-        from .completion import _all_overlaps, _nontrivial  # completion imports this module
-
         overlaps, _ = _all_overlaps(self.rules, self.index, self.keyf)
         for (_kind, i, j, *_), _nf in _nontrivial(self, overlaps):
             raise UncertifiedBasisError(

@@ -128,3 +128,18 @@ def test_check_of_an_algebra_file_loads_no_module_lyndon_or_builder_layer(tmp_pa
     loaded = _loaded_after(code, tmp_path)
     assert "gsb.completion" in loaded
     assert not loaded & {"gsb.constructions", "gsb.modules", "gsb.lyndon"}
+
+
+def test_a_certificate_loads_no_completion_layer(tmp_path):
+    # the certificate's overlap check lives in rewrite, beside the set it compiles
+    code = (
+        "from gsb.rewrite import GsbCertificate\n"
+        "from gsb.orderings import DegLex\n"
+        "from gsb.poly import parse_polynomial\n"
+        "from gsb.words import Alphabet\n"
+        "A = Alphabet(('a', 'b'))\n"
+        "GsbCertificate([parse_polynomial(t, A) for t in ('a*a - b', 'a*b - b*a')], DegLex())"
+    )
+    loaded = _loaded_after(code, tmp_path)
+    assert "gsb.rewrite" in loaded
+    assert "gsb.completion" not in loaded

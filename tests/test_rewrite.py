@@ -595,6 +595,35 @@ def test_rule_index_emptied_by_discards_holds_nothing():
         assert index.leftmost((0,) * 5) is None
 
 
+def test_rule_index_under_reversed_leads_finds_the_leads_ending_in_a_word():
+    # as the completion engine's second index files its relations: probed
+    # with a word reversed, it gives the rules whose lead ends in that word
+    rng = random.Random(66)
+    found = 0
+    for _ in range(200):
+        letters = rng.randint(1, 3)
+        leads = [_random_lead(rng, letters) for _ in range(rng.randint(1, 12))]
+        rules = [_Rule({lead: 1}, lead, rank) for rank, lead in enumerate(leads)]
+        rules += [_Rule({r.lead: 1}, r.lead, 100 + k) for k, r in enumerate(rules[:3])]
+        index = _RuleIndex()
+        for rule in rules:
+            index.add(rule, rule.lead[::-1])
+        assert _holding(index.trie) == {lead[::-1]: held for lead, held in _by_lead(rules).items()}
+        words = {r.lead[o:] for r in rules for o in range(len(r.lead) + 1)}
+        words |= {tuple(rng.randrange(letters) for _ in range(rng.randint(1, 4))) for _ in range(4)}
+        for p in words:
+            ending = set(index.extending(p[::-1]))
+            assert ending == {
+                r for r in rules if len(r.lead) > len(p) and r.lead[len(r.lead) - len(p) :] == p
+            }
+            found += bool(ending)
+        rng.shuffle(rules)
+        for rule in rules:
+            index.discard(rule, rule.lead[::-1])
+        assert index.trie == [{}, None, []]
+    assert found > 500
+
+
 def test_rule_index_after_ranks_are_reassigned():
     # as ``_Engine.sort`` does: distinct leads stay indexed while their
     # ranks become their places in a new order
