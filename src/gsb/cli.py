@@ -158,13 +158,23 @@ def _cmd_irr(args) -> int:
 
 
 def _cmd_dim(args) -> int:
+    import os
+
+    from .poly import _int_of_digits
     from .presentation import ModulePresentation
     from .rewrite import quotient_dim_oracle
 
     p = _load_for(args)
     if isinstance(p, ModulePresentation):
         raise PresentationFormatError("the dimension oracle works on algebra presentations")
-    print(quotient_dim_oracle(p.alphabet, p.relations, p.ordering, args.max_deg))
+    # the one reader of GSB_MAX_WORDS: ASCII digits, read as a relation line reads them
+    env = os.environ.get("GSB_MAX_WORDS")
+    capacity = None
+    if env:
+        capacity = _int_of_digits(env) if env.isascii() and env.isdigit() else 0
+        if capacity <= 0:
+            raise LimitError(f"GSB_MAX_WORDS must be a positive integer, got {env!r}")
+    print(quotient_dim_oracle(p.alphabet, p.relations, p.ordering, args.max_deg, capacity))
     return 0
 
 
@@ -198,23 +208,30 @@ def _load_json(path):
         raise PresentationFormatError(f"{path}: not a JSON file: {exc}") from exc
 
 
-def _pair_key(raw: str) -> tuple[int, int]:
+def _products(entries) -> dict:
+    """A table file's product entries keyed by index pairs ``"j k"``; two
+    spellings of one pair, such as ``"1 1"`` and ``"01 1"``, are refused."""
     from .constructions import _table_int
 
-    parts = raw.replace(",", " ").split()
-    if len(parts) != 2:
-        raise PresentationFormatError(f"bad table key {raw!r}; expected 'j k'")
-    return tuple(_table_int(part, f"an index of table key {raw!r}") for part in parts)
+    products = {}
+    for raw, value in entries.items():
+        parts = raw.replace(",", " ").split()
+        if len(parts) != 2:
+            raise PresentationFormatError(f"bad table key {raw!r}; expected 'j k'")
+        j, k = (_table_int(part, f"an index of table key {raw!r}") for part in parts)
+        if (j, k) in products:
+            raise PresentationFormatError(f"product entry ({j},{k}) is given twice")
+        products[j, k] = value
+    return products
 
 
 def _load_group_table(path):
-    from .constructions import GroupTable, _table_int
+    from .constructions import GroupTable
 
     data = _load_json(path)
     try:
-        product = {_pair_key(k): v for k, v in data["product"].items()}
-        inverse = {_table_int(k, "an inverse key"): v for k, v in data["inverse"].items()}
-        return GroupTable(data["size"], product, inverse)
+        # GroupTable reads the inverse keys, and refuses one given twice
+        return GroupTable(data["size"], _products(data["product"]), data["inverse"].items())
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise PresentationFormatError(f"bad group table file {path}: {exc}") from exc
 
@@ -224,8 +241,7 @@ def _load_mult_table(path):
 
     data = _load_json(path)
     try:
-        products = {_pair_key(k): v for k, v in data["product"].items()}
-        return MultTable(tuple(data["basis"]), products)
+        return MultTable(tuple(data["basis"]), _products(data["product"]))
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise PresentationFormatError(f"bad multiplication table file {path}: {exc}") from exc
 

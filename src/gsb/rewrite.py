@@ -37,7 +37,6 @@ independent of the index and of the rules' integer rows.
 
 from __future__ import annotations
 
-import os
 import random
 from bisect import insort
 from dataclasses import dataclass
@@ -52,11 +51,10 @@ from .errors import (
     UncertifiedBasisError,
 )
 from .orderings import DegLex
-from .poly import Polynomial, _int_of_digits
+from .poly import Polynomial, _digits
 from .words import Alphabet, Word, _set_word_alphabet, _set_word_letters, _trusted_word
 
 DEFAULT_WORD_CAPACITY = 20_000
-_CAPACITY_ENV = "GSB_MAX_WORDS"
 
 
 def _checked(relations, spec, alphabet=None):
@@ -641,18 +639,6 @@ def irr_counts(alphabet: Alphabet, relations, spec, max_deg: int) -> list[int]:
     return counts
 
 
-def word_capacity() -> int:
-    """``GSB_MAX_WORDS`` when set: a string of ASCII digits, read as a
-    relation line reads a coefficient; otherwise ``DEFAULT_WORD_CAPACITY``."""
-    env = os.environ.get(_CAPACITY_ENV)
-    if not env:
-        return DEFAULT_WORD_CAPACITY
-    cap = _int_of_digits(env) if env.isascii() and env.isdigit() else 0
-    if cap <= 0:
-        raise LimitError(f"{_CAPACITY_ENV} must be a positive integer, got {env!r}")
-    return cap
-
-
 def _eliminate(row, pivots):
     """Reduce an integer row against the pivot rows; True if it became one.
 
@@ -732,20 +718,31 @@ def quotient_dims(
     The pivot order changes no rank, so the ordering ``spec`` serves only
     to check monicity and find each leading word (through ``_checked``);
     nothing else is shared with the rewriting engine.
+
+    ``capacity`` bounds the words of degree <= max_deg (``None``: the
+    ``DEFAULT_WORD_CAPACITY``); past it ``CapacityError`` comes before any
+    row is built.  Anything but a positive int raises ``LimitError``.
     """
     if max_deg < 0:
         raise LimitError(f"max_deg must be >= 0, got {max_deg}")
+    if capacity is None:
+        capacity = DEFAULT_WORD_CAPACITY
+    elif type(capacity) is not int:
+        raise LimitError(f"capacity must be a positive int, not {type(capacity).__name__}")
+    elif capacity <= 0:
+        got = f"-{_digits(-capacity)}" if capacity else "0"
+        raise LimitError(f"capacity must be a positive int, got {got}")
     k = alphabet.size
-    cap = capacity if capacity is not None else word_capacity()
     # offsets[n]: the number of words of degree < n, the first number of degree n
     offsets = [0]
     for n in range(max_deg + 1):
         offsets.append(offsets[-1] + k**n)
-        if offsets[-1] > cap:
+        if offsets[-1] > capacity:
             # the count stops at the first degree past the capacity, so it stays small
-            bound = f"; max_deg is {max_deg}" if n < max_deg else ""
+            bound = f"; max_deg is {_digits(max_deg)}" if n < max_deg else ""
             raise CapacityError(
-                f"{offsets[-1]} words of degree <= {n} exceed the capacity {cap}{bound}"
+                f"{_digits(offsets[-1])} words of degree <= {n} exceed the capacity"
+                f" {_digits(capacity)}{bound}"
             )
     # (lead degree, number of the top word, top coefficient, [(degree, number, coefficient)]
     # of the other words), the top coefficient positive
@@ -827,7 +824,9 @@ def quotient_dim_oracle(
 ) -> int:
     """Dimension of span(words of degree <= max_deg) modulo the relation span:
     the last entry of ``quotient_dims``, by exact elimination independent of
-    the rewriting engine.  The oracle for irr_words counts on certified bases.
+    the rewriting engine, under ``quotient_dims``' ``capacity`` (``None``: the
+    ``DEFAULT_WORD_CAPACITY``; ``LimitError`` unless a positive int).  The
+    oracle for irr_words counts on certified bases.
     """
     return quotient_dims(alphabet, relations, spec, max_deg, capacity)[-1]
 

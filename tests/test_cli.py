@@ -254,6 +254,40 @@ def test_construct_hnn_reads_table_integers_as_ints_or_ascii_digits(
 
 
 @pytest.mark.parametrize(
+    "kind, table, message",
+    [
+        (
+            "hnn",
+            {**CYCLIC_3, "product": {**CYCLIC_3["product"], "01 1": 2}},
+            "product entry (1,1) is given twice",
+        ),
+        (
+            "hnn",
+            {**CYCLIC_3, "inverse": {**CYCLIC_3["inverse"], "01": 2}},
+            "inverse entry 1 is given twice",
+        ),
+        (
+            "simple",
+            {
+                "basis": ["x1", "x2"],
+                "product": {"01 1": "x2", "1 1": "x1", "1 2": "x2", "2 1": "x2", "2 2": "x2"},
+            },
+            "product entry (1,1) is given twice",
+        ),
+    ],
+    ids=["hnn-product", "hnn-inverse", "simple-product"],
+)
+def test_construct_refuses_a_table_key_spelled_twice(kind, table, message, tmp_path, capsys):
+    # "01" and "1" name one index, so keeping either entry would drop the other
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(table))
+    out = tmp_path / "t.pres"
+    assert run(["construct", kind, "--table", str(path), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists() and not (tmp_path / "t.pres.cert.json").exists()
+
+
+@pytest.mark.parametrize(
     "kind, flags",
     [
         ("hnn", {"-o", "--output", "--cert", "--cyclic", "--table", "--index-bound"}),
@@ -479,6 +513,8 @@ def test_selftest_exit_codes(monkeypatch, capsys):
         (["construct", "hnn", "--cyclic", "x"], {}),
         (["construct", "malcev"], {}),
         (["construct", "lie-words", "-o", "OUT"], {}),
+        # a capacity and a word count past the digit limit, in the capacity error
+        (["dim", "F", "--max-deg", "20000"], {"GSB_MAX_WORDS": "9" * 5000}),
     ],
 )
 def test_limit_errors_exit_1_without_traceback(aab_file, tmp_path, argv, env):

@@ -142,6 +142,23 @@ def test_quotient_dim_capacity():
         quotient_dim_oracle(AB, [], SPEC, 10, capacity=100)
 
 
+def test_quotient_dims_read_no_environment(monkeypatch):
+    # the word capacity is an argument alone: only `gsb dim` reads GSB_MAX_WORDS
+    for value in ("4", "abc"):
+        monkeypatch.setenv("GSB_MAX_WORDS", value)
+        assert quotient_dims(AB, [], SPEC, 3) == [1, 3, 7, 15]
+        assert quotient_dim_oracle(AB, [], SPEC, 3) == 15
+        assert quotient_dims(AB, [], SPEC, 3, capacity=None) == [1, 3, 7, 15]
+
+
+def test_selftest_oracle_criterion_ignores_the_capacity_variable(monkeypatch):
+    from gsb import selftest
+
+    monkeypatch.setenv("GSB_MAX_WORDS", "500")
+    passed, detail = selftest.criterion_1_cd_oracle()
+    assert passed, detail
+
+
 def _dense_dim(alphabet, relations, spec, max_deg):
     """Reference dimension: dense Fraction rows a*s*b, textbook Gaussian elimination."""
     k = alphabet.size
@@ -301,6 +318,12 @@ def test_quotient_dims_raise_where_the_oracle_does():
         (AB, GSB, SPEC, 3, 14, CapacityError),
         (AB, GSB, SPEC, 3, 15, None),
         (AB, GSB, SPEC, -1, None, LimitError),
+        # a capacity is a positive int, and an int past the digit limit fails no message
+        (AB, GSB, SPEC, 3, 0, LimitError),
+        (AB, GSB, SPEC, 3, -5, LimitError),
+        (AB, GSB, SPEC, 3, True, LimitError),
+        (AB, GSB, SPEC, 3, -(10**5000), LimitError),
+        (AB, GSB, SPEC, 10**5000, 10**5000, CapacityError),
         (TOWER_AB, short_lead, tower, 0, None, LimitError),
         (TOWER_AB, short_lead, tower, 3, None, LimitError),
         (TOWER_AB, then_not_monic, tower, 3, None, NonMonicRelationError),
