@@ -200,9 +200,20 @@ def _cmd_lyndon(args) -> int:
 
 
 def _load_json(path):
+    """The JSON value of a file; an object that gives one key twice is
+    refused, since keeping either value would drop the other."""
+
+    def members(pairs):
+        data = {}
+        for key, value in pairs:
+            if key in data:
+                raise PresentationFormatError(f"{path}: key {key!r} is given twice")
+            data[key] = value
+        return data
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=members)
     except (ValueError, RecursionError) as exc:
         # ValueError covers undecodable bytes, bad JSON and over-long integer literals
         raise PresentationFormatError(f"{path}: not a JSON file: {exc}") from exc

@@ -3,7 +3,11 @@
 Completion keeps a working set of monic relations.  Each relation that
 enters it gets a record of its own, computed once: a ``rewrite._Rule``,
 the primitive integer row ``p*lead + tail`` built as for a public call,
-with a sort key and its support as one string.
+with a sort key and its support as one string.  As everywhere in the
+rewriting engine, a word is spelled as a string (``orderings._spelling``)
+when its relation enters, and stays spelled in the indexes, the
+compositions and the pair queue; words are decoded to letter tuples only
+where they are logged: residuals, decompositions and ambiguities.
 A composition is built from the two rows scaled to lcm(p_f, p_g), where
 the leads cancel exactly (``rewrite._compose``), and reduced on integers.
 Coefficients become ``Fraction`` only where a polynomial leaves the
@@ -22,8 +26,9 @@ relations enter and leave:
   reversed, the two give its intersection overlaps.
 
 A new lead finds the relations it may make reducible (the interreduction
-candidates) by one substring test per relation, on the string of its
-support; relations enter far less often than they are reduced or paired.
+candidates) by one substring test per relation, of its spelling in the
+string of the relation's support; relations enter far less often than
+they are reduced or paired.
 
 Pairing runs only on an interreduced set: no lead is a factor of another
 relation's support, so no lead contains another and ``_pair`` enumerates
@@ -63,6 +68,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import (
     AlphabetMismatchError,
@@ -72,7 +78,8 @@ from .errors import (
     UncertifiedBasisError,
     ZeroPolynomialError,
 )
-from .poly import Polynomial, format_element
+from .orderings import _spelled_key, _spelling
+from .poly import Polynomial, _digits, format_element
 from .rewrite import (
     INCLUSION,
     INTERSECTION,
@@ -82,13 +89,14 @@ from .rewrite import (
     _compose,
     _nontrivial,
     _rank,
+    _read_off,
     _reduce,
     _reduced,
     _replay,
     _Rule,
     _RuleIndex,
 )
-from .words import Word, _trusted_word
+from .words import Word
 
 
 @dataclass(frozen=True)
@@ -107,9 +115,9 @@ class Ambiguity:
     b: Word
 
     @classmethod
-    def _of(cls, A, kind, i, j, w, a, b) -> Ambiguity:
-        """An ambiguity from letter tuples known to lie in the range of ``A``."""
-        return cls(kind, i, j, _trusted_word(A, w), _trusted_word(A, a), _trusted_word(A, b))
+    def _of(cls, A, decode, kind, i, j, w, a, b) -> Ambiguity:
+        """An ambiguity from spellings over ``A``, which ``decode`` reads."""
+        return cls(kind, i, j, *_read_off(A, decode, w, a, b))
 
     @property
     def degree(self) -> int:
@@ -132,12 +140,12 @@ class _Scan(RuleSet):
         self.overlaps, self.skipped = _all_overlaps(self.rules, self.index, self.keyf, max_deg)
 
     def ambiguities(self) -> list[Ambiguity]:
-        return [Ambiguity._of(self.alphabet, *e) for e in self.overlaps]
+        return [Ambiguity._of(self.alphabet, self.decode, *e) for e in self.overlaps]
 
     def check(self) -> CheckReport:
-        A = self.alphabet
+        A, decode = self.alphabet, self.decode
         nontrivial = [
-            (Ambiguity._of(A, *e), _reduced(A, nf, self.ordering))
+            (Ambiguity._of(A, decode, *e), _reduced(A, nf, self.ordering, decode))
             for e, nf in _nontrivial(self, self.overlaps)
         ]
         return CheckReport(
@@ -288,38 +296,34 @@ STAT_KEYS = (
 
 class _Relation(_Rule):
     """A relation of the working set: the ``_Rule`` of the monic ``poly``,
-    compiled once when it enters.  Its lead is the one ``poly`` recorded
-    when the engine made it (``_reduced``, ``make_monic``); only an input
-    that carries none has its lead found here.
+    its words spelled by ``spell``, compiled once when it enters.  Its lead
+    is the one ``poly`` recorded when the engine made it (``_reduced``,
+    ``make_monic``); only an input that carries none has its lead found
+    here.  ``key`` is the key of its lead under ``keyf``.
 
     ``rank`` is its place in the working set while it is there.
     ``paired`` is set once its pairs are enumerated and cleared when it
     leaves, which is for good, so queued pairs of a departed relation are
     dropped.
-    ``text`` is its support as one string: the words, each spelled by
-    ``_text``, joined by a character that is no letter, so a lead is a
-    factor of a support word exactly when its spelling is a substring of
-    ``text``.
+    ``text`` is its spelled support joined by ``chr(k)``, for an alphabet
+    of k letters spelled ``chr(0)`` to ``chr(k - 1)``; that character is no
+    letter, so a lead is a factor of a support word exactly when its
+    spelling is a substring of ``text``.
     """
 
     __slots__ = ("poly", "key", "text", "paired")
 
-    def __init__(self, poly, spec, keyf):
-        terms = poly.raw_terms()
-        _Rule.__init__(self, terms, poly._lead_letters(spec, keyf))
+    def __init__(self, poly, spec, keyf, spell):
+        lead = poly._lead_letters(spec)
+        tail = {spell(w): c for w, c in poly.raw_terms().items() if w != lead}
+        _Rule.__init__(self, tail, spell(lead))
         self.poly = poly
         self.key = keyf(self.lead)
-        self.text = chr(poly.alphabet.size).join(map(_text, terms))
+        self.text = chr(poly.alphabet.size).join([self.lead, *tail])
         self.paired = False
 
 
-def _text(u) -> str:
-    """A word as a string, one character per letter."""
-    return "".join(map(chr, u))
-
-
-def _lead_key(rel: _Relation):
-    return rel.key
+_lead_key = attrgetter("key")
 
 
 class _Engine:
@@ -334,13 +338,15 @@ class _Engine:
     lead that entered, since it was last picked; so it holds every relation
     that another relation's lead makes reducible.  A new lead finds the
     relations containing it by a substring test on each ``text`` of
-    ``rels``.
+    ``rels``.  Words are spelled by ``spell``, keyed by ``keyf`` and
+    decoded by ``decode``.
     """
 
     def __init__(self, spec, alphabet, max_deg):
         self.spec = spec
         self.alphabet = alphabet
-        self.keyf = spec.letter_key(alphabet)
+        self.spell, self.decode = _spelling(alphabet.size)
+        self.keyf = _spelled_key(spec, alphabet)
         self.max_deg = max_deg
         self.stats = dict.fromkeys(STAT_KEYS, 0)
         self.rels = []
@@ -353,7 +359,7 @@ class _Engine:
     def compile(self, poly: Polynomial) -> _Relation:
         """A new record for ``poly``, counted in ``rules_compiled``."""
         self.stats["rules_compiled"] += 1
-        return _Relation(poly, self.spec, self.keyf)
+        return _Relation(poly, self.spec, self.keyf, self.spell)
 
     def start(self, polys) -> None:
         """Enter the inputs, sorted by lead, as the working set."""
@@ -370,8 +376,7 @@ class _Engine:
         lead = rel.lead
         # the new relation may be reducible, and so may those containing its
         # lead; rel is in rels already, and its support contains its lead
-        text = _text(lead)
-        self._dirty.update(r for r in self.rels if text in r.text)
+        self._dirty.update(r for r in self.rels if lead in r.text)
         self.index.add(rel)
         self._reversed.add(rel, lead[::-1])
 
@@ -394,11 +399,13 @@ class _Engine:
         return nf
 
     def decomposition(self, steps) -> tuple:
-        A = self.alphabet
-        return tuple(
-            (Fraction(c, scale), _trusted_word(A, a), rel.poly, _trusted_word(A, b))
-            for rel, a, b, _u, c, scale in steps
-        )
+        A, decode = self.alphabet, self.decode
+        out = []
+        for rel, a, b, u, c, scale in steps:
+            # u = a*lead*b
+            _u, left, right = _read_off(A, decode, u, a, b)
+            out.append((Fraction(c, scale), left, rel.poly, right))
+        return tuple(out)
 
     def interreduce(self, removed_log) -> None:
         """Reduce each relation by the others until stable.
@@ -415,15 +422,14 @@ class _Engine:
         while self._dirty:
             r = min(self._dirty, key=_rank)
             self._dirty.remove(r)
-            if all(
-                h is r for u in r.poly.raw_terms() for _, _, held in factors(u) for h in held
-            ):
+            support = [r.lead, *(u for u, _c in r.tail)]
+            if all(h is r for u in support for _, _, held in factors(u) for h in held):
                 continue
             self._leave(r)
             steps = []
             terms = dict(r.tail)
             terms[r.lead] = r.p
-            nf = _reduced(self.alphabet, self.reduce(terms, r.p, steps), self.spec)
+            nf = _reduced(self.alphabet, self.reduce(terms, r.p, steps), self.spec, self.decode)
             decomposition = self.decomposition(steps)
             i = rels.index(r)
             if nf.is_zero():
@@ -448,7 +454,7 @@ class _Engine:
         self.stats["pairs_enumerated"] += len(ambiguities)
         for amb in ambiguities:
             if amb.degree <= self.max_deg:
-                self.queue((rels[amb.f_index], rels[amb.g_index], amb.w.letters))
+                self.queue((rels[amb.f_index], rels[amb.g_index], self.spell(amb.w.letters)))
 
     def update(self) -> None:
         """Pair every relation that entered the working set."""
@@ -532,9 +538,8 @@ def shirshov_complete(
     always enforced.
     """
     if max_deg <= 0 or max_steps <= 0:
-        raise LimitError(
-            f"max_deg and max_steps must be positive, got {max_deg} and {max_steps}"
-        )
+        got = f"{_digits(max_deg)} and {_digits(max_steps)}"
+        raise LimitError(f"max_deg and max_steps must be positive, got {got}")
     relations = tuple(relations)
     for idx, s in enumerate(relations):
         if s.is_zero():
@@ -574,9 +579,11 @@ def shirshov_complete(
             nf_terms = engine.reduce(*_compose(f, g, w, start), steps)
             if not nf_terms:
                 continue
-            nf = _reduced(A, nf_terms, spec)
+            nf = _reduced(A, nf_terms, spec, engine.decode)
             # after sorting, a paired relation's rank is its index
-            amb = Ambiguity._of(A, INTERSECTION, f.rank, g.rank, w, w[:start], w[len(f.lead) :])
+            amb = Ambiguity._of(
+                A, engine.decode, INTERSECTION, f.rank, g.rank, w, w[:start], w[len(f.lead) :]
+            )
             monic = nf.make_monic(spec)
             added.append(
                 AddedRelation(monic, nf, amb, f.poly, g.poly, engine.decomposition(steps))
@@ -644,5 +651,5 @@ def check_gsb(relations, spec, max_deg: int | None = None) -> CheckReport:
     Groebner-Shirshov basis certificate for the set.
     """
     if max_deg is not None and max_deg < 1:
-        raise LimitError(f"max_deg must be positive, got {max_deg}")
+        raise LimitError(f"max_deg must be positive, got {_digits(max_deg)}")
     return _Scan(relations, spec, max_deg).check()

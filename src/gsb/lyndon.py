@@ -45,7 +45,10 @@ def alsw_up_to(alphabet: Alphabet, max_len: int) -> list[Word]:
     tuple order, i.e. descending ``lex_cmp``; a stable bucket groups lengths.
     """
     if max_len < 1:
-        raise LimitError(f"max_len must be >= 1, got {max_len}")
+        # loaded only here, so listing Lyndon words loads no polynomial layer
+        from .poly import _digits
+
+        raise LimitError(f"max_len must be >= 1, got {_digits(max_len)}")
     top, groups, w = alphabet.size - 1, [[] for _ in range(max_len)], [-1]
     while w:
         w[-1] += 1
@@ -189,7 +192,9 @@ def nlsw_basis_count(alphabet: Alphabet, deg: int) -> int:
     d * L(d) over d | n.
     """
     if deg < 1:
-        raise LimitError(f"deg must be >= 1, got {deg}")
+        from .poly import _digits
+
+        raise LimitError(f"deg must be >= 1, got {_digits(deg)}")
     k, counts = alphabet.size, {}
     for n in (d for d in range(1, deg + 1) if deg % d == 0):
         counts[n] = (k**n - sum(d * c for d, c in counts.items() if n % d == 0)) // n

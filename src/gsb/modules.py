@@ -37,7 +37,7 @@ from fractions import Fraction
 from .completion import CheckReport, CompletionReport, RemovedRelation, _Scan, shirshov_complete
 from .errors import AlphabetMismatchError, BasisMismatchError, LimitError
 from .orderings import ModuleTop
-from .poly import ModuleElement, Polynomial, act
+from .poly import ModuleElement, Polynomial, _digits, act
 from .rewrite import GsbCertificate, RuleSet, _checked, _replay
 from .words import Alphabet, ModuleBasis, ModuleWord, Word, _trusted_word, module_code
 
@@ -225,7 +225,7 @@ def module_check_gsb(relations, spec: ModuleTop, max_deg: int | None = None) -> 
     """Evaluate every module composition; those above ``max_deg`` are
     counted in ``skipped``, never built.  Empty and unskipped = certificate."""
     if max_deg is not None and max_deg < 1:
-        raise LimitError(f"max_deg must be positive, got {max_deg}")
+        raise LimitError(f"max_deg must be positive, got {_digits(max_deg)}")
     return _ModuleScan(relations, spec, max_deg).check()
 
 
@@ -234,7 +234,7 @@ def module_irr(
 ) -> list[ModuleWord]:
     """Irreducible module words of prefix degree <= max_deg, ascending."""
     if max_deg < 0:
-        raise LimitError(f"max_deg must be >= 0, got {max_deg}")
+        raise LimitError(f"max_deg must be >= 0, got {_digits(max_deg)}")
     codec = _Codec(alphabet, basis)
     leads = {lead for _terms, lead in _checked(codec.encode(relations), spec)}
     code_alphabet, encode, _ = module_code(alphabet, basis)

@@ -5,12 +5,24 @@ whose natural comparison agrees with the ordering, so ``sorted``/``max``
 work directly.  ``compare`` returns -1, 0 or +1 and returns 0 only on
 structural equality.  All comparisons are pure functions of (spec, words);
 several orderings can coexist in one process.
+
+The rewriting engine spells a word as a string (``_spelling``): letter x
+of a k-letter alphabet is the character ``chr(k - 1 - x)``, so within a
+degree string order is deg-lex order.  ``_spelled_key`` gives each
+ordering's key on spellings, which compares as ``letter_key`` does on the
+letters: ``(len(s), s)`` for ``DegLex``, the same pair on each segment
+between stable letters for ``Tower``, and for ``ModuleTop`` the word
+order's key on the reversed prefix, then the generator character.  Any
+other ordering, a subclass included, keeps its own ``letter_key``, applied
+to the decoded word.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import neg
 
 from .errors import (
@@ -53,14 +65,16 @@ class Tower:
     stable: str = "t"
     stable_inv: str = "t^-1"
 
-    def letter_key(self, alphabet: Alphabet):
+    def _stable_letters(self, alphabet: Alphabet) -> tuple[int, int]:
         try:
-            up = alphabet.index(self.stable)
-            down = alphabet.index(self.stable_inv)
+            return alphabet.index(self.stable), alphabet.index(self.stable_inv)
         except UnknownSymbolError as exc:
             raise TowerSymbolMissingError(
                 f"tower letters ({self.stable}, {self.stable_inv}) not in alphabet"
             ) from exc
+
+    def letter_key(self, alphabet: Alphabet):
+        up, down = self._stable_letters(alphabet)
 
         def key(letters):
             parts = []
@@ -101,6 +115,60 @@ class ModuleTop:
     def key(self, mw: ModuleWord):
         alphabet, encode, _ = module_code(mw.prefix.alphabet, mw.basis)
         return self.letter_key(alphabet)(encode(mw.prefix.letters, mw.generator))
+
+
+@lru_cache(maxsize=None)
+def _spelling(size: int):
+    """``(spell, decode)`` for words over a ``size``-letter alphabet: ``spell``
+    takes a letter tuple to its string, letter x to ``chr(size - 1 - x)``,
+    and ``decode`` takes the string back, each through one table.  The pair
+    is built once per size, as ``words.module_code`` is per alphabet."""
+    chars = [chr(size - 1 - x) for x in range(size)]
+    char, letter = chars.__getitem__, {c: x for x, c in enumerate(chars)}.__getitem__
+
+    def spell(letters) -> str:
+        return "".join(map(char, letters))
+
+    def decode(s: str) -> tuple[int, ...]:
+        return tuple(map(letter, s))
+
+    return spell, decode
+
+
+def _spelled_deglex_key(s: str):
+    return (len(s), s)
+
+
+def _spelled_key(spec, alphabet: Alphabet):
+    """The key of ``spec`` on spellings over ``alphabet``: keys of two
+    spellings compare as ``spec.letter_key(alphabet)`` does on their letters,
+    and are equal only for equal words.  Picked by exact type, so any other
+    ordering, a subclass included, gets its own ``letter_key`` over the
+    decoded word."""
+    kind = type(spec)
+    if kind is DegLex:
+        return _spelled_deglex_key
+    if kind is Tower:
+        spell = _spelling(alphabet.size)[0]
+        up, down = spec._stable_letters(alphabet)
+        up, down = spell((up,)), spell((down,))
+        split = re.compile(f"([{re.escape(up + down)}])").split
+        # up last, so it wins should the two stable symbols be one letter
+        sign = {down: -1, up: 1}.__getitem__
+
+        def tower_key(s):
+            # [u0, t1, u1, ..., tn, un]: base segments between stable letters
+            parts = split(s)
+            parts[::2] = [(len(u), u) for u in parts[::2]]
+            parts[1::2] = map(sign, parts[1::2])
+            return (len(parts) // 2, *parts)
+
+        return tower_key
+    if kind is ModuleTop:
+        wkey = _spelled_key(spec.word_order, alphabet)
+        return lambda s: (wkey(s[:0:-1]), s[0])
+    keyf, decode = spec.letter_key(alphabet), _spelling(alphabet.size)[1]
+    return lambda s: keyf(decode(s))
 
 
 def _compare_keys(ku, kv) -> int:

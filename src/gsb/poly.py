@@ -468,7 +468,10 @@ def _int_of_digits(digits: str) -> int:
 
 
 def _digits(n: int) -> str:
-    """The decimal digits of an int >= 0, written in chunks of ``_CHUNK_DIGITS``."""
+    """The decimal digits of an int, a minus sign first when it is negative,
+    written in chunks of ``_CHUNK_DIGITS``."""
+    if n < 0:
+        return "-" + _digits(-n)
     chunks = []
     while n >= _CHUNK:
         n, low = divmod(n, _CHUNK)

@@ -23,6 +23,15 @@ The overlaps of a compiled set (``_all_overlaps``) and their compositions
 so this module imports nothing from ``completion``, whose engine files
 each relation under its lead and, in a second index, its reversed lead.
 
+Inside the engine a word is a string, one character per letter
+(``orderings._spelling``), whose hash is cached and whose deg-lex key is
+``(len(s), s)`` (``orderings._spelled_key``).  Words are spelled once,
+where they enter: the rules' leads and tails in ``compile_rules`` and the
+input terms in ``RuleSet._nf``.  Rule words, the work and key maps of
+``_reduce``, the trie, compositions and overlaps stay spelled, and words
+are decoded to letter tuples only where they leave: ``_reduced``, the
+steps of ``normal_form_with_trace``, and what ``completion`` logs.
+
 Irreducible words are listed and counted through ``_LeadAutomaton``, the
 Aho–Corasick automaton of the leads, whose states form the Ufnarovski
 graph: ``irr_words``, ``irr_counts`` and the oracle read leads alone from
@@ -41,7 +50,9 @@ import random
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, inf, lcm
+from operator import attrgetter
 
 from .errors import (
     AlphabetMismatchError,
@@ -50,7 +61,7 @@ from .errors import (
     NonMonicRelationError,
     UncertifiedBasisError,
 )
-from .orderings import DegLex
+from .orderings import DegLex, _spelled_key, _spelling
 from .poly import Polynomial, _digits
 from .words import Alphabet, Word, _set_word_alphabet, _set_word_letters, _trusted_word
 
@@ -76,8 +87,7 @@ def _checked(relations, spec, alphabet=None):
         yield terms, lead
 
 
-def _rank(rule):
-    return rule.rank
+_rank = attrgetter("rank")
 
 
 def _integer_row(pairs):
@@ -90,9 +100,10 @@ def _integer_row(pairs):
 
 class _Rule:
     """The integer row ``p*lead + tail`` of the monic relation with term
-    map ``terms``, ``lead + tail/p``; ``p`` is the lcm of the denominators
-    of the monic form, so the row is primitive.  A public call ranks its
-    rules by relation index, the completion engine by place in its set.
+    map ``terms``, ``lead + tail/p``, its words spelled (``terms`` may leave
+    the lead out); ``p`` is the lcm of the denominators of the monic form,
+    so the row is primitive.  A public call ranks its rules by relation
+    index, the completion engine by place in its set.
     """
 
     __slots__ = ("lead", "tail", "rank", "p")
@@ -104,9 +115,18 @@ class _Rule:
 
 
 def compile_rules(relations, spec, alphabet=None) -> list:
-    """The integer-row ``_Rule`` of each checked relation, ranked by position."""
-    checked = _checked(relations, spec, alphabet)
-    return [_Rule(terms, lead, idx) for idx, (terms, lead) in enumerate(checked)]
+    """The integer-row ``_Rule`` of each checked relation, ranked by position,
+    its words spelled over ``alphabet`` (None: the first relation's)."""
+    relations = tuple(relations)
+    if not relations:
+        return []
+    if alphabet is None:
+        alphabet = relations[0].alphabet
+    spell = _spelling(alphabet.size)[0]
+    return [
+        _Rule({spell(w): c for w, c in terms.items() if w != lead}, spell(lead), idx)
+        for idx, (terms, lead) in enumerate(_checked(relations, spec, alphabet))
+    ]
 
 
 class _RuleIndex:
@@ -116,12 +136,13 @@ class _RuleIndex:
 
     ``trie`` has one node per prefix of a filed word, its root the empty
     prefix.  A node is a list ``[children, held, below]``: ``children`` maps
-    a letter to the node one letter longer, ``held`` is None where no word
-    ends and otherwise lists the rules filed under the node's word, lowest
-    rank first, and ``below`` lists, in no particular order, the rules whose
-    word has the node's prefix as a proper prefix.  A node with no child
-    and no rule is pruned.  Each rule is a ``_Rule``; ranks are distinct,
-    lower first, and may change only while no word has two rules.
+    a letter (a character of the spelling) to the node one letter longer,
+    ``held`` is None where no word ends and otherwise lists the rules filed
+    under the node's word, lowest rank first, and ``below`` lists, in no
+    particular order, the rules whose word has the node's prefix as a
+    proper prefix.  A node with no child and no rule is pruned.  Each rule
+    is a ``_Rule``; ranks are distinct, lower first, and may change only
+    while no word has two rules.
     """
 
     __slots__ = ("trie",)
@@ -200,25 +221,27 @@ class _RuleIndex:
         cost one lookup.
         """
         root, empty, _ = self.trie
+        first = root.get
         # the empty lead matches at position 0 of every word
         best = None if empty is None else empty[0]
         n = len(u)
-        for i in range(n + 1):
-            children = root
-            j = i
-            while j < n:
-                node = children.get(u[j])
-                if node is None:
-                    break
+        for i, c in enumerate(u):
+            node = first(c)
+            j = i + 1
+            while node is not None:
                 children, held, _ = node
                 if held is not None:
                     rule = held[0]
                     if best is None or rule.rank < best.rank:
                         best = rule
+                if j == n:
+                    break
+                node = children.get(u[j])
                 j += 1
             if best is not None:
                 return i, best
-        return None
+        # only the empty lead matches in the empty word
+        return None if best is None else (0, best)
 
 
 def _all_matches(u, rules):
@@ -241,7 +264,8 @@ _CONTENT_BITS = 64
 def _reduce(terms, scale, index, keyf, steps=None):
     """Core rewriting loop; returns the normal form of ``terms / scale``.
 
-    ``terms`` maps words to integers and is consumed.  The work is an
+    ``terms`` maps spelled words to integers and is consumed, and ``keyf``
+    is the ordering's key on spellings.  The work is an
     integer map W and a scale S and stands for W/S.  A step on the word u,
     with W[u] = c, by a rule with integer row ``p*lead + tail`` takes
     g = gcd(c, p), multiplies W and S by p/g and subtracts (c/g)*a*tail*b:
@@ -376,19 +400,29 @@ class ReductionTrace:
         return _replay(self.residual, steps)
 
 
-def _reduced(alphabet: Alphabet, nf: dict, spec) -> Polynomial:
+def _read_off(alphabet: Alphabet, decode, w, a, b) -> tuple[Word, Word, Word]:
+    """The words w, a and b over ``alphabet`` from their spellings, where
+    ``a`` is a prefix of ``w`` and ``b`` a suffix: only ``w`` is decoded."""
+    u, word = decode(w), _trusted_word
+    return word(alphabet, u), word(alphabet, u[: len(a)]), word(alphabet, u[len(u) - len(b) :])
+
+
+def _reduced(alphabet: Alphabet, nf: dict, spec, decode) -> Polynomial:
     """The output of ``_reduce`` under the ordering ``spec`` as a polynomial,
-    which records its first word as its lead: no word comes before it."""
-    for lead in nf:
-        return Polynomial._of(alphabet, nf, spec, lead)
-    return Polynomial._of(alphabet, nf)
+    its words decoded by ``decode``, which records its first word as its
+    lead: no word comes before it."""
+    terms = {decode(w): c for w, c in nf.items()}
+    for lead in terms:
+        return Polynomial._of(alphabet, terms, spec, lead)
+    return Polynomial._of(alphabet, terms)
 
 
 class RuleSet:
     """A relation set compiled once, for any number of normal forms: its
     relations, checked nonzero, monic and over the alphabet of the first,
-    as ``_Rule``s ranked by index, their ``_RuleIndex`` and the letter key.
-    A polynomial it reduces must be over that alphabet."""
+    as ``_Rule``s ranked by index, their ``_RuleIndex``, the spelling of
+    that alphabet and the ordering's key on it.  A polynomial it reduces
+    must be over that alphabet; the empty set takes the polynomial's."""
 
     def __init__(self, relations, ordering):
         self.relations = tuple(relations)
@@ -396,18 +430,20 @@ class RuleSet:
         self.alphabet = A = self.relations[0].alphabet if self.relations else None
         self.rules = compile_rules(self.relations, ordering, A)
         self.index = _RuleIndex(self.rules)
-        self.keyf = None if A is None else ordering.letter_key(A)
+        self.spell, self.decode = (None, None) if A is None else _spelling(A.size)
+        self.keyf = None if A is None else _spelled_key(ordering, A)
 
     def _nf(self, p: Polynomial, steps=None) -> Polynomial:
-        """``p`` reduced by the set, scaled to integers on the way in."""
-        A, keyf = self.alphabet, self.keyf
+        """``p`` reduced by the set, spelled and scaled to integers on the way in."""
+        A, spell, decode, keyf = self.alphabet, self.spell, self.decode, self.keyf
         if A is None:
-            keyf = self.ordering.letter_key(p.alphabet)
+            A = p.alphabet
+            (spell, decode), keyf = _spelling(A.size), _spelled_key(self.ordering, A)
         elif p.alphabet is not A and p.alphabet != A:
             raise AlphabetMismatchError("the polynomial lives over a different alphabet")
         scale, terms = _integer_row(p.raw_terms().items())
-        nf = _reduce(dict(terms), scale, self.index, keyf, steps)
-        return _reduced(p.alphabet, nf, self.ordering)
+        nf = _reduce({spell(w): c for w, c in terms}, scale, self.index, keyf, steps)
+        return _reduced(A, nf, self.ordering, decode)
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """Reduce ``p`` by the set; the result avoids every leading word."""
@@ -415,13 +451,14 @@ class RuleSet:
 
     def normal_form_with_trace(self, p: Polynomial) -> tuple[Polynomial, ReductionTrace]:
         """``normal_form(p)`` and the replayable record of its steps."""
-        raw_steps, A, word = [], p.alphabet, _trusted_word
+        raw_steps, A, decode = [], p.alphabet, self.decode
         nf = self._nf(p, raw_steps)
-        steps = tuple(
-            ReductionStep(rule.rank, word(A, a), word(A, b), word(A, u), Fraction(c, scale))
-            for rule, a, b, u, c, scale in raw_steps
-        )
-        return nf, ReductionTrace(steps, nf)
+        steps = []
+        for rule, a, b, u, c, scale in raw_steps:
+            # u = a*lead*b
+            u, left, right = _read_off(A, decode, u, a, b)
+            steps.append(ReductionStep(rule.rank, left, right, u, Fraction(c, scale)))
+        return nf, ReductionTrace(tuple(steps), nf)
 
 
 INTERSECTION = "intersection"
@@ -455,6 +492,7 @@ def _all_overlaps(rules, index: _RuleIndex, keyf, max_deg=None) -> tuple[list, i
     """The ambiguities among the ranked ``rules``, which ``index`` holds, on
     at most ``max_deg`` letters, as raw ``(kind, i, j, w, a, b)`` sorted by
     (w, i, j, kind, len(a)), and the count of the rest, which are never built.
+    Words are the rules' spellings, and ``keyf`` is the key on them.
 
     Intersections probe the index's trie with the proper suffixes of every
     lead; inclusions walk it from each position of every lead.  Equal leads
@@ -487,7 +525,8 @@ def _all_overlaps(rules, index: _RuleIndex, keyf, max_deg=None) -> tuple[list, i
 
 def _nontrivial(compiled: RuleSet, overlaps):
     """Yield ``(overlap, normal form)`` of each raw overlap of the compiled
-    set whose composition does not reduce to zero by it, in order."""
+    set whose composition does not reduce to zero by it, in order; the
+    normal form is ``_reduce``'s, on spellings."""
     rules, index, keyf = compiled.rules, compiled.index, compiled.keyf
     for e in overlaps:
         _kind, i, j, w, a, _b = e
@@ -587,28 +626,32 @@ def irr_words(alphabet: Alphabet, relations, spec, max_deg: int) -> list[Word]:
     already sorted; other orderings sort the listing once.
     """
     if max_deg < 0:
-        raise LimitError(f"max_deg must be >= 0, got {max_deg}")
+        raise LimitError(f"max_deg must be >= 0, got {_digits(max_deg)}")
     leads = _leads(alphabet, relations, spec)
     if () in leads:
         return []  # the unit is in the ideal: nothing is irreducible
     automaton = _LeadAutomaton(leads, range(alphabet.size - 1, -1, -1))
     found = [()]
-    frontier = [((), 0)]
+    # the frontier as parallel lists of words and their states: no pair per word
+    words, states = [()], [0]
     for _ in range(max_deg):
         rows = automaton.grow()
-        frontier = [(w + x, n) for w, s in frontier for x, n in rows[s]]
-        found.extend(w for w, _s in frontier)
+        next_words, next_states = [], []
+        add_word, add_state = next_words.append, next_states.append
+        for w, s in zip(words, states):
+            for x, n in rows[s]:
+                add_word(w + x)
+                add_state(n)
+        words, states = next_words, next_states
+        found.extend(words)
     if not isinstance(spec, DegLex):
         found.sort(key=spec.letter_key(alphabet))
-    # one loop wraps the listing, as _trusted_word does, with its calls bound here
-    new, set_alphabet, set_letters = object.__new__, _set_word_alphabet, _set_word_letters
-    words = []
-    for w in found:
-        word = new(Word)
-        set_alphabet(word, alphabet)
-        set_letters(word, w)
-        words.append(word)
-    return words
+    # wrapped as _trusted_word does, with no Python-level loop per word; the
+    # setters return None, so any() runs each map to its end
+    out = list(map(object.__new__, repeat(Word, len(found))))
+    any(map(_set_word_alphabet, out, repeat(alphabet)))
+    any(map(_set_word_letters, out, found))
+    return out
 
 
 def irr_counts(alphabet: Alphabet, relations, spec, max_deg: int) -> list[int]:
@@ -619,7 +662,7 @@ def irr_counts(alphabet: Alphabet, relations, spec, max_deg: int) -> list[int]:
     (the Ufnarovski graph of the leads) without building a word.
     """
     if max_deg < 0:
-        raise LimitError(f"max_deg must be >= 0, got {max_deg}")
+        raise LimitError(f"max_deg must be >= 0, got {_digits(max_deg)}")
     spec.letter_key(alphabet)  # rejects an ordering the alphabet lacks, as irr_words does
     leads = _leads(alphabet, relations, spec)
     if () in leads:
@@ -724,14 +767,13 @@ def quotient_dims(
     row is built.  Anything but a positive int raises ``LimitError``.
     """
     if max_deg < 0:
-        raise LimitError(f"max_deg must be >= 0, got {max_deg}")
+        raise LimitError(f"max_deg must be >= 0, got {_digits(max_deg)}")
     if capacity is None:
         capacity = DEFAULT_WORD_CAPACITY
     elif type(capacity) is not int:
         raise LimitError(f"capacity must be a positive int, not {type(capacity).__name__}")
     elif capacity <= 0:
-        got = f"-{_digits(-capacity)}" if capacity else "0"
-        raise LimitError(f"capacity must be a positive int, got {got}")
+        raise LimitError(f"capacity must be a positive int, got {_digits(capacity)}")
     k = alphabet.size
     # offsets[n]: the number of words of degree < n, the first number of degree n
     offsets = [0]

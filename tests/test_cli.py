@@ -288,6 +288,31 @@ def test_construct_refuses_a_table_key_spelled_twice(kind, table, message, tmp_p
 
 
 @pytest.mark.parametrize(
+    "kind, flag, text, key",
+    [
+        ("hnn", "--table", '{"size": 2, "product": {"1 1": 2, "1 1": 0}, "inverse": {}}', "1 1"),
+        ("hnn", "--table", '{"size": 2, "size": 2, "product": {}, "inverse": {}}', "size"),
+        ("simple", "--table", '{"basis": ["x1"], "product": {"1 1": "x1", "1 1": "x1"}}', "1 1"),
+        ("simple", "--pairs", '{"pairs": [{"f": "x1", "g": "x1", "f": "x1"}]}', "f"),
+    ],
+    ids=["hnn-product", "hnn-top-level", "simple-product", "simple-pairs"],
+)
+def test_construct_refuses_a_json_key_given_twice(kind, flag, text, key, tmp_path, capsys):
+    # json keeps the last value of a key given twice, which would drop the first
+    path = tmp_path / "given.json"
+    path.write_text(text)
+    args = ["construct", kind, flag, str(path)]
+    if flag == "--pairs":
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"basis": ["x1"], "product": {"1 1": "x1"}}))
+        args += ["--table", str(table)]
+    out = tmp_path / "t.pres"
+    assert run([*args, "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: key {key!r} is given twice\n"
+    assert not out.exists() and not (tmp_path / "t.pres.cert.json").exists()
+
+
+@pytest.mark.parametrize(
     "kind, flags",
     [
         ("hnn", {"-o", "--output", "--cert", "--cyclic", "--table", "--index-bound"}),

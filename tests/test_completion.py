@@ -26,7 +26,7 @@ from gsb.errors import (
     MalformedAmbiguityError,
     ZeroPolynomialError,
 )
-from gsb.orderings import DegLex
+from gsb.orderings import DegLex, _deglex_key
 from gsb.poly import Polynomial, parse_polynomial
 from gsb.rewrite import _Rule, _RuleIndex, normal_form, normal_form_with_trace
 from gsb.words import Alphabet
@@ -793,6 +793,36 @@ def test_braid_degree_10_counters_pinned():
     }
 
 
+def test_braid_on_three_letters_of_three_hundred_completes_as_on_three():
+    # letters 0, 150 and 299 spell as chr(299), chr(149) and chr(0), past
+    # Latin-1; named a, b and c, they print as the three-letter run does
+    symbols = [f"x{i}" for i in range(300)]
+    symbols[0], symbols[150], symbols[299] = "a", "b", "c"
+    wide = Alphabet(tuple(symbols))
+    narrow = shirshov_complete([p(t, ABC) for t in BRAID], SPEC, max_deg=10)
+    report = shirshov_complete([p(t, wide) for t in BRAID], SPEC, max_deg=10)
+    assert [r.alphabet for r in report.relations] == [wide] * 47
+    assert _completion_dump(report) == _completion_dump(narrow)
+    assert report.stats == narrow.stats
+    assert report.verify_ideal_preservation()
+
+
+def test_a_deglex_subclass_completes_by_its_own_key():
+    # the subclass reverses letter precedence, so it must complete as deg-lex
+    # over the reversed alphabet, not as its base class over this one
+    class ReversedDegLex(DegLex):
+        def letter_key(self, alphabet):
+            last = alphabet.size - 1
+            return lambda letters: _deglex_key(tuple(last - x for x in letters))
+
+    reversed_abc = Alphabet(("c", "b", "a"))
+    report = shirshov_complete([p(t, ABC) for t in BRAID], ReversedDegLex(), max_deg=10)
+    expected = shirshov_complete([p(t, reversed_abc) for t in BRAID], SPEC, max_deg=10)
+    as_base = shirshov_complete([p(t, ABC) for t in BRAID], SPEC, max_deg=10)
+    assert _completion_dump(report) == _completion_dump(expected) != _completion_dump(as_base)
+    assert report.verify_ideal_preservation()
+
+
 def test_braid_degree_14_pinned():
     report = shirshov_complete([p(t, ABC) for t in BRAID], SPEC, max_deg=14)
     assert report.status_text() == "CompleteUpToDegree(14)"
@@ -1056,7 +1086,7 @@ def test_new_lead_marks_exactly_the_relations_containing_it():
         assert not engine._dirty
         rel = engine.compile(_random_support(rng, A))
         engine.append(rel)
-        f = rel.lead
+        f = engine.decode(rel.lead)
         expected = {rel} | {
             r for r in engine.rels if any(_is_factor(f, u) for u in r.poly.raw_terms())
         }

@@ -15,7 +15,7 @@ import pytest
 
 from gsb.completion import check_gsb, shirshov_complete
 from gsb.errors import NonMonicRelationError, ZeroPolynomialError
-from gsb.orderings import DegLex, ModuleTop, Tower, _deglex_key
+from gsb.orderings import DegLex, ModuleTop, Tower, _deglex_key, _spelled_key, _spelling
 from gsb.poly import ModuleElement, Polynomial, parse_module_element, parse_polynomial
 from gsb.presentation import ModulePresentation, Presentation
 from gsb.rewrite import (
@@ -185,7 +185,10 @@ def _descending_after_reduce(codes, p, spec, alphabet):
     keyf = spec.letter_key(alphabet)
     index = _RuleIndex(compile_rules(codes, spec, alphabet))
     scale, terms = _integer_row(p.raw_terms().items())
-    out = list(_reduce(dict(terms), scale, index, keyf))
+    # the engine reduces spelled words; its output is decoded to be keyed
+    spell, decode = _spelling(alphabet.size)
+    spelled = _reduce({spell(w): c for w, c in terms}, scale, index, _spelled_key(spec, alphabet))
+    out = list(map(decode, spelled))
     keys = [keyf(w) for w in out]
     if out:
         assert out[0] == max(out, key=keyf)

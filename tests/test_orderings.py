@@ -11,6 +11,8 @@ from gsb.orderings import (
     DegLex,
     ModuleTop,
     Tower,
+    _spelled_key,
+    _spelling,
     check_monomial,
     compare,
     compare_module,
@@ -139,3 +141,37 @@ def test_check_monomial_rejects_bad_samples():
         check_monomial(DegLex(), AB, 0, seed=1)
     with pytest.raises(ValueError):
         check_monomial(ModuleTop(), AB, 10, seed=1)
+
+
+@pytest.mark.parametrize("size", [3, 300])
+@pytest.mark.parametrize(
+    "spec",
+    [DegLex(), Tower(), ModuleTop(), ModuleTop(Tower())],
+    ids=["deglex", "tower", "module-top", "module-tower"],
+)
+def test_spelled_keys_compare_as_letter_keys(spec, size):
+    # 300 letters spell past Latin-1; the stable letters are 1 and the last
+    symbols = [f"x{i}" for i in range(size)]
+    symbols[1], symbols[-1] = "t", "t^-1"
+    alphabet = Alphabet(tuple(symbols))
+    letter_key, key = spec.letter_key(alphabet), _spelled_key(spec, alphabet)
+    spell, decode = _spelling(size)
+    rng = random.Random(size)
+    # few letters, so equal lengths, shared prefixes and equal words all occur
+    pool = sorted({0, 1, size // 2, size - 2, size - 1})
+
+    def word():
+        return tuple(rng.choice(pool) for _ in range(rng.randint(1, 7)))
+
+    seen = set()
+    for _ in range(2000):
+        u = word()
+        v = rng.choice((u, word(), u[:-1] + word()[:1], u + word()[:1]))
+        assert decode(spell(u)) == u
+        ku, kv = key(spell(u)), key(spell(v))
+        lu, lv = letter_key(u), letter_key(v)
+        order = (ku < kv) - (ku > kv)
+        assert order == (lu < lv) - (lu > lv), (u, v)
+        assert (ku == kv) == (u == v)
+        seen.add(order)
+    assert seen == {-1, 0, 1}

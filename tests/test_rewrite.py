@@ -337,6 +337,43 @@ def test_quotient_dims_raise_where_the_oracle_does():
                 f(alphabet, rels, spec, max_deg, capacity=cap)
 
 
+HUGE = -(10**5000)
+
+
+def _limit_cases():
+    from gsb.completion import check_gsb
+    from gsb.lyndon import alsw_up_to, nlsw_basis_count
+    from gsb.modules import module_check_gsb, module_complete, module_irr
+    from gsb.orderings import ModuleTop
+    from gsb.poly import parse_module_element
+    from gsb.words import ModuleBasis
+
+    y = ModuleBasis(("y1", "y2"))
+    module = [parse_module_element("a*y1 - y2", AB, y)]
+    return {
+        "irr_words": lambda: irr_words(AB, GSB, SPEC, HUGE),
+        "irr_counts": lambda: irr_counts(AB, GSB, SPEC, HUGE),
+        "quotient_dims": lambda: quotient_dims(AB, GSB, SPEC, HUGE),
+        "quotient_dim_oracle": lambda: quotient_dim_oracle(AB, GSB, SPEC, HUGE),
+        "shirshov_complete-max_deg": lambda: shirshov_complete(GSB, SPEC, max_deg=HUGE),
+        "shirshov_complete-max_steps": lambda: shirshov_complete(GSB, SPEC, max_steps=HUGE),
+        "check_gsb": lambda: check_gsb(GSB, SPEC, max_deg=HUGE),
+        "module_complete": lambda: module_complete(module, ModuleTop(), max_deg=HUGE),
+        "module_check_gsb": lambda: module_check_gsb(module, ModuleTop(), max_deg=HUGE),
+        "module_irr": lambda: module_irr(AB, y, module, ModuleTop(), HUGE),
+        "alsw_up_to": lambda: alsw_up_to(AB, HUGE),
+        "nlsw_basis_count": lambda: nlsw_basis_count(AB, HUGE),
+    }
+
+
+@pytest.mark.parametrize("name", list(_limit_cases()))
+def test_a_limit_past_the_int_digit_limit_raises_limit_error(name):
+    # str() of an int past Python's int/str digit limit raises ValueError,
+    # so the message writes the value in chunks
+    with pytest.raises(LimitError, match="-1" + "0" * 5000):
+        _limit_cases()[name]()
+
+
 def test_braid_degree_10_irr_words_pinned():
     # SHA-256 of the listing, one word per line
     abc = Alphabet(("a", "b", "c"))
