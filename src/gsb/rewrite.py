@@ -32,10 +32,12 @@ input terms in ``RuleSet._nf``.  Rule words, the work and key maps of
 are decoded to letter tuples only where they leave: ``_reduced``, the
 steps of ``normal_form_with_trace``, and what ``completion`` logs.
 
-Irreducible words are listed and counted through ``_LeadAutomaton``, the
+Irreducible words are listed by ``irr_words`` one degree at a time, each
+degree a sorted list of letter tuples cut into ranges by the rests of the
+leads, and counted by ``irr_counts`` over ``_LeadAutomaton``, the
 Aho–Corasick automaton of the leads, whose states form the Ufnarovski
-graph: ``irr_words``, ``irr_counts`` and the oracle read leads alone from
-``_checked`` and build no tail.
+graph.  Both, and the oracle, read leads alone from ``_checked`` and build
+no tail.
 
 The randomized cross-check (``normal_form_random``) builds its own
 ``Fraction`` tails and scans every rule by brute force, and the dimension
@@ -47,7 +49,7 @@ independent of the index and of the rules' integer rows.
 from __future__ import annotations
 
 import random
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -554,58 +556,47 @@ def normal_form_random(p: Polynomial, relations, spec, rng: random.Random) -> Po
 
 
 class _LeadAutomaton:
-    """Aho–Corasick automaton over a set of leading words, built lazily.
+    """Aho–Corasick automaton over a set of leading words, built lazily, for
+    counting irreducible words without listing them.
 
     A state is the longest suffix of the word read so far that is a proper
-    prefix of some lead; state 0 is the empty suffix.  The row of a state
-    lists ``(letter tuple, next state)`` for each letter, in the order of
-    ``letters``, whose appending leaves no lead as a suffix; the letters
-    that complete a lead are left out.  Rows are built by ``grow``, only
-    for states a word has reached, and the set of proper lead prefixes on
-    its first call, so a listing of degree 0 builds none.
+    prefix of some lead; ``ids`` numbers the states in the order they are
+    reached, the empty suffix 0.  The row of a state lists the next state
+    for each letter of a ``size``-letter alphabet whose appending leaves no
+    lead as a suffix; the letters that complete a lead are left out.  Rows
+    are built by ``grow``, only for states a word has reached.
     """
 
-    __slots__ = ("leads", "prefixes", "letters", "suffixes", "ids", "rows")
+    __slots__ = ("leads", "prefixes", "size", "ids", "rows")
 
-    def __init__(self, leads, letters):
+    def __init__(self, leads, size):
         self.leads = leads
-        self.prefixes = None
-        self.letters = letters
-        self.suffixes = [()]
+        self.prefixes = {lead[:o] for lead in leads for o in range(len(lead))}
+        self.size = size
         self.ids = {(): 0}
         self.rows = []
 
     def grow(self) -> list:
         """Build the rows of the states found since the last call; the rows."""
-        if self.prefixes is None:
-            self.prefixes = {lead[:o] for lead in self.leads for o in range(len(lead))}
-        rows = self.rows
-        for s in range(len(rows), len(self.suffixes)):
-            rows.append(self._row(self.suffixes[s]))
+        leads, prefixes, ids, rows = self.leads, self.prefixes, self.ids, self.rows
+        for suffix in list(ids)[len(rows) :]:
+            # a lead or lead prefix ending at the new letter x is x after a proper
+            # prefix of that lead, which is a suffix of ``suffix``: the suffixes
+            # of suffix + x are the only candidates
+            row = []
+            for x in range(self.size):
+                t = suffix + (x,)
+                state = ()
+                for i in range(len(t)):
+                    u = t[i:]
+                    if u in leads:
+                        break
+                    if not state and u in prefixes:
+                        state = u
+                else:
+                    row.append(ids.setdefault(state, len(ids)))
+            rows.append(row)
         return rows
-
-    def _row(self, suffix):
-        # a lead or lead prefix ending at the new letter x is x after a proper
-        # prefix of that lead, which is a suffix of ``suffix``: the suffixes
-        # of suffix + x are the only candidates
-        leads, prefixes, ids, suffixes = self.leads, self.prefixes, self.ids, self.suffixes
-        row = []
-        for x in self.letters:
-            t = suffix + (x,)
-            state = ()
-            for i in range(len(t)):
-                u = t[i:]
-                if u in leads:
-                    break
-                if not state and u in prefixes:
-                    state = u
-            else:
-                n = ids.get(state)
-                if n is None:
-                    n = ids[state] = len(suffixes)
-                    suffixes.append(state)
-                row.append(((x,), n))
-        return row
 
 
 def _leads(alphabet, relations, spec):
@@ -618,33 +609,53 @@ def irr_words(alphabet: Alphabet, relations, spec, max_deg: int) -> list[Word]:
     Returned in increasing order under the given ordering; includes the
     empty word (the algebra unit) whenever it is irreducible.
 
-    Each degree extends the words of the one before through a
-    ``_LeadAutomaton`` over the leads: a word carries its state, and one
-    row lists the letters it may take, so extending costs no subword
-    probe.  Letters are taken in descending index, the order deg-lex
-    ranks them ascending, so under ``DegLex`` every degree comes out
-    already sorted; other orderings sort the listing once.
+    Each degree is built from the one before, kept as letter tuples in
+    ascending tuple order.  A word x*w of degree d + 1 is irreducible
+    exactly when w is irreducible and starts with no rest ``lead[1:]`` of a
+    lead that begins with x: the irreducible words of degree d have no lead
+    inside, so a lead can only sit at the front of x*w.  In the sorted level
+    the words that start with a rest form one range, found by two
+    bisections, so the block of x is the level less a few ranges, and each
+    kept piece is prefixed with x at C speed, with no step per word in
+    bytecode; a lead longer than max_deg never cuts.  The blocks of the
+    letters in ascending index make the next level, again in ascending
+    tuple order.  Deg-lex ranks a lower index as the greater letter, so
+    under ``DegLex`` itself each level reversed is in increasing order;
+    any other ordering, a ``DegLex`` subclass included, sorts the listing
+    once by its own key.
     """
     if max_deg < 0:
         raise LimitError(f"max_deg must be >= 0, got {_digits(max_deg)}")
     leads = _leads(alphabet, relations, spec)
     if () in leads:
         return []  # the unit is in the ideal: nothing is irreducible
-    automaton = _LeadAutomaton(leads, range(alphabet.size - 1, -1, -1))
+    deglex = type(spec) is DegLex
     found = [()]
-    # the frontier as parallel lists of words and their states: no pair per word
-    words, states = [()], [0]
-    for _ in range(max_deg):
-        rows = automaton.grow()
-        next_words, next_states = [], []
-        add_word, add_state = next_words.append, next_states.append
-        for w, s in zip(words, states):
-            for x, n in rows[s]:
-                add_word(w + x)
-                add_state(n)
-        words, states = next_words, next_states
-        found.extend(words)
-    if not isinstance(spec, DegLex):
+    if max_deg:
+        k = alphabet.size
+        # the rests lead[1:] under each first letter, in ascending order; a lead
+        # longer than max_deg cuts no word
+        rests = [[] for _ in range(k)]
+        for lead in sorted(leads):
+            if len(lead) <= max_deg:
+                rests[lead[0]].append(lead[1:])
+        level = [()]
+        for d in range(max_deg):
+            nxt = []
+            for x, xrests in enumerate(rests):
+                prefix = (x,).__add__
+                start = 0
+                for r in xrests:
+                    if len(r) <= d:
+                        # the words starting with r run from r up to r + (k,), past every
+                        # letter; ascending rests cut in ascending order, and the slice is
+                        # empty where a cut starts inside the one before
+                        nxt.extend(map(prefix, level[start : bisect_left(level, r)]))
+                        start = max(start, bisect_left(level, r + (k,)))
+                nxt.extend(map(prefix, level[start:]))
+            level = nxt
+            found.extend(reversed(level) if deglex else level)
+    if not deglex:
         found.sort(key=spec.letter_key(alphabet))
     # wrapped as _trusted_word does, with no Python-level loop per word; the
     # setters return None, so any() runs each map to its end
@@ -658,7 +669,7 @@ def irr_counts(alphabet: Alphabet, relations, spec, max_deg: int) -> list[int]:
     """The number of irreducible words of each degree 0..max_deg.
 
     Entry ``d`` is the number of degree-``d`` words in ``irr_words``,
-    counted by dynamic programming over the states of the same automaton
+    counted by dynamic programming over the states of a ``_LeadAutomaton``
     (the Ufnarovski graph of the leads) without building a word.
     """
     if max_deg < 0:
@@ -667,15 +678,15 @@ def irr_counts(alphabet: Alphabet, relations, spec, max_deg: int) -> list[int]:
     leads = _leads(alphabet, relations, spec)
     if () in leads:
         return [0] * (max_deg + 1)
-    automaton = _LeadAutomaton(leads, range(alphabet.size))
+    automaton = _LeadAutomaton(leads, alphabet.size)
     weights = [1]  # words of the current degree ending in each state
     counts = [1]
     for _ in range(max_deg):
         rows = automaton.grow()
-        nxt = [0] * len(automaton.suffixes)
+        nxt = [0] * len(automaton.ids)
         for s, c in enumerate(weights):
             if c:
-                for _x, n in rows[s]:
+                for n in rows[s]:
                     nxt[n] += c
         weights = nxt
         counts.append(sum(weights))

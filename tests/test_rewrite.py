@@ -15,7 +15,7 @@ from gsb.errors import (
     TowerSymbolMissingError,
     UncertifiedBasisError,
 )
-from gsb.orderings import DegLex, Tower
+from gsb.orderings import DegLex, Tower, _deglex_key
 from gsb.poly import Polynomial, parse_polynomial
 from gsb.rewrite import (
     GsbCertificate,
@@ -734,6 +734,48 @@ def test_irr_words_under_tower_match_brute_force(seed):
         assert irr_words(TOWER_AB, rels, tower, max_deg) == _irr_oracle(
             TOWER_AB, rels, tower, max_deg
         )
+
+
+class ReversedDegLex(DegLex):
+    """Deg-lex with the letter precedence reversed: a subclass that reorders letters."""
+
+    def letter_key(self, alphabet):
+        last = alphabet.size - 1
+        return lambda letters: _deglex_key(tuple(last - x for x in letters))
+
+    def key(self, word):
+        return self.letter_key(word.alphabet)(word.letters)
+
+
+def test_irr_words_under_a_deglex_subclass_follow_its_own_key():
+    # listed in the base class's order this would be 1, b, a, b*b, b*a, a*b, a*a
+    words = irr_words(AB, [], ReversedDegLex(), 2)
+    assert [str(w) for w in words] == ["1", "a", "b", "a*a", "a*b", "b*a", "b*b"]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_irr_words_under_deglex_match_brute_force(seed):
+    # monomial relations, so the leads are the words drawn: single letters
+    # (nothing left to match after the first), leads that extend another
+    # (an unreduced set) and leads longer than the listing
+    rng = random.Random(1100 + seed)
+    alphabet = Alphabet(("a", "b", "c", "d")[: 1 + seed % 4])
+    k = alphabet.size
+    leads = [
+        tuple(rng.randrange(k) for _ in range(rng.randint(2, 7))) for _ in range(rng.randint(1, 6))
+    ]
+    leads.append(leads[0] + (rng.randrange(k),))
+    leads.append((rng.randrange(k),) + leads[-1])
+    if seed % 3 == 0:
+        leads.append((rng.randrange(k),))
+    rels = [Polynomial(alphabet, [(lead, 1)]) for lead in dict.fromkeys(leads)]
+    for spec in (SPEC, ReversedDegLex()):
+        for max_deg in range(6):
+            words = irr_words(alphabet, rels, spec, max_deg)
+            assert words == _irr_oracle(alphabet, rels, spec, max_deg)
+            assert len(set(words)) == len(words)
+            keys = [spec.key(w) for w in words]
+            assert all(u < v for u, v in zip(keys, keys[1:]))
 
 
 @pytest.mark.parametrize("seed", range(12))
