@@ -5,6 +5,12 @@ A word is an ALSW when every proper split u = v*w has v*w > w*v under
 word).  ``lex_cmp`` is reversed tuple order on letter indices, so an ALSW
 is an ordinary Lyndon word on its index tuple and the textbook Lyndon
 algorithms apply; the tests check them against brute-force definitions.
+
+The hot paths keep per-word and per-node work out of bytecode calls:
+``alsw_up_to`` lists letter tuples and wraps them as words in one bulk
+step (``words._trusted_words``), and ``std_bracketing`` builds its nodes
+inline through the slot setters and decides the ALSW test in the same
+pass, so ``is_alsw`` (Duval's scan) stays an independent check of it.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EmptyWordError, LimitError, NotAlswError
-from .words import Alphabet, Word, _trusted_word
+from .words import Alphabet, Word, _trusted_word, _trusted_words
 
 
 def lex_cmp(u: Word, v: Word) -> int:
@@ -21,11 +27,12 @@ def lex_cmp(u: Word, v: Word) -> int:
     return (a < b) - (a > b)  # reversed tuple order: a smaller index is a greater letter
 
 
-def _is_lyndon(s: tuple[int, ...]) -> bool:
-    # Duval's scan: s[:j] stays a prefix of a power of the Lyndon word s[:j - k]
+def is_alsw(u: Word) -> bool:
+    """True when every proper split v*w of u satisfies v*w > w*v (Duval's Lyndon test)."""
+    s = u.letters
     if not s:
         raise EmptyWordError("the empty word is not eligible")
-    k = 0
+    k = 0  # s[:j] stays a prefix of a power of the Lyndon word s[:j - k]
     for j in range(1, len(s)):
         if s[k] > s[j]:
             return False
@@ -33,16 +40,13 @@ def _is_lyndon(s: tuple[int, ...]) -> bool:
     return k == 0  # that Lyndon word is all of s
 
 
-def is_alsw(u: Word) -> bool:
-    """True when every proper split v*w of u satisfies v*w > w*v (Duval's Lyndon test)."""
-    return _is_lyndon(u.letters)
-
-
 def alsw_up_to(alphabet: Alphabet, max_len: int) -> list[Word]:
     """All ALSWs of length <= max_len, grouped by length, descending inside.
 
     Duval's generation (Fredricksen-Kessler-Maiorana order) yields ascending
     tuple order, i.e. descending ``lex_cmp``; a stable bucket groups lengths.
+    Each step extends the word periodically to max_len by one slice of its
+    repetition, and the letter tuples are wrapped as words once, at the end.
     """
     if max_len < 1:
         # loaded only here, so listing Lyndon words loads no polynomial layer
@@ -52,11 +56,11 @@ def alsw_up_to(alphabet: Alphabet, max_len: int) -> list[Word]:
     top, groups, w = alphabet.size - 1, [[] for _ in range(max_len)], [-1]
     while w:
         w[-1] += 1
-        groups[len(w) - 1].append(_trusted_word(alphabet, tuple(w)))
-        w = [w[i % len(w)] for i in range(max_len)]  # periodic extension
+        groups[len(w) - 1].append(tuple(w))
+        w = (w * (max_len // len(w) + 1))[:max_len]  # periodic extension
         while w and w[-1] == top:
             w.pop()
-    return [u for group in groups for u in group]
+    return _trusted_words(alphabet, [t for group in groups for t in group])
 
 
 @dataclass(frozen=True, repr=False, slots=True)
@@ -104,20 +108,7 @@ class BracketedWord:
 
 # a frozen dataclass: its fields are set through the slot descriptors, as
 # its __init__ does, bypassing the frozen __setattr__
-_set_node_alphabet = BracketedWord.alphabet.__set__
-_set_node_letter = BracketedWord.letter.__set__
-_set_node_left = BracketedWord.left.__set__
-_set_node_right = BracketedWord.right.__set__
-
-
-def _trusted_node(alphabet, letter, left, right) -> BracketedWord:
-    """A ``BracketedWord`` known to be a valid leaf or pair; skips the checks."""
-    node = object.__new__(BracketedWord)
-    _set_node_alphabet(node, alphabet)
-    _set_node_letter(node, letter)
-    _set_node_left(node, left)
-    _set_node_right(node, right)
-    return node
+_node_setters = tuple(getattr(BracketedWord, f).__set__ for f in ("alphabet", "letter", "left", "right"))
 
 
 def satisfies_nlsw_conditions(bw: BracketedWord) -> bool:
@@ -148,22 +139,41 @@ def std_bracketing(u: Word) -> BracketedWord:
     proper ALSW suffix, i.e. the least proper suffix in tuple order.  One
     right-to-left pass keeps the bracketed Lyndon factors of the suffix read
     so far; a new letter merges with each factor it is below, and each merge
-    splits off a last factor, which is the least suffix.
+    splits off a last factor, which is the least suffix.  The factors left
+    at the end are the Lyndon factorization of u, so the same pass decides
+    the ALSW test: u is one exactly when a single factor is left.
     """
-    if not _is_lyndon(u.letters):
-        raise NotAlswError(f"{u} is not an associative Lyndon-Shirshov word")
-    stack = []  # (letters, bracketing) per factor, the first factor on top
+    s = u.letters
+    if not s:
+        raise EmptyWordError("the empty word is not eligible")
+    alphabet, new = u.alphabet, object.__new__
+    set_alphabet, set_letter, set_left, set_right = _node_setters
+    # (letters, bracketing) of the factors below the first; the first is held
+    # in top_word, top, and () sits at the bottom, which no letter is below
+    stack, top_word, top = [], (), None
     leaves = {}  # one leaf per letter, shared: the nodes are immutable
-    for c in reversed(u.letters):
+    for c in reversed(s):
         tree = leaves.get(c)
         if tree is None:
-            tree = leaves[c] = _trusted_node(u.alphabet, c, None, None)
+            tree = leaves[c] = new(BracketedWord)
+            set_alphabet(tree, alphabet)
+            set_letter(tree, c)
+            set_left(tree, None)
+            set_right(tree, None)
         word = (c,)
-        while stack and word < stack[-1][0]:
-            right_word, right = stack.pop()
-            word, tree = word + right_word, _trusted_node(u.alphabet, None, tree, right)
-        stack.append((word, tree))
-    return tree
+        while word < top_word:
+            node = new(BracketedWord)
+            set_alphabet(node, alphabet)
+            set_letter(node, None)
+            set_left(node, tree)
+            set_right(node, top)
+            word, tree = word + top_word, node
+            top_word, top = stack.pop()
+        stack.append((top_word, top))
+        top_word, top = word, tree
+    if len(stack) > 1:
+        raise NotAlswError(f"{u} is not an associative Lyndon-Shirshov word")
+    return top
 
 
 def clf_factorize(u: Word) -> list[Word]:

@@ -49,7 +49,7 @@ class DegLex:
         return _deglex_key
 
     def key(self, word: Word):
-        return _deglex_key(word.letters)
+        return self.letter_key(word.alphabet)(word.letters)
 
 
 @dataclass(frozen=True)

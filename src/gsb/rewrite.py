@@ -52,7 +52,6 @@ import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from math import gcd, inf, lcm
 from operator import attrgetter
 
@@ -65,7 +64,7 @@ from .errors import (
 )
 from .orderings import DegLex, _spelled_key, _spelling
 from .poly import Polynomial, _digits
-from .words import Alphabet, Word, _set_word_alphabet, _set_word_letters, _trusted_word
+from .words import Alphabet, Word, _trusted_word, _trusted_words
 
 DEFAULT_WORD_CAPACITY = 20_000
 
@@ -657,12 +656,7 @@ def irr_words(alphabet: Alphabet, relations, spec, max_deg: int) -> list[Word]:
             found.extend(reversed(level) if deglex else level)
     if not deglex:
         found.sort(key=spec.letter_key(alphabet))
-    # wrapped as _trusted_word does, with no Python-level loop per word; the
-    # setters return None, so any() runs each map to its end
-    out = list(map(object.__new__, repeat(Word, len(found))))
-    any(map(_set_word_alphabet, out, repeat(alphabet)))
-    any(map(_set_word_letters, out, found))
-    return out
+    return _trusted_words(alphabet, found)
 
 
 def irr_counts(alphabet: Alphabet, relations, spec, max_deg: int) -> list[int]:

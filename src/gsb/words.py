@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
 
 from .errors import (
     AlphabetError,
@@ -171,6 +172,15 @@ def _trusted_word(alphabet: Alphabet, letters: tuple[int, ...]) -> Word:
     _set_word_alphabet(word, alphabet)
     _set_word_letters(word, letters)
     return word
+
+
+def _trusted_words(alphabet: Alphabet, letter_tuples: list) -> list[Word]:
+    """``_trusted_word`` of each tuple of a list, with no Python-level loop
+    per word; the setters return None, so ``any`` runs each map to its end."""
+    words = list(map(object.__new__, repeat(Word, len(letter_tuples))))
+    any(map(_set_word_alphabet, words, repeat(alphabet)))
+    any(map(_set_word_letters, words, letter_tuples))
+    return words
 
 
 def concat(u: Word, v: Word) -> Word:

@@ -279,6 +279,21 @@ def test_std_bracketing_matches_suffix_oracle(alphabet, max_len):
 
 
 @pytest.mark.parametrize("alphabet,max_len", EXHAUSTIVE, ids=EXHAUSTIVE_IDS)
+def test_std_bracketing_decides_the_alsw_test(alphabet, max_len):
+    # the bracketing pass is the ALSW test: every word, not only the ALSWs
+    for word in _all_words(alphabet, max_len):
+        if _rotation_is_alsw(word):
+            built = std_bracketing(word)
+            assert satisfies_nlsw_conditions(built), word
+            assert built.flatten() == word
+        else:
+            with pytest.raises(NotAlswError, match="is not an associative Lyndon-Shirshov word"):
+                std_bracketing(word)
+    with pytest.raises(EmptyWordError):
+        std_bracketing(alphabet.empty())
+
+
+@pytest.mark.parametrize("alphabet,max_len", EXHAUSTIVE, ids=EXHAUSTIVE_IDS)
 def test_clf_factorize_matches_greedy_oracle(alphabet, max_len):
     for word in _all_words(alphabet, max_len):
         assert clf_factorize(word) == _greedy_factorization(word), word

@@ -1,8 +1,10 @@
 import random
 from functools import cmp_to_key
+from itertools import product as iproduct
 
 import pytest
 
+from gsb.completion import shirshov_complete
 from gsb.errors import AlphabetMismatchError, BasisMismatchError, TowerSymbolMissingError
 from gsb.orderings import (
     EQUAL,
@@ -17,6 +19,8 @@ from gsb.orderings import (
     compare,
     compare_module,
 )
+from gsb.poly import parse_polynomial
+from gsb.rewrite import irr_words
 from gsb.words import Alphabet, ModuleBasis, ModuleWord, Word
 
 AB = Alphabet(("a", "b"))
@@ -88,8 +92,6 @@ def test_deglex_decreasing_chains_bounded():
     # the count of words of bounded degree
     spec = DegLex()
     rng = random.Random(7)
-    from itertools import product as iproduct
-
     all_words = [
         Word(AB, ls) for d in range(5) for ls in iproduct(range(2), repeat=d)
     ]
@@ -134,6 +136,51 @@ def test_check_monomial_runs_clean():
     assert check_monomial(DegLex(), Alphabet(("a", "b", "c")), 2000, seed=11).ok
     assert check_monomial(Tower("t", "t^-1"), TOWER_ALPHABET, 2000, seed=12).ok
     assert check_monomial(ModuleTop(), AB, 2000, seed=13, basis=BASIS).ok
+
+
+class LetterKeyOnly(DegLex):
+    """A subclass that reorders letters by overriding ``letter_key`` alone:
+    here ``last`` gets the lowest index's place, so over {a, b} a < b."""
+
+    def letter_key(self, alphabet):
+        last = alphabet.size - 1
+        return lambda letters: (len(letters), tuple(x - last for x in letters))
+
+
+def test_a_deglex_subclass_overriding_letter_key_alone_has_one_order():
+    # compare, check_monomial, leading words, completion and irr_words all
+    # follow the subclass's letter_key, so a < b wherever the order is read
+    spec = LetterKeyOnly()
+    a, b = AB.word("a"), AB.word("b")
+    assert compare(spec, a, b) == LESS
+    words = [Word(AB, ls) for d in range(4) for ls in iproduct(range(2), repeat=d)]
+    ascending = sorted(words, key=cmp_to_key(lambda u, v: compare(spec, u, v)))
+    assert [str(u) for u in ascending[:7]] == ["1", "a", "b", "a*a", "a*b", "b*a", "b*b"]
+    assert irr_words(AB, [], spec, 3) == ascending
+    for u, v in iproduct(words, repeat=2):
+        if u != v:
+            top = (u if compare(spec, u, v) == GREATER else v).letters
+            sum_ = parse_polynomial(f"{u} + {v}", AB)
+            assert sum_.leading_word(spec).letters == top, (u, v)
+    # completion takes b*b as the lead of a*a - b*b, and each lead it ends
+    # with is the greatest word of its relation under compare
+    report = shirshov_complete([parse_polynomial("a*a - b*b", AB)], spec)
+    leads = [r.leading_word(spec) for r in report.relations]
+    assert [str(lead) for lead in leads] == ["b*b", "b*a*a"]
+    for r, lead in zip(report.relations, leads):
+        assert all(compare(spec, u, lead) == LESS for u in r.support() if u != lead)
+    assert check_monomial(spec, AB, 500, seed=3).ok
+
+    class LexOnly(DegLex):
+        # plain tuple order, not a monomial order: b < b*a, yet b*b > b*a*b
+        def letter_key(self, alphabet):
+            return tuple
+
+    violations = check_monomial(LexOnly(), AB, 500, seed=3).violations
+    assert violations
+    for u, v, left, right in violations:
+        assert u.letters < v.letters
+        assert (left * u * right).letters > (left * v * right).letters
 
 
 def test_check_monomial_rejects_bad_samples():

@@ -743,9 +743,6 @@ class ReversedDegLex(DegLex):
         last = alphabet.size - 1
         return lambda letters: _deglex_key(tuple(last - x for x in letters))
 
-    def key(self, word):
-        return self.letter_key(word.alphabet)(word.letters)
-
 
 def test_irr_words_under_a_deglex_subclass_follow_its_own_key():
     # listed in the base class's order this would be 1, b, a, b*b, b*a, a*b, a*a

@@ -17,6 +17,7 @@ from gsb.words import (
     ModuleBasis,
     ModuleWord,
     Word,
+    _trusted_words,
     concat,
     occurrences,
     pair_formal_inverses,
@@ -133,6 +134,19 @@ def test_word_is_slotted_and_survives_pickle_and_deepcopy(word):
         assert copied == word
         assert hash(copied) == hash(word)
         assert copied.alphabet == AB
+
+
+def test_trusted_words_equal_checked_words():
+    A3 = Alphabet(("c", "b", "a"))
+    rng = random.Random(5)
+    tuples = [tuple(rng.randrange(3) for _ in range(rng.randint(0, 6))) for _ in range(200)]
+    made = _trusted_words(A3, tuples)
+    assert made == [Word(A3, t) for t in tuples]
+    assert [hash(u) for u in made] == [hash(Word(A3, t)) for t in tuples]
+    assert all(u.alphabet is A3 and u.letters is t for u, t in zip(made, tuples))
+    assert all(type(u) is Word and not hasattr(u, "__dict__") for u in made)
+    assert _trusted_words(A3, []) == []
+
 
 def test_occurrences_examples():
     out = occurrences(w("a*b"), w("a*a*b"))
