@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .errors import GsbError, LimitError, PresentationFormatError
+from .errors import GsbError, LimitError, PresentationFormatError, _checked_limit, _digits
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,7 +134,6 @@ def _cmd_nf(args) -> int:
 
 
 def _cmd_irr(args) -> int:
-    from .poly import _digits
     from .presentation import ModulePresentation
     from .rewrite import irr_counts, irr_words
 
@@ -180,15 +179,11 @@ def _cmd_dim(args) -> int:
 
 def _cmd_lyndon(args) -> int:
     from .lyndon import alsw_up_to, nlsw_basis_count, std_bracketing
-    from .poly import _digits
-    from .presentation import _parse_symbol_chain
-    from .words import Alphabet
+    from .words import Alphabet, _parse_symbol_chain
 
     alphabet = Alphabet(_parse_symbol_chain(args.alphabet, "--alphabet"))
     if args.count_only:
-        if args.max_len < 1:
-            raise LimitError(f"max_len must be >= 1, got {args.max_len}")
-        for n in range(1, args.max_len + 1):
+        for n in range(1, _checked_limit("max_len", args.max_len, 1) + 1):
             print(n, _digits(nlsw_basis_count(alphabet, n)))
         return 0
     for w in alsw_up_to(alphabet, args.max_len):

@@ -73,13 +73,13 @@ from operator import attrgetter
 from .errors import (
     AlphabetMismatchError,
     LeadingNotBelowError,
-    LimitError,
     MalformedAmbiguityError,
     UncertifiedBasisError,
     ZeroPolynomialError,
+    _checked_limit,
 )
 from .orderings import _spelled_key, _spelling
-from .poly import Polynomial, _digits, format_element
+from .poly import Polynomial, format_element
 from .rewrite import (
     INCLUSION,
     INTERSECTION,
@@ -537,9 +537,8 @@ def shirshov_complete(
     out first.  Nontermination is expected in general, so the limits are
     always enforced.
     """
-    if max_deg <= 0 or max_steps <= 0:
-        got = f"{_digits(max_deg)} and {_digits(max_steps)}"
-        raise LimitError(f"max_deg and max_steps must be positive, got {got}")
+    _checked_limit("max_deg", max_deg, 1)
+    _checked_limit("max_steps", max_steps, 1)
     relations = tuple(relations)
     for idx, s in enumerate(relations):
         if s.is_zero():
@@ -650,6 +649,6 @@ def check_gsb(relations, spec, max_deg: int | None = None) -> CheckReport:
     never built.  An empty report with nothing skipped is a
     Groebner-Shirshov basis certificate for the set.
     """
-    if max_deg is not None and max_deg < 1:
-        raise LimitError(f"max_deg must be positive, got {_digits(max_deg)}")
+    if max_deg is not None:
+        _checked_limit("max_deg", max_deg, 1)
     return _Scan(relations, spec, max_deg).check()

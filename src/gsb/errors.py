@@ -1,4 +1,24 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of a
+limit argument that raises ``LimitError``."""
+
+# Python refuses int/str conversions of more digits than a settable limit
+# (sys.set_int_max_str_digits), 640 at the lowest, so coefficients are
+# converted at most 640 digits at a time
+_CHUNK_DIGITS = 640
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _digits(n: int) -> str:
+    """The decimal digits of an int, a minus sign first when it is negative,
+    written in chunks of ``_CHUNK_DIGITS``."""
+    if n < 0:
+        return "-" + _digits(-n)
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
 
 
 class GsbError(Exception):
@@ -119,3 +139,13 @@ class CertificationError(GsbError):
 class LimitError(GsbError, ValueError):
     """A degree, length, step or capacity limit is out of range, or the
     input does not fit within it."""
+
+
+def _checked_limit(name: str, value, minimum: int) -> int:
+    """``value`` when it is an int, not a bool, and at least ``minimum``;
+    anything else raises ``LimitError`` naming the argument ``name``."""
+    if type(value) is not int:
+        raise LimitError(f"{name} must be an int, not {type(value).__name__}")
+    if value < minimum:
+        raise LimitError(f"{name} must be >= {minimum}, got {_digits(value)}")
+    return value

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyWordError, LimitError, NotAlswError
+from .errors import EmptyWordError, NotAlswError, _checked_limit
 from .words import Alphabet, Word, _trusted_word, _trusted_words
 
 
@@ -48,11 +48,7 @@ def alsw_up_to(alphabet: Alphabet, max_len: int) -> list[Word]:
     Each step extends the word periodically to max_len by one slice of its
     repetition, and the letter tuples are wrapped as words once, at the end.
     """
-    if max_len < 1:
-        # loaded only here, so listing Lyndon words loads no polynomial layer
-        from .poly import _digits
-
-        raise LimitError(f"max_len must be >= 1, got {_digits(max_len)}")
+    _checked_limit("max_len", max_len, 1)
     top, groups, w = alphabet.size - 1, [[] for _ in range(max_len)], [-1]
     while w:
         w[-1] += 1
@@ -201,10 +197,7 @@ def nlsw_basis_count(alphabet: Alphabet, deg: int) -> int:
     letters, evaluated through the identity it inverts, k**n = sum of
     d * L(d) over d | n.
     """
-    if deg < 1:
-        from .poly import _digits
-
-        raise LimitError(f"deg must be >= 1, got {_digits(deg)}")
+    _checked_limit("deg", deg, 1)
     k, counts = alphabet.size, {}
     for n in (d for d in range(1, deg + 1) if deg % d == 0):
         counts[n] = (k**n - sum(d * c for d, c in counts.items() if n % d == 0)) // n

@@ -23,7 +23,7 @@ A module element is stored as its code (``words.module_code``), so the
 codes and the caller's ``ModuleTop`` go to the algebra engine as they are:
 ``_ModuleRules`` is the ``rewrite.RuleSet`` of a set's codes, and
 ``_ModuleScan`` and ``_ModuleCertificate`` add ``completion._Scan`` and
-``GsbCertificate`` to it; ``shirshov_complete`` and ``rewrite._checked``
+``GsbCertificate`` to it; ``shirshov_complete`` and ``rewrite._leads``
 take the codes directly.  Results are wrapped as module elements without
 re-keying a term, and only traces, ambiguities, removals and irreducible
 words are decoded into module types.
@@ -35,10 +35,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .completion import CheckReport, CompletionReport, RemovedRelation, _Scan, shirshov_complete
-from .errors import AlphabetMismatchError, BasisMismatchError, LimitError
+from .errors import AlphabetMismatchError, BasisMismatchError, _checked_limit
 from .orderings import ModuleTop
-from .poly import ModuleElement, Polynomial, _digits, act
-from .rewrite import GsbCertificate, RuleSet, _checked, _replay
+from .poly import ModuleElement, Polynomial, act
+from .rewrite import GsbCertificate, RuleSet, _leads, _replay
 from .words import Alphabet, ModuleBasis, ModuleWord, Word, _trusted_word, module_code
 
 
@@ -224,8 +224,8 @@ def module_complete(
 def module_check_gsb(relations, spec: ModuleTop, max_deg: int | None = None) -> CheckReport:
     """Evaluate every module composition; those above ``max_deg`` are
     counted in ``skipped``, never built.  Empty and unskipped = certificate."""
-    if max_deg is not None and max_deg < 1:
-        raise LimitError(f"max_deg must be positive, got {_digits(max_deg)}")
+    if max_deg is not None:
+        _checked_limit("max_deg", max_deg, 1)
     return _ModuleScan(relations, spec, max_deg).check()
 
 
@@ -233,11 +233,10 @@ def module_irr(
     alphabet: Alphabet, basis: ModuleBasis, relations, spec: ModuleTop, max_deg: int
 ) -> list[ModuleWord]:
     """Irreducible module words of prefix degree <= max_deg, ascending."""
-    if max_deg < 0:
-        raise LimitError(f"max_deg must be >= 0, got {_digits(max_deg)}")
+    _checked_limit("max_deg", max_deg, 0)
     codec = _Codec(alphabet, basis)
-    leads = {lead for _terms, lead in _checked(codec.encode(relations), spec)}
     code_alphabet, encode, _ = module_code(alphabet, basis)
+    leads = _leads(code_alphabet, codec.encode(relations), spec)
     found = []
     codes = [encode((), g) for g in range(basis.size)]
     for deg in range(max_deg + 1):

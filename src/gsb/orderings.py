@@ -30,6 +30,7 @@ from .errors import (
     BasisMismatchError,
     TowerSymbolMissingError,
     UnknownSymbolError,
+    _checked_limit,
 )
 from .words import Alphabet, ModuleBasis, ModuleWord, Word, module_code
 
@@ -65,6 +66,8 @@ class Tower:
     stable: str = "t"
     stable_inv: str = "t^-1"
 
+    key = DegLex.key
+
     def _stable_letters(self, alphabet: Alphabet) -> tuple[int, int]:
         try:
             return alphabet.index(self.stable), alphabet.index(self.stable_inv)
@@ -92,9 +95,6 @@ class Tower:
             return (count, *parts)
 
         return key
-
-    def key(self, word: Word):
-        return self.letter_key(word.alphabet)(word.letters)
 
 
 @dataclass(frozen=True)
@@ -227,8 +227,8 @@ def check_monomial(
     words w < w' and a left factor a, and checks a*w < a*w'.  Returns every
     violation found (expected none for the shipped orderings).
     """
-    if samples <= 0:
-        raise ValueError("samples must be positive")
+    _checked_limit("samples", samples, 1)
+    _checked_limit("max_len", max_len, 0)
     rng = random.Random(seed)
     violations = []
     if isinstance(spec, ModuleTop):

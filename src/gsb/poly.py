@@ -32,21 +32,18 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import (
+    _CHUNK,
+    _CHUNK_DIGITS,
     AlphabetMismatchError,
     BasisMismatchError,
     WordSyntaxError,
     ZeroPolynomialError,
+    _digits,
 )
 from .orderings import DegLex, ModuleTop
 from .words import Alphabet, ModuleBasis, ModuleWord, Word, module_code
 from .words import _checked_index, _checked_letters, _trusted_word
 from .words import _COEFF_RE, _factor_position, _factors, _split_terms, _unknown_symbol
-
-# Python refuses int/str conversions of more digits than a settable limit
-# (sys.set_int_max_str_digits), 640 at the lowest, so coefficients are
-# converted at most 640 digits at a time
-_CHUNK_DIGITS = 640
-_CHUNK = 10**_CHUNK_DIGITS
 
 
 def _sum_terms(pairs) -> dict:
@@ -465,19 +462,6 @@ def _int_of_digits(digits: str) -> int:
         piece = digits[i : i + _CHUNK_DIGITS]
         n = n * 10 ** len(piece) + int(piece)
     return n
-
-
-def _digits(n: int) -> str:
-    """The decimal digits of an int, a minus sign first when it is negative,
-    written in chunks of ``_CHUNK_DIGITS``."""
-    if n < 0:
-        return "-" + _digits(-n)
-    chunks = []
-    while n >= _CHUNK:
-        n, low = divmod(n, _CHUNK)
-        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
-    chunks.append(str(n))
-    return "".join(reversed(chunks))
 
 
 def _join_signed(terms) -> str:

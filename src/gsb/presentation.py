@@ -38,7 +38,7 @@ from .poly import (
     parse_module_element,
     parse_polynomial,
 )
-from .words import Alphabet, ModuleBasis
+from .words import Alphabet, ModuleBasis, _parse_symbol_chain
 
 _TOWER = r"tower\(\s*([^\s,]+)\s*,\s*([^\s,)]+)\s*\)"
 _TOWER_RE = re.compile(_TOWER)
@@ -101,14 +101,6 @@ def _monic_by_lead(p, poly_of, basis=None) -> tuple:
         keyed.append((key, r if c == 1 else r / c))
     keyed.sort(key=itemgetter(0))
     return tuple(r for _, r in keyed)
-
-
-def _parse_symbol_chain(body: str, where: str) -> tuple[str, ...]:
-    """The names of an ``a > b > c`` chain; ``where`` names it in an error."""
-    names = [part.strip() for part in body.split(">")]
-    if any(not n for n in names):
-        raise PresentationFormatError(f"empty symbol in {where}")
-    return tuple(names)
 
 
 def _parse_ordering(body: str):

@@ -61,21 +61,23 @@ from .errors import (
     LimitError,
     NonMonicRelationError,
     UncertifiedBasisError,
+    _checked_limit,
+    _digits,
 )
 from .orderings import DegLex, _spelled_key, _spelling
-from .poly import Polynomial, _digits
+from .poly import Polynomial
 from .words import Alphabet, Word, _trusted_word, _trusted_words
 
 DEFAULT_WORD_CAPACITY = 20_000
 
 
-def _checked(relations, spec, alphabet=None):
+def _checked(relations, spec, alphabet):
     """Yield ``(terms, lead)`` of each relation: its raw term map and its
     greatest word, after checking that it is over ``alphabet``, nonzero and
     monic."""
     keyed = keyf = None
     for idx, s in enumerate(relations):
-        if alphabet is not None and s.alphabet is not alphabet and s.alphabet != alphabet:
+        if s.alphabet is not alphabet and s.alphabet != alphabet:
             raise AlphabetMismatchError(f"relation #{idx} lives over a different alphabet")
         terms = s.raw_terms()
         if not terms:
@@ -623,8 +625,7 @@ def irr_words(alphabet: Alphabet, relations, spec, max_deg: int) -> list[Word]:
     any other ordering, a ``DegLex`` subclass included, sorts the listing
     once by its own key.
     """
-    if max_deg < 0:
-        raise LimitError(f"max_deg must be >= 0, got {_digits(max_deg)}")
+    _checked_limit("max_deg", max_deg, 0)
     leads = _leads(alphabet, relations, spec)
     if () in leads:
         return []  # the unit is in the ideal: nothing is irreducible
@@ -666,8 +667,7 @@ def irr_counts(alphabet: Alphabet, relations, spec, max_deg: int) -> list[int]:
     counted by dynamic programming over the states of a ``_LeadAutomaton``
     (the Ufnarovski graph of the leads) without building a word.
     """
-    if max_deg < 0:
-        raise LimitError(f"max_deg must be >= 0, got {_digits(max_deg)}")
+    _checked_limit("max_deg", max_deg, 0)
     spec.letter_key(alphabet)  # rejects an ordering the alphabet lacks, as irr_words does
     leads = _leads(alphabet, relations, spec)
     if () in leads:
@@ -771,14 +771,11 @@ def quotient_dims(
     ``DEFAULT_WORD_CAPACITY``); past it ``CapacityError`` comes before any
     row is built.  Anything but a positive int raises ``LimitError``.
     """
-    if max_deg < 0:
-        raise LimitError(f"max_deg must be >= 0, got {_digits(max_deg)}")
+    _checked_limit("max_deg", max_deg, 0)
     if capacity is None:
         capacity = DEFAULT_WORD_CAPACITY
-    elif type(capacity) is not int:
-        raise LimitError(f"capacity must be a positive int, not {type(capacity).__name__}")
-    elif capacity <= 0:
-        raise LimitError(f"capacity must be a positive int, got {_digits(capacity)}")
+    else:
+        _checked_limit("capacity", capacity, 1)
     k = alphabet.size
     # offsets[n]: the number of words of degree < n, the first number of degree n
     offsets = [0]

@@ -4,8 +4,9 @@ Symbols are interned: a word stores indices into its alphabet, and the
 alphabet's listing order is its precedence (earlier symbol = greater).  An
 alphabet pairs each ``s`` with its formal inverse ``s^-1`` by name.  The
 text form of words, polynomials and module elements is split into terms and
-factors here, and a word is read as one term.  All values are immutable after construction and safe to share between
-threads.
+factors here, a word is read as one term, and an ``a > b > c`` chain of
+symbol names is split into its names.  All values are immutable after
+construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .errors import (
     AlphabetError,
     AlphabetMismatchError,
     EmptyPatternError,
+    PresentationFormatError,
     UnknownSymbolError,
     WordSyntaxError,
 )
@@ -268,6 +270,14 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
         return _trusted_word(alphabet, tuple(map(symbols.__getitem__, names)))
     except KeyError:
         raise _unknown_symbol(names, 0, symbols, term, start) from None
+
+
+def _parse_symbol_chain(body: str, where: str) -> tuple[str, ...]:
+    """The names of an ``a > b > c`` chain; ``where`` names it in an error."""
+    names = [part.strip() for part in body.split(">")]
+    if any(not n for n in names):
+        raise PresentationFormatError(f"empty symbol in {where}")
+    return tuple(names)
 
 
 def print_word(word: Word) -> str:

@@ -173,6 +173,11 @@ def test_completion_rejects_zero_and_bad_limits():
         shirshov_complete([p("a*a - b")], SPEC, max_steps=0)
 
 
+def test_completion_refuses_a_bool_degree_bound_rather_than_report_it():
+    with pytest.raises(LimitError, match="^max_deg must be an int, not bool$"):
+        shirshov_complete([p("a*a - b")], SPEC, max_deg=True)
+
+
 def test_completion_statuses():
     # degree bound below the one ambiguity: nothing to do, not certified
     report = shirshov_complete([p("a*a - b")], SPEC, max_deg=2)

@@ -122,6 +122,17 @@ def test_lyndon_command_loads_no_engine_or_builder(tmp_path):
     assert not loaded & {"gsb.completion", "gsb.rewrite", "gsb.constructions", "gsb.modules"}
 
 
+@pytest.mark.parametrize("flag", ["--bracket", "--count-only"])
+def test_lyndon_command_loads_no_polynomial_layer(tmp_path, flag):
+    # the limit check and the chunked count digits come from errors, the chain from words
+    code = (
+        "from gsb.cli import run\n"
+        f"assert run(['lyndon', '--alphabet', 'a>b', '--max-len', '3', '{flag}']) == 0"
+    )
+    loaded = _loaded_after(code, tmp_path)
+    assert loaded == {"gsb", "gsb.cli", "gsb.errors", "gsb.lyndon", "gsb.words"}
+
+
 def test_check_of_an_algebra_file_loads_no_module_lyndon_or_builder_layer(tmp_path):
     (tmp_path / "ab.pres").write_text("alphabet: a > b\nordering: deglex\nrelations:\na*b - b*a\n")
     code = "from gsb.cli import run\nassert run(['check', 'ab.pres']) == 0"

@@ -374,6 +374,71 @@ def test_a_limit_past_the_int_digit_limit_raises_limit_error(name):
         _limit_cases()[name]()
 
 
+def _limit_arguments():
+    """(argument, minimum, whether None is allowed, call with the value) of each limit."""
+    from argparse import Namespace
+
+    from gsb.cli import _cmd_lyndon
+    from gsb.completion import check_gsb
+    from gsb.lyndon import alsw_up_to, nlsw_basis_count
+    from gsb.modules import module_check_gsb, module_irr
+    from gsb.orderings import ModuleTop, check_monomial
+    from gsb.poly import parse_module_element
+    from gsb.words import ModuleBasis
+
+    y = ModuleBasis(("y1", "y2"))
+    module = [parse_module_element("a*y1 - y2", AB, y)]
+
+    def lyndon_count(v):
+        return _cmd_lyndon(Namespace(alphabet="a>b", max_len=v, count_only=True, bracket=False))
+
+    return {
+        "irr_words": ("max_deg", 0, False, lambda v: irr_words(AB, GSB, SPEC, v)),
+        "irr_counts": ("max_deg", 0, False, lambda v: irr_counts(AB, GSB, SPEC, v)),
+        "quotient_dims-max_deg": ("max_deg", 0, False, lambda v: quotient_dims(AB, GSB, SPEC, v)),
+        "quotient_dims-capacity": (
+            "capacity", 1, True, lambda v: quotient_dims(AB, GSB, SPEC, 0, capacity=v)
+        ),
+        "module_irr": ("max_deg", 0, False, lambda v: module_irr(AB, y, module, ModuleTop(), v)),
+        "shirshov_complete-max_deg": (
+            "max_deg", 1, False, lambda v: shirshov_complete(GSB, SPEC, max_deg=v)
+        ),
+        "shirshov_complete-max_steps": (
+            "max_steps", 1, False, lambda v: shirshov_complete(GSB, SPEC, max_steps=v)
+        ),
+        "check_gsb": ("max_deg", 1, True, lambda v: check_gsb(GSB, SPEC, max_deg=v)),
+        "module_check_gsb": (
+            "max_deg", 1, True, lambda v: module_check_gsb(module, ModuleTop(), max_deg=v)
+        ),
+        "alsw_up_to": ("max_len", 1, False, lambda v: alsw_up_to(AB, v)),
+        "gsb lyndon --count-only": ("max_len", 1, False, lyndon_count),
+        "nlsw_basis_count": ("deg", 1, False, lambda v: nlsw_basis_count(AB, v)),
+        "check_monomial-samples": (
+            "samples", 1, False, lambda v: check_monomial(SPEC, AB, v, seed=1)
+        ),
+        "check_monomial-max_len": (
+            "max_len", 0, False, lambda v: check_monomial(SPEC, AB, 5, seed=1, max_len=v)
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", list(_limit_arguments()))
+def test_every_limit_argument_takes_an_int_at_its_minimum_or_above(case):
+    name, minimum, none_allowed, call = _limit_arguments()[case]
+    bad = [2.5, True, "3"] + ([] if none_allowed else [None])
+    for value in bad:
+        message = f"{name} must be an int, not {type(value).__name__}"
+        with pytest.raises(LimitError) as caught:
+            call(value)
+        assert str(caught.value) == message
+    with pytest.raises(LimitError) as caught:
+        call(minimum - 1)
+    assert str(caught.value) == f"{name} must be >= {minimum}, got {minimum - 1}"
+    call(minimum)
+    if none_allowed:
+        call(None)
+
+
 def test_braid_degree_10_irr_words_pinned():
     # SHA-256 of the listing, one word per line
     abc = Alphabet(("a", "b", "c"))
