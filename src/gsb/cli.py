@@ -15,7 +15,14 @@ import argparse
 import json
 import sys
 
-from .errors import GsbError, LimitError, PresentationFormatError, _checked_limit, _digits
+from .errors import (
+    GsbError,
+    LimitError,
+    PresentationFormatError,
+    _checked_limit,
+    _digits,
+    _int_of_digits,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -23,6 +30,17 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(1, f"error: {message}\n")
+
+
+def _integer(text: str) -> int:
+    """A flag's integer: ASCII digits, as a table entry or a relation line
+    reads them, after an optional ``-`` so that a negative limit reaches
+    the library's ``LimitError``."""
+    negative = text[:1] == "-"
+    digits = text[1:] if negative else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer of ASCII digits")
+    return -_int_of_digits(digits) if negative else _int_of_digits(digits)
 
 
 def _emit_json(payload) -> None:
@@ -159,7 +177,6 @@ def _cmd_irr(args) -> int:
 def _cmd_dim(args) -> int:
     import os
 
-    from .poly import _int_of_digits
     from .presentation import ModulePresentation
     from .rewrite import quotient_dim_oracle
 
@@ -349,8 +366,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("complete", help="run Shirshov completion")
     p.add_argument("file")
-    p.add_argument("--max-deg", type=int, default=12)
-    p.add_argument("--max-steps", type=int, default=10_000)
+    p.add_argument("--max-deg", type=_integer, default=12)
+    p.add_argument("--max-steps", type=_integer, default=10_000)
     p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--output", help="write the completed presentation here")
     p.add_argument("--module", action="store_true", help="require a module presentation")
@@ -358,7 +375,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("check", help="evaluate every composition")
     p.add_argument("file")
-    p.add_argument("--max-deg", type=int, default=None)
+    p.add_argument("--max-deg", type=_integer, default=None)
     p.add_argument("--json", action="store_true")
     p.add_argument("--module", action="store_true", help="require a module presentation")
     p.set_defaults(func=_cmd_check)
@@ -372,19 +389,19 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("irr", help="irreducible words up to a degree")
     p.add_argument("file")
-    p.add_argument("--max-deg", type=int, required=True)
+    p.add_argument("--max-deg", type=_integer, required=True)
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--module", action="store_true", help="require a module presentation")
     p.set_defaults(func=_cmd_irr)
 
     p = sub.add_parser("dim", help="exact quotient dimension oracle")
     p.add_argument("file")
-    p.add_argument("--max-deg", type=int, required=True)
+    p.add_argument("--max-deg", type=_integer, required=True)
     p.set_defaults(func=_cmd_dim)
 
     p = sub.add_parser("lyndon", help="Lyndon-Shirshov word tooling")
     p.add_argument("--alphabet", required=True, help='e.g. "x2>x1"')
-    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--max-len", type=_integer, required=True)
     listing = p.add_mutually_exclusive_group()
     listing.add_argument("--bracket", action="store_true")
     listing.add_argument("--count-only", action="store_true")
@@ -398,14 +415,14 @@ def _build_parser() -> _Parser:
 
     k = kinds.add_parser("hnn", parents=[written], help="the HNN-style group embedding")
     group = k.add_mutually_exclusive_group(required=True)
-    group.add_argument("--cyclic", type=int, help="cyclic group order")
+    group.add_argument("--cyclic", type=_integer, help="cyclic group order")
     group.add_argument("--table", help="group table file (JSON)")
-    k.add_argument("--index-bound", type=int, help="default: the table size")
+    k.add_argument("--index-bound", type=_integer, help="default: the table size")
     k.set_defaults(func=_cmd_construct, build=_build_hnn)
 
     k = kinds.add_parser("malcev", parents=[written], help="the Malcev two-generator algebra")
     k.add_argument("base", help="base presentation file")
-    k.add_argument("--count", type=int, help="default: the base alphabet size")
+    k.add_argument("--count", type=_integer, help="default: the base alphabet size")
     k.add_argument("--a", default="a", help="first fresh generator (default a)")
     k.add_argument("--b", default="b", help="second fresh generator (default b)")
     k.set_defaults(func=_cmd_construct, build=_build_malcev)
@@ -413,18 +430,18 @@ def _build_parser() -> _Parser:
     k = kinds.add_parser("simple", parents=[written], help="one simple-algebra step")
     k.add_argument("--table", required=True, help="multiplication table file (JSON)")
     k.add_argument("--pairs", help="pairs file (JSON)")
-    k.add_argument("--m-bound", type=int, default=1, help="default 1")
-    k.add_argument("--n-bound", type=int, default=1, help="default 1")
+    k.add_argument("--m-bound", type=_integer, default=1, help="default 1")
+    k.add_argument("--n-bound", type=_integer, default=1, help="default 1")
     k.set_defaults(func=_cmd_construct, build=_build_simple)
 
     k = kinds.add_parser("module-cyclic", parents=[written], help="the cyclic module")
     k.add_argument("base", help="base module presentation file")
-    k.add_argument("--count", type=int, help="default: the base basis size")
+    k.add_argument("--count", type=_integer, help="default: the base basis size")
     k.add_argument("--generator", default="y", help="fresh generator (default y)")
     k.set_defaults(func=_cmd_construct, build=_build_module_cyclic)
 
     k = kinds.add_parser("lie-words", help="the words a*a*b^i*a*b, bracketed")
-    k.add_argument("--max-i", type=int, default=4, help="default 4")
+    k.add_argument("--max-i", type=_integer, default=4, help="default 4")
     k.set_defaults(func=_cmd_lie_words)
 
     p = sub.add_parser("selftest", help="run the acceptance suite")

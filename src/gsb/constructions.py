@@ -1,8 +1,10 @@
 """Builders for the embedding presentations, certified at finite truncation.
 
 The table classes refuse inexact values (a float, a bool, or a string that
-a relation line would not read as an integer or a coefficient).  Each
-builder emits the relation families for user-chosen index bounds, computes
+a relation line would not read as an integer or a coefficient), in their
+keys as in their entries.  Each builder emits the relation families for
+user-chosen index bounds, which ``errors._checked_limit`` checks as every
+other limit (``IndexOutOfRangeError`` past what the input provides), computes
 (never transcribes) the orientation of every relation (``_oriented``), and
 runs the full composition check; it fails loudly when the predicted
 zero-nontrivial-compositions certification does not hold on the instance.
@@ -30,12 +32,13 @@ from .errors import (
     SymbolClashError,
     TableIncompleteError,
     UncertifiedBasisError,
-    ZeroPolynomialError,
+    _checked_limit,
+    _int_of_digits,
 )
 from .lyndon import BracketedWord, is_alsw, std_bracketing
 from .modules import _ModuleScan
 from .orderings import DegLex, Tower
-from .poly import ModuleElement, Polynomial, _coefficient, _int_of_digits
+from .poly import ModuleElement, Polynomial, _coefficient
 from .presentation import ModulePresentation, Presentation
 from .rewrite import INTERSECTION
 from .words import Alphabet, ModuleBasis, ModuleWord, Word, module_code
@@ -49,6 +52,20 @@ def _table_int(value, what: str) -> int:
     if isinstance(value, str) and value.isascii() and value.isdigit():
         return _int_of_digits(value)
     raise PresentationFormatError(f"{what} is {value!r}, not an integer")
+
+
+def _table_products(product) -> dict:
+    """``product``'s entries keyed by index pairs read by ``_table_int``;
+    a key that is not a pair, or two spellings of one pair, are refused."""
+    products = {}
+    for key, v in dict(product).items():
+        if type(key) is not tuple or len(key) != 2:
+            raise PresentationFormatError(f"product key {key!r} is not a pair")
+        j, k = (_table_int(c, "a product key") for c in key)
+        if (j, k) in products:
+            raise PresentationFormatError(f"product entry ({j},{k}) is given twice")
+        products[j, k] = v
+    return products
 
 
 def _table_coefficient(value, what: str) -> Fraction:
@@ -112,13 +129,8 @@ class GroupTable:
         if size < 1:
             raise PresentationFormatError("a group table needs at least one element")
         self.size = size
-        self.product, self.inverse = {}, {}
-        for key, v in dict(product).items():
-            if type(key) is not tuple or len(key) != 2:
-                raise PresentationFormatError(f"product key {key!r} is not a pair")
-            j, k = (_table_int(c, "a product key") for c in key)
-            if (j, k) in self.product:
-                raise PresentationFormatError(f"product entry ({j},{k}) is given twice")
+        self.product, self.inverse = _table_products(product), {}
+        for (j, k), v in self.product.items():
             self.product[j, k] = _table_int(v, f"product entry ({j},{k})")
         for j, v in dict(inverse).items():
             j = _table_int(j, "an inverse key")
@@ -137,9 +149,7 @@ class GroupTable:
     @classmethod
     def cyclic(cls, order: int) -> GroupTable:
         """The cyclic group of the given order; size is order - 1."""
-        if order < 2:
-            raise PresentationFormatError("cyclic tables need order >= 2")
-        size = order - 1
+        size = _checked_limit("order", order, 2) - 1
         product = {
             (j, k): (j + k) % order for j in range(1, size + 1) for k in range(1, size + 1)
         }
@@ -204,13 +214,12 @@ def build_hnn(table: GroupTable, index_bound: int) -> HnnResult:
     """The two-generator group embedding presentation, truncated.
 
     Emits the eight relation families over {g_i, a, b, t and inverses}
-    under the tower ordering and certifies that every composition is
-    trivial on the instance.
+    under the tower ordering, the table and conjugation families for
+    g1..g_index_bound alone, and certifies that every composition is
+    trivial on the instance; a bound below ``table.size`` certifies where
+    g1..g_index_bound is closed under the table (observed, not proved).
     """
-    if not 1 <= index_bound <= table.size:
-        raise IndexOutOfRangeError(
-            f"index bound {index_bound} outside 1..{table.size}"
-        )
+    b_ = _checked_limit("index_bound", index_bound, 1, table.size)
     names = ("t", "t^-1", "b^-1", "b", "a^-1", "a") + tuple(
         f"g{i}" for i in range(1, table.size + 1)
     )
@@ -223,21 +232,15 @@ def build_hnn(table: GroupTable, index_bound: int) -> HnnResult:
     def g_word(index: int):
         return [] if index == 0 else [f"g{index}"]
 
-    def word(parts) -> Word:
-        return alphabet.word_from_names(parts)
-
     relations = []
 
     def rel(lhs_parts, rhs_parts):
-        lhs = word(lhs_parts)
-        rhs = word(rhs_parts)
+        lhs = alphabet.word_from_names(lhs_parts)
+        rhs = alphabet.word_from_names(rhs_parts)
         p = Polynomial.from_word(lhs) - Polynomial.from_word(rhs)
-        if p.is_zero():
-            raise ZeroPolynomialError(f"degenerate relation at {lhs}")
         message = f"computed leading side of {lhs} = {rhs} is not the displayed left side"
         relations.append(_oriented(p, spec, lhs, message))
 
-    b_ = index_bound
     # family 1: the group table
     for j in range(1, b_ + 1):
         for k in range(1, b_ + 1):
@@ -296,10 +299,7 @@ def build_malcev(base: Presentation, count: int, a: str = "a", b: str = "b") -> 
         raise SymbolClashError(f"the two fresh symbols must differ, got {a!r} twice")
     if a in base.alphabet.symbols or b in base.alphabet.symbols:
         raise SymbolClashError(f"fresh symbols {a!r}, {b!r} clash with the base alphabet")
-    if not 1 <= count <= base.alphabet.size:
-        raise IndexOutOfRangeError(
-            f"count {count} outside 1..{base.alphabet.size}"
-        )
+    _checked_limit("count", count, 1, base.alphabet.size)
     spec = DegLex()
     alphabet = Alphabet((a, b) + base.alphabet.symbols)
     shift = 2
@@ -328,7 +328,8 @@ class MultTable:
     be given as a generator name, ``"1"``, or a {name: coeff} mapping with
     exact coefficients: integers, ``Fraction``s, or strings such as ``"3"``,
     ``"-1/2"`` (an optional sign, then ASCII digits, then optionally ``/``
-    and a nonzero denominator).
+    and a nonzero denominator).  The keys are index pairs, read as
+    ``GroupTable`` reads them (``_table_products``).
     """
 
     def __init__(self, basis, products):
@@ -338,7 +339,7 @@ class MultTable:
             raise PresentationFormatError("a multiplication table needs a basis")
         index = {name: i for i, name in enumerate(self.basis)}
         self.entries = {}
-        products = dict(products)
+        products = _table_products(products)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 if (i, j) not in products:
@@ -406,8 +407,8 @@ def build_simple_step(
     trivial.
     """
     pairs = tuple(steps.pairs)
-    if m_bound < 1 or n_bound < 1:
-        raise IndexOutOfRangeError("bounds must be at least 1")
+    _checked_limit("m_bound", m_bound, 1)
+    _checked_limit("n_bound", n_bound, 1)
     if len(pairs) > m_bound:
         raise IndexOutOfRangeError("more pairs than m_bound slots")
     nb = len(base.basis)
@@ -542,8 +543,7 @@ def build_module_cyclic(
         )
     if generator in base.basis.symbols:
         raise SymbolClashError(f"generator {generator!r} clashes with the basis")
-    if not 1 <= count <= base.basis.size:
-        raise IndexOutOfRangeError(f"count {count} outside 1..{base.basis.size}")
+    _checked_limit("count", count, 1, base.basis.size)
     spec = base.ordering
     basis = ModuleBasis(base.basis.symbols + (generator,))
     alphabet = base.alphabet
@@ -580,8 +580,7 @@ def bracket_embedding_words(i_max: int) -> list[tuple[Word, BracketedWord]]:
     Each word is checked to be an associative Lyndon-Shirshov word; no Lie
     completion is performed.
     """
-    if i_max < 1:
-        raise IndexOutOfRangeError("i_max must be >= 1")
+    _checked_limit("i_max", i_max, 1)
     alphabet = Alphabet(("a", "b"))
     out = []
     for i in range(1, i_max + 1):

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the one check of a
-limit argument that raises ``LimitError``."""
+"""Exception types shared across the package, the one check of a limit
+argument, which raises ``LimitError`` (``IndexOutOfRangeError`` past what
+the input provides), and the chunked int/str conversions."""
 
 # Python refuses int/str conversions of more digits than a settable limit
 # (sys.set_int_max_str_digits), 640 at the lowest, so coefficients are
@@ -19,6 +20,15 @@ def _digits(n: int) -> str:
         chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
     chunks.append(str(n))
     return "".join(reversed(chunks))
+
+
+def _int_of_digits(digits: str) -> int:
+    """The value of a decimal digit string, read in chunks of ``_CHUNK_DIGITS``."""
+    n = 0
+    for i in range(0, len(digits), _CHUNK_DIGITS):
+        piece = digits[i : i + _CHUNK_DIGITS]
+        n = n * 10 ** len(piece) + int(piece)
+    return n
 
 
 class GsbError(Exception):
@@ -110,10 +120,6 @@ class TableIncompleteError(GsbError):
     """A required product or inverse entry is missing from the table."""
 
 
-class IndexOutOfRangeError(GsbError):
-    """A truncation index exceeds what the input data provides."""
-
-
 class SymbolClashError(GsbError):
     """A symbol that must be fresh is already in use."""
 
@@ -137,15 +143,23 @@ class CertificationError(GsbError):
 
 
 class LimitError(GsbError, ValueError):
-    """A degree, length, step or capacity limit is out of range, or the
-    input does not fit within it."""
+    """A degree, length, step, capacity or truncation limit is out of range,
+    or the input does not fit within it."""
 
 
-def _checked_limit(name: str, value, minimum: int) -> int:
-    """``value`` when it is an int, not a bool, and at least ``minimum``;
-    anything else raises ``LimitError`` naming the argument ``name``."""
+class IndexOutOfRangeError(LimitError):
+    """A truncation index exceeds what the input data provides."""
+
+
+def _checked_limit(name: str, value, minimum: int, maximum: int | None = None) -> int:
+    """``value`` when it is an int, not a bool, at least ``minimum`` and, if
+    ``maximum`` is given, at most it; a value past ``maximum`` raises
+    ``IndexOutOfRangeError``, anything else ``LimitError``, each naming the
+    argument ``name``."""
     if type(value) is not int:
         raise LimitError(f"{name} must be an int, not {type(value).__name__}")
     if value < minimum:
         raise LimitError(f"{name} must be >= {minimum}, got {_digits(value)}")
+    if maximum is not None and value > maximum:
+        raise IndexOutOfRangeError(f"{name} must be <= {_digits(maximum)}, got {_digits(value)}")
     return value

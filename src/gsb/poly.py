@@ -33,12 +33,12 @@ from fractions import Fraction
 
 from .errors import (
     _CHUNK,
-    _CHUNK_DIGITS,
     AlphabetMismatchError,
     BasisMismatchError,
     WordSyntaxError,
     ZeroPolynomialError,
     _digits,
+    _int_of_digits,
 )
 from .orderings import DegLex, ModuleTop
 from .words import Alphabet, ModuleBasis, ModuleWord, Word, module_code
@@ -453,15 +453,6 @@ def _coefficient(text: str, sign: int) -> Fraction | None:
         return None
     num, _, den = text.partition("/")
     return Fraction(sign * _int_of_digits(num), _int_of_digits(den) if den else 1)
-
-
-def _int_of_digits(digits: str) -> int:
-    """The value of a decimal digit string, read in chunks of ``_CHUNK_DIGITS``."""
-    n = 0
-    for i in range(0, len(digits), _CHUNK_DIGITS):
-        piece = digits[i : i + _CHUNK_DIGITS]
-        n = n * 10 ** len(piece) + int(piece)
-    return n
 
 
 def _join_signed(terms) -> str:

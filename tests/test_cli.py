@@ -460,6 +460,34 @@ def test_module_flag_asserts_module_input(aab_file, tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "5"
 
 
+@pytest.mark.parametrize("value", ["\u0663", "\uff13", "1_0", " 2 ", "+3"])
+def test_an_integer_flag_is_read_as_ascii_digits(aab_file, capsys, value):
+    # int() would read each of these as an integer
+    assert run(["irr", aab_file, "--max-deg", value, "--count-only"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: argument --max-deg: {value!r} is not an integer of ASCII digits\n"
+    )
+    assert run(["irr", aab_file, "--max-deg", "-1", "--count-only"]) == 1
+    assert capsys.readouterr().err == "error: max_deg must be >= 0, got -1\n"
+
+
+def test_complete_and_a_traced_normal_form_on_a_module_presentation(tmp_path, capsys):
+    mod = tmp_path / "mod.pres"
+    mod.write_text(
+        "alphabet: a > b\nordering: module-top\nbasis: y1 > y2\nrelations:\n"
+        "a*y1 - y2\na*y1 - b*y2\n"
+    )
+    done = tmp_path / "done.pres"
+    assert run(["complete", str(mod), "-o", str(done)]) == 0
+    assert capsys.readouterr().out == "status: CertifiedGSB\nprocessed: 0 compositions\n"
+    assert done.read_text() == (
+        "alphabet: a > b\nordering: module-top\nbasis: y1 > y2\nrelations:\n"
+        "b*y2 - y2\na*y1 - y2\n"
+    )
+    assert run(["nf", str(done), "--poly", "a*a*y1", "--trace"]) == 0
+    assert capsys.readouterr().out == "step 1: rule #1 left a: a*a*y1\na*y2\n"
+
+
 def test_capacity_env_override(aab_file, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GSB_MAX_WORDS", "4")
     assert run(["dim", aab_file, "--max-deg", "3"]) == 1

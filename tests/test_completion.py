@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from collections import Counter
@@ -24,6 +25,7 @@ from gsb.errors import (
     LeadingNotBelowError,
     LimitError,
     MalformedAmbiguityError,
+    UncertifiedBasisError,
     ZeroPolynomialError,
 )
 from gsb.orderings import DegLex, _deglex_key
@@ -161,6 +163,20 @@ def test_worked_completion():
     assert cert.relations == report.relations
 
 
+def test_verify_ideal_preservation_refuses_an_altered_record():
+    report = shirshov_complete([p("a*a*b - b*a"), p("b*b - a")], SPEC, max_deg=6)
+    assert report.is_certified and report.verify_ideal_preservation()
+    first, second = report.added
+    # an appended relation that is not its residual made monic
+    altered = dataclasses.replace(first, relation=p("a*b - b"))
+    assert not dataclasses.replace(report, added=(altered, second)).verify_ideal_preservation()
+    # a decomposition that no longer replays to the composition
+    (coeff, *words), *rest = second.decomposition
+    steps = ((coeff + 1, *words), *rest)
+    altered = dataclasses.replace(second, decomposition=steps)
+    assert not dataclasses.replace(report, added=(first, altered)).verify_ideal_preservation()
+
+
 def test_completion_rejects_zero_and_bad_limits():
     with pytest.raises(ZeroPolynomialError):
         shirshov_complete([Polynomial.zero(AB)], SPEC)
@@ -244,6 +260,13 @@ def test_check_gsb_degree_bound_blocks_certificate():
     report = check_gsb([p("a*a - b")], SPEC, max_deg=2)
     assert report.skipped == 1 and not report.nontrivial
     assert not report.is_certificate
+
+
+def test_an_uncertified_check_gives_no_certificate():
+    report = check_gsb([p("a*a*b - b*a"), p("b*b - a")], SPEC)
+    assert report.nontrivial
+    with pytest.raises(UncertifiedBasisError, match="not certified by this check"):
+        report.certificate()
 
 
 def test_check_gsb_rejects_nonpositive_degree_bound():

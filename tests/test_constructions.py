@@ -25,6 +25,7 @@ from gsb.errors import (
     AlphabetMismatchError,
     CertificationError,
     IndexOutOfRangeError,
+    LimitError,
     NonCanonicalSupportError,
     PresentationFormatError,
     SingleLetterAlphabetError,
@@ -192,6 +193,30 @@ def test_build_hnn_cyclic3_bound2():
     assert len(result.presentation.relations) == 22
 
 
+def test_build_hnn_certifies_where_the_first_generators_are_closed():
+    # observed, not proved: each index bound below the size of a cyclic table
+    # fails, and Z4 labelled so that g1 has order 2 certifies at the bounds
+    # 1 and 3, where g1..gb is closed under the table, but not at 2
+    for order in (3, 4, 5, 7):
+        table = GroupTable.cyclic(order)
+        for bound in range(1, table.size):
+            with pytest.raises(CertificationError):
+                build_hnn(table, bound)
+        assert build_hnn(table, table.size).report.is_certificate
+    residue = {0: 0, 1: 2, 2: 1, 3: 3}
+    label = {r: j for j, r in residue.items()}
+    z4 = GroupTable(
+        3,
+        {(j, k): label[(residue[j] + residue[k]) % 4] for j in (1, 2, 3) for k in (1, 2, 3)},
+        {j: label[-residue[j] % 4] for j in (1, 2, 3)},
+    )
+    assert z4.product[1, 1] == 0
+    assert build_hnn(z4, 1).report.is_certificate
+    with pytest.raises(CertificationError):
+        build_hnn(z4, 2)
+    assert build_hnn(z4, 3).report.is_certificate
+
+
 def test_build_hnn_bound_check():
     with pytest.raises(IndexOutOfRangeError):
         build_hnn(GroupTable.cyclic(3), 5)
@@ -346,6 +371,29 @@ def test_mult_table_refuses_a_float_or_bool_coefficient(coeff):
     # as a Fraction, 2.7 would be its binary value 3039929748475085/1125899906842624
     with pytest.raises(PresentationFormatError, match="not an exact number"):
         MultTable(("x1",), {(1, 1): {"x1": coeff}})
+
+
+def test_mult_table_reads_its_keys_as_a_group_table_does():
+    basis = ("x",)
+    assert MultTable(basis, {("1", "1"): "x"}).entries == MultTable(basis, {(1, 1): "x"}).entries
+    for key in ((True, True), (1.0, 1)):
+        message = f"a product key is {key[0]!r}, not an integer"
+        with pytest.raises(PresentationFormatError, match=re.escape(message)):
+            MultTable(basis, {key: "x"})
+    for key in ("11", 1, (1, 1, 1)):
+        with pytest.raises(PresentationFormatError, match=re.escape(f"product key {key!r} is not a pair")):
+            MultTable(basis, {key: "x"})
+    with pytest.raises(PresentationFormatError, match=r"product entry \(1,1\) is given twice"):
+        MultTable(basis, {(1, 1): "x", ("1", "01"): "x"})
+
+
+def test_build_simple_step_reads_the_unit_and_drops_a_zero_coefficient():
+    table = MultTable(("x",), {(1, 1): {"1": 1, "x": 0}})
+    assert table.entries == {(1, 1): ((None, Fraction(1)),)}
+    result = build_simple_step(table, SimpleStepInput(()), 1, 1)
+    assert result.report.is_certificate
+    alphabet = result.presentation.alphabet
+    assert result.presentation.relations[0] == parse_polynomial("x*x - 1", alphabet)
 
 
 def test_build_simple_step_on_a_non_associative_table():
@@ -525,7 +573,7 @@ def test_bracket_embedding_words():
         assert bracket.flatten() == word
     assert str(out[0][0]) == "a*a*b*a*b"
     assert str(out[1][0]) == "a*a*b*b*a*b"
-    with pytest.raises(IndexOutOfRangeError):
+    with pytest.raises(LimitError, match="^i_max must be >= 1, got 0$"):
         bracket_embedding_words(0)
 
 

@@ -157,6 +157,14 @@ def test_text_round_trip(A, B, spec):
         assert format_module_element(parse_module_element(text, A, B), spec) == text
 
 
+def test_a_word_acts_on_the_left_and_a_module_word_keys_a_term():
+    m = ModuleElement(AB, Y, {ModuleWord(Word(AB, (1,)), Y, 2): 3, ((), 0): -1})
+    assert m == ModuleElement(AB, Y, {((1,), 2): 3, ((), 0): -1})
+    u = Word(AB, (0, 1))
+    assert u * m == ModuleElement(AB, Y, {((0, 1, 1), 2): 3, ((0, 1), 0): -1})
+    assert u * m == act(Polynomial.from_word(u), m)
+
+
 def test_mismatched_operands_raise():
     x = ModuleElement(AB, Y, [(((0,), 0), 1)])
     other_basis = ModuleElement(AB, ModuleBasis(("y1", "y2", "y4")), [(((0,), 0), 1)])

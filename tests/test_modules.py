@@ -491,6 +491,11 @@ def _random_module_set(rng, A, B):
 SETUPS = [(AB, Y, SPEC), (SHARED, SHARED_Y, SPEC), (TOWER_A, TOWER_Y, TOWER_SPEC)]
 
 
+def test_code_letters_take_an_underscore_while_a_symbol_starts_with_their_stem():
+    code_alphabet = module_code(Alphabet(("Y0", "b")), ModuleBasis(("y1", "y2")))[0]
+    assert code_alphabet.symbols == ("Y0", "b", "_Y0", "_Y1")
+
+
 def test_code_order_is_the_module_order():
     # ModuleTop orders codes Y_g*rev(u); the reference orders (u, g) pairs
     rng = random.Random(53)

@@ -10,6 +10,7 @@ from gsb import rewrite
 from gsb.completion import shirshov_complete
 from gsb.errors import (
     CapacityError,
+    IndexOutOfRangeError,
     LimitError,
     NonMonicRelationError,
     TowerSymbolMissingError,
@@ -340,6 +341,55 @@ def test_quotient_dims_raise_where_the_oracle_does():
 HUGE = -(10**5000)
 
 
+def _builder_limits():
+    """(argument, minimum, maximum or None, call with the value) of each
+    truncation index of the embedding builders."""
+    from gsb.constructions import (
+        GroupTable,
+        MultTable,
+        SimpleStepInput,
+        bracket_embedding_words,
+        build_hnn,
+        build_malcev,
+        build_module_cyclic,
+        build_simple_step,
+    )
+    from gsb.orderings import ModuleTop
+    from gsb.presentation import ModulePresentation, Presentation
+    from gsb.words import ModuleBasis
+
+    z2 = GroupTable(1, {(1, 1): 0}, {1: 1})
+    x = Alphabet(("x1", "x2"))
+    base = Presentation(x, SPEC, (parse_polynomial("x1*x2 - x2*x1", x),))
+    module = ModulePresentation(AB, ModuleBasis(("y1", "y2")), ModuleTop(), ())
+    table, no_pairs = MultTable(("x",), {(1, 1): "x"}), SimpleStepInput(())
+    return {
+        "build_hnn": ("index_bound", 1, 1, lambda v: build_hnn(z2, v)),
+        "build_malcev": ("count", 1, 2, lambda v: build_malcev(base, v)),
+        "build_module_cyclic": ("count", 1, 2, lambda v: build_module_cyclic(module, v)),
+        "build_simple_step-m_bound": (
+            "m_bound", 1, None, lambda v: build_simple_step(table, no_pairs, v, 1)
+        ),
+        "build_simple_step-n_bound": (
+            "n_bound", 1, None, lambda v: build_simple_step(table, no_pairs, 1, v)
+        ),
+        "bracket_embedding_words": ("i_max", 1, None, bracket_embedding_words),
+        "GroupTable.cyclic": ("order", 2, None, GroupTable.cyclic),
+    }
+
+
+@pytest.mark.parametrize(
+    "case", [case for case, limit in _builder_limits().items() if limit[2] is not None]
+)
+def test_a_truncation_index_past_its_input_raises_index_out_of_range(case):
+    name, _minimum, maximum, call = _builder_limits()[case]
+    with pytest.raises(IndexOutOfRangeError) as caught:
+        call(maximum + 1)
+    assert isinstance(caught.value, LimitError)
+    assert str(caught.value) == f"{name} must be <= {maximum}, got {maximum + 1}"
+    call(maximum)
+
+
 def _limit_cases():
     from gsb.completion import check_gsb
     from gsb.lyndon import alsw_up_to, nlsw_basis_count
@@ -363,6 +413,7 @@ def _limit_cases():
         "module_irr": lambda: module_irr(AB, y, module, ModuleTop(), HUGE),
         "alsw_up_to": lambda: alsw_up_to(AB, HUGE),
         "nlsw_basis_count": lambda: nlsw_basis_count(AB, HUGE),
+        **{case: lambda call=call: call(HUGE) for case, (*_, call) in _builder_limits().items()},
     }
 
 
@@ -419,6 +470,10 @@ def _limit_arguments():
         "check_monomial-max_len": (
             "max_len", 0, False, lambda v: check_monomial(SPEC, AB, 5, seed=1, max_len=v)
         ),
+        **{
+            case: (name, minimum, False, call)
+            for case, (name, minimum, _maximum, call) in _builder_limits().items()
+        },
     }
 
 
